@@ -13,8 +13,10 @@ textbook partial-fraction expansion to machine precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
+
+import numpy as np
 
 from .errors import ConfigError, NumericError
 from .model import (
@@ -29,90 +31,103 @@ from .model import (
 # anything worse signals a formula bug and raises instead of clamping.
 CLAMP_GATE = 1e-12
 
-# Node spread (in exponent units) below which the divided difference switches
-# from the recursive form to the series expansion around the node mean.
+# Node spread (in exponent units) at or below which the three-stage density
+# uses the series expansion around the node mean instead of the recursion on
+# the extreme nodes.
 _SERIES_SPREAD = 1.0
-_SERIES_MAX_TERMS = 80
+# Terms kept of that series. Scaled to the spread, each deviation is at most
+# 2/3, so term m is below C(m+2, 2) (2/3)^m / (m+2)!: under 1e-22 from m = 20
+# on, against a sum of at least exp(-1)/2.
+_SERIES_TERMS = 21
+_MAX_STAGES = 3
 
 
 @dataclass(frozen=True)
 class HypoexpSpec:
-    """Rates of a sum of 1-3 independent exponential stages."""
+    """Rates of a sum of 1-3 independent exponential stages.
+
+    ``series`` holds the coefficients ``h_m / (m+n-1)!`` of the divided
+    difference of exp around the node mean, where ``h_m`` is the complete
+    homogeneous symmetric polynomial of the rate deviations from their mean,
+    scaled by the rate spread. They depend on the rates only, so they are
+    computed once here and not per density evaluation.
+    """
 
     rates: tuple[float, ...]
+    series: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if len(self.rates) == 0:
-            raise ConfigError("hypoexponential spec needs at least one rate")
+        if not 1 <= len(self.rates) <= _MAX_STAGES:
+            raise ConfigError(f"hypoexponential spec needs 1 to {_MAX_STAGES} rates")
         if not all(r > 0.0 and math.isfinite(r) for r in self.rates):
             raise ConfigError("hypoexponential rates must be positive and finite")
+        object.__setattr__(self, "series", _series_coefficients(self.rates))
 
 
-def _divided_difference_exp(nodes: Sequence[float]) -> float:
-    """Divided difference of exp over ``nodes``, stable for clustered nodes.
-
-    Clustered nodes (spread <= 1) use the series around the node mean, whose
-    terms are complete homogeneous symmetric polynomials of the deviations;
-    spread-out nodes recurse on the sorted extremes, where the denominator
-    is large enough that no catastrophic cancellation occurs.
-    """
-    n = len(nodes)
-    if n == 1:
-        return math.exp(nodes[0])
-    ordered = sorted(nodes, reverse=True)
-    spread = ordered[0] - ordered[-1]
-    if spread <= _SERIES_SPREAD:
-        mean = math.fsum(ordered) / n
-        u = [y - mean for y in ordered]
-        # elementary symmetric polynomials of the deviations (e1 = 0 by construction)
-        e = [1.0]
-        for ui in u:
-            e = [e[0]] + [e[j] + ui * e[j - 1] for j in range(1, len(e))] + [ui * e[-1]]
-        # h_m = sum_j (-1)^(j+1) e_j h_(m-j); series sum_m h_m / (m+n-1)!
-        # h_1 vanishes identically (deviations sum to 0), so convergence needs
-        # two consecutive negligible terms before stopping.
-        h = [1.0]
-        total = 0.0
-        factorial = math.factorial(n - 1)
-        small_streak = 0
-        for m in range(_SERIES_MAX_TERMS):
-            if m > 0:
-                hm = 0.0
-                for j in range(1, min(m, n) + 1):
-                    hm += ((-1) ** (j + 1)) * e[j] * h[m - j]
-                h.append(hm)
-            term = h[m] / factorial
-            total += term
-            factorial *= m + n
-            if m > 0 and abs(term) <= 1e-18 * abs(total):
-                small_streak += 1
-                if small_streak >= 2:
-                    break
-            else:
-                small_streak = 0
-        return math.exp(mean) * total
-    upper = _divided_difference_exp(ordered[:-1])
-    lower = _divided_difference_exp(ordered[1:])
-    return (upper - lower) / spread
+def _series_coefficients(rates: Sequence[float]) -> tuple[float, ...]:
+    n = len(rates)
+    spread = max(rates) - min(rates)
+    if spread == 0.0:
+        # every deviation is zero, so only the constant term survives
+        return (1.0 / math.factorial(n - 1),)
+    mean = math.fsum(rates) / n
+    # elementary symmetric polynomials of the scaled deviations (e1 = 0 up to rounding)
+    e = [1.0]
+    for d in ((r - mean) / spread for r in rates):
+        e = [e[0]] + [e[j] + d * e[j - 1] for j in range(1, len(e))] + [d * e[-1]]
+    # h_m = sum_j (-1)^(j+1) e_j h_(m-j)
+    h = [1.0]
+    for m in range(1, _SERIES_TERMS):
+        h.append(math.fsum((-1) ** (j + 1) * e[j] * h[m - j] for j in range(1, min(m, n) + 1)))
+    return tuple(hm / math.factorial(m + n - 1) for m, hm in enumerate(h))
 
 
-def hypoexp_pdf(spec: HypoexpSpec, z: float) -> float:
+def _divided_difference_exp2(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """Divided difference of exp over nodes ``hi >= lo``, exact when they meet."""
+    gap = hi - lo
+    ratio = np.divide(-np.expm1(-gap), gap, out=np.ones_like(gap), where=gap > 0.0)
+    return np.exp(hi) * ratio
+
+
+def hypoexp_pdf(spec: HypoexpSpec, z: float | np.ndarray) -> float | np.ndarray:
     """Density at ``z >= 0`` of the sum of independent exponentials in ``spec``.
 
-    Valid for any rate multiset: coincident rates reproduce the Erlang
-    density, a single rate the plain exponential.
+    ``z`` is a float or an array; a float gives a float. Valid for any rate
+    multiset: coincident rates reproduce the Erlang density, a single rate the
+    plain exponential. The density is ``prod(rates) z^(n-1)`` times the
+    divided difference of exp over the nodes ``-rate * z``, evaluated in a
+    form that stays exact when nodes cluster.
     """
-    if z < 0.0:
+    zv = np.atleast_1d(np.asarray(z, dtype=float))
+    if np.any(zv < 0.0):
         raise ConfigError("hypoexponential density is supported on z >= 0")
-    rates = spec.rates
+    rates = sorted(spec.rates)
     n = len(rates)
     if n == 1:
-        return rates[0] * math.exp(-rates[0] * z)
-    prod = 1.0
-    for r in rates:
-        prod *= r
-    value = prod * z ** (n - 1) * _divided_difference_exp([-r * z for r in rates])
-    return max(value, 0.0)
+        value = rates[0] * np.exp(-rates[0] * zv)
+    else:
+        nodes = [-r * zv for r in rates]  # descending, since z >= 0
+        if n == 2:
+            dd = _divided_difference_exp2(nodes[0], nodes[1])
+        else:
+            dd = np.empty_like(zv)
+            spread = nodes[0] - nodes[2]
+            near = spread <= _SERIES_SPREAD
+            if near.any():
+                # series in the scaled deviations, around the node mean
+                t = (rates[0] - rates[2]) * zv[near]
+                total = np.full_like(t, spec.series[-1])
+                for coefficient in spec.series[-2::-1]:
+                    total = total * t + coefficient
+                dd[near] = np.exp(-math.fsum(rates) / n * zv[near]) * total
+            far = ~near
+            if far.any():
+                # spread-out nodes: recurse on the extremes, whose gap is too
+                # large for catastrophic cancellation
+                x0, x1, x2 = (x[far] for x in nodes)
+                dd[far] = (_divided_difference_exp2(x0, x1) - _divided_difference_exp2(x1, x2)) / spread[far]
+        value = np.maximum(math.prod(rates) * zv ** (n - 1) * dd, 0.0)
+    return float(value[0]) if np.ndim(z) == 0 else value
 
 
 def interference_laplace(rates: Sequence[float], s: float) -> float:

@@ -1,6 +1,7 @@
 import math
 
 import mpmath
+import numpy as np
 import pytest
 
 from twrnoma.analysis import (
@@ -75,6 +76,8 @@ class TestHypoexpPdf:
     def test_negative_argument_rejected(self):
         with pytest.raises(ConfigError):
             hypoexp_pdf(HypoexpSpec((1.0,)), -0.5)
+        with pytest.raises(ConfigError):
+            hypoexp_pdf(HypoexpSpec((1.0, 2.0, 3.0)), np.array([0.5, -1e-300, 2.0]))
 
     @pytest.mark.parametrize(
         "rates",
@@ -89,9 +92,15 @@ class TestHypoexpPdf:
         ],
     )
     def test_matches_high_precision_reference(self, rates):
-        for z in (1e-8, 0.01, 0.3, 1.0, 4.0):
+        zs = (1e-8, 0.01, 0.3, 1.0, 4.0)
+        refs = [mp_hypoexp_pdf(rates, z) for z in zs]
+        for z, ref in zip(zs, refs):
             mine = hypoexp_pdf(HypoexpSpec(rates), z)
-            ref = mp_hypoexp_pdf(rates, z)
+            assert isinstance(mine, float)
+            assert mine == pytest.approx(ref, rel=5e-13, abs=1e-300)
+        together = hypoexp_pdf(HypoexpSpec(rates), np.array(zs))
+        assert together.shape == (len(zs),)
+        for mine, ref in zip(together, refs):
             assert mine == pytest.approx(ref, rel=5e-13, abs=1e-300)
 
     @pytest.mark.parametrize(

@@ -1,8 +1,10 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from twrnoma import oracle
 from twrnoma.analysis import HypoexpSpec, hypoexp_pdf, outage_xl, outage_xt
 from twrnoma.errors import ConfigError, OracleError
 from twrnoma.model import GROUP_ONE, SystemConfig
@@ -16,15 +18,15 @@ def table_config(**overrides):
 
 class TestIntegrator:
     def test_plain_exponential(self):
-        value = integrate_semi_infinite(lambda z: math.exp(-z), 0.0, 1.0)
+        value = integrate_semi_infinite(lambda z: np.exp(-z), 0.0, 1.0)
         assert value == pytest.approx(1.0, abs=1e-10)
 
     def test_shifted_lower_limit(self):
-        value = integrate_semi_infinite(lambda z: 2.0 * math.exp(-2.0 * z), 1.5, 0.5)
+        value = integrate_semi_infinite(lambda z: 2.0 * np.exp(-2.0 * z), 1.5, 0.5)
         assert value == pytest.approx(math.exp(-3.0), rel=1e-9)
 
     def test_mismatched_scale_still_converges(self):
-        value = integrate_semi_infinite(lambda z: 50.0 * math.exp(-50.0 * z), 0.0, 10.0)
+        value = integrate_semi_infinite(lambda z: 50.0 * np.exp(-50.0 * z), 0.0, 10.0)
         assert value == pytest.approx(1.0, rel=1e-8)
 
     @pytest.mark.parametrize(
@@ -42,18 +44,20 @@ class TestIntegrator:
         mean = sum(1.0 / r for r in spec.rates)
 
         def density(z):
-            return hypoexp_pdf(spec, z) * math.exp(-0.3 * z)
+            return hypoexp_pdf(spec, z) * np.exp(-0.3 * z)
 
         loose = integrate_semi_infinite(density, 0.0, mean, QuadSpec(rel_tol=1e-7, abs_tol=1e-9))
         tight = integrate_semi_infinite(density, 0.0, mean, QuadSpec(rel_tol=1e-8, abs_tol=1e-10))
         assert abs(loose - tight) < 1e-7 * abs(tight) + 1e-9
 
     def test_budget_exhaustion_raises(self):
-        with pytest.raises(OracleError):
-            integrate_semi_infinite(
-                lambda z: math.exp(-z), 0.0, 1.0,
-                QuadSpec(abs_tol=1e-300, rel_tol=1e-16, max_subdivisions=32),
-            )
+        starved = QuadSpec(abs_tol=1e-300, rel_tol=1e-16, max_subdivisions=32)
+        with pytest.raises(OracleError, match=r"subdivision budget of 32 panels \(lower=0, scale=1, worst open panel z in \["):
+            integrate_semi_infinite(lambda z: np.exp(-z), 0.0, 1.0, starved)
+        with pytest.raises(OracleError, match=r"^quadrature of the relay integral did not converge"):
+            quad_outage_xl(table_config(), GROUP_ONE, starved)
+        with pytest.raises(OracleError, match=r"^quadrature of the relay pair integral did not converge"):
+            quad_outage_xt(table_config(), GROUP_ONE, starved)
 
     def test_bad_tolerances_rejected(self):
         with pytest.raises(ConfigError):
@@ -106,6 +110,32 @@ class TestOutageQuadrature:
         assert quad_outage_xt(cfg, GROUP_ONE) == pytest.approx(
             outage_xt(cfg, GROUP_ONE).probability, rel=1e-6
         )
+
+    def test_no_panel_accepted_before_depth_two(self):
+        # a depth-0 panel of the relay integral agreed with its refinement to
+        # 1e-11 while its true error was 7.9e-10, a relative error of 2.1e-6
+        cfg = SystemConfig(
+            rho_db=55.74053376692068,
+            a=(0.6019126024193184, 0.39808739758068157, 0.6993897728549983, 0.30061022714500174),
+            b=(0.4087998003720612, 0.5912001996279388, 0.3620288869002377, 0.6379711130997623),
+            omega=(0.5427303585875527, 0.002193834062172656, 0.17344653575989966, 0.003030514950766943),
+            omega_i_db=-19.95830276648209,
+            varpi1=0.005502782871112188,
+            varpi2=0.1431061821441499,
+            rates=(0.05452492497850011, 0.08848393555505639, 0.06844679052228167, 0.08727767690196436),
+            sic_mode="pSIC",
+        )
+        quad = quad_outage_xl(cfg, GROUP_ONE, QuadSpec(abs_tol=1e-13, rel_tol=1e-11))
+        assert quad == pytest.approx(outage_xl(cfg, GROUP_ONE).probability, rel=1e-9)
+
+    def test_out_of_range_value_raises(self, monkeypatch):
+        assert oracle._finish(-1e-13) == 0.0
+        assert oracle._finish(1.0 + 1e-13) == 1.0
+        # integrals three times too large drive the outage far below 0
+        true_integral = oracle.integrate_semi_infinite
+        monkeypatch.setattr(oracle, "integrate_semi_infinite", lambda *args: 3.0 * true_integral(*args))
+        with pytest.raises(OracleError, match="clamp gate"):
+            quad_outage_xl(table_config(), GROUP_ONE)
 
     def test_degenerate_rate_continuity(self):
         base = quad_outage_xl(table_config(varpi1=0.01), GROUP_ONE)
