@@ -39,14 +39,12 @@ from .model import (
     load_config_file,
     omega_from_distances,
     sample_channel_block,
-    sample_channels,
 )
 from .montecarlo import (
     ErgodicRateEstimate,
     OutageEstimate,
     mc_ergodic_rates,
-    mc_outage_xl,
-    mc_outage_xt,
+    mc_outage,
     wilson_interval,
 )
 from .oracle import QuadSpec, integrate_semi_infinite, quad_outage_xl, quad_outage_xt
@@ -80,8 +78,7 @@ __all__ = [
     "integrate_semi_infinite",
     "load_config_file",
     "mc_ergodic_rates",
-    "mc_outage_xl",
-    "mc_outage_xt",
+    "mc_outage",
     "oma_outage",
     "omega_from_distances",
     "oracle_agreement",
@@ -93,7 +90,6 @@ __all__ = [
     "quad_outage_xt",
     "run_sweep",
     "sample_channel_block",
-    "sample_channels",
     "throughput_delay_limited",
     "wilson_interval",
 ]

@@ -228,15 +228,14 @@ def outage_xt(config: SystemConfig, roles: PairRoles) -> OutageValue:
     return OutageValue(_finish_probability(1.0 - survival), "closed", config.sic_mode, signal, roles)
 
 
-def outage_xl_asymptotic(config: SystemConfig, roles: PairRoles, at_infinity: bool = False) -> OutageValue:
+def outage_xl_asymptotic(config: SystemConfig, roles: PairRoles) -> OutageValue:
     """High-SNR outage of the stronger signal (its error floor).
 
     The survival factors that persist at high SNR are invariant in the
     transmit SNR once thresholds scale with it, and the first-order expansion
     of the residual-interference stage collapses exactly to
     ``om_k / (om_k + eps * rho * tau * omega_i)`` (the would-be correction
-    terms cancel), so the finite-SNR evaluation already equals the floor and
-    ``at_infinity`` does not change the value.
+    terms cancel), so the finite-SNR evaluation already equals the floor.
     """
     dc = build_derived_constants(config, roles)
     signal = f"x{roles.l}"
@@ -250,11 +249,11 @@ def outage_xl_asymptotic(config: SystemConfig, roles: PairRoles, at_infinity: bo
     return OutageValue(_finish_probability(raw), "asymptotic", config.sic_mode, signal, roles)
 
 
-def outage_xt_asymptotic(config: SystemConfig, roles: PairRoles, at_infinity: bool = False) -> OutageValue:
+def outage_xt_asymptotic(config: SystemConfig, roles: PairRoles) -> OutageValue:
     """High-SNR outage of the weaker signal (its error floor).
 
     As with the stronger signal, the evaluated expression carries no residual
-    SNR dependence; ``at_infinity`` is accepted for interface symmetry.
+    SNR dependence.
     """
     dc = build_derived_constants(config, roles)
     signal = f"x{roles.t}"

@@ -23,7 +23,7 @@ import numpy as np
 from . import analysis
 from .errors import ConfigError, NumericError
 from .model import GROUP_ONE, GROUP_TWO, PairRoles, SystemConfig
-from .montecarlo import DEFAULT_TRIALS, mc_outage_xl, mc_outage_xt
+from .montecarlo import DEFAULT_TRIALS, OutageEstimate, mc_outage
 from .oracle import QuadSpec, quad_outage_xl, quad_outage_xt
 
 OMA_PHASES = 8
@@ -39,6 +39,9 @@ SIGNAL_ROLES: dict[str, tuple[PairRoles, str]] = {
     "x3": (GROUP_TWO, "l"),
     "x4": (GROUP_TWO, "t"),
 }
+
+# (SIC mode, role group) -> the MC engine's estimates, for one grid point
+_GridPointMc = dict[tuple[str, PairRoles], dict[str, OutageEstimate]]
 
 CURVE_FIELDS = ("rho_db", "signal", "sic_mode", "method", "value", "ci_low", "ci_high", "trials", "seed")
 
@@ -118,8 +121,18 @@ def oma_outage(config: SystemConfig, roles: PairRoles, signal: str) -> float:
 
 
 def _outage_point(
-    config: SystemConfig, signal: str, method: str, trials: int, seed: int
+    config: SystemConfig,
+    signal: str,
+    method: str,
+    trials: int,
+    seed: int,
+    mc: _GridPointMc,
 ) -> CurveRow:
+    """One row at the config's operating point.
+
+    ``mc`` is filled on first use, so both signals of a role group are read
+    from one engine call.
+    """
     roles, kind = SIGNAL_ROLES[signal]
     if method == "closed":
         fn = analysis.outage_xl if kind == "l" else analysis.outage_xt
@@ -133,8 +146,10 @@ def _outage_point(
     elif method == "oma":
         value = oma_outage(config, roles, signal)
     elif method == "mc":
-        mfn = mc_outage_xl if kind == "l" else mc_outage_xt
-        est = mfn(config, roles, trials=trials, seed=seed)
+        key = (config.sic_mode, roles)
+        if key not in mc:
+            mc[key] = mc_outage(config, roles, trials=trials, seed=seed)
+        est = mc[key][signal]
         return CurveRow(config.rho_db, signal, config.sic_mode, method, est.p_hat,
                         est.ci_low, est.ci_high, est.trials, est.seed)
     else:  # pragma: no cover - guarded by SweepSpec validation
@@ -150,11 +165,12 @@ def run_sweep(spec: SweepSpec) -> list[CurveRow]:
     """
     rows: list[CurveRow] = []
     for rho_db in spec.rho_grid_db():
+        mc: _GridPointMc = {}
         for signal in spec.signals:
             for mode in spec.sic_modes:
                 config = replace(spec.config, rho_db=rho_db, sic_mode=mode)
                 for method in spec.methods:
-                    row = _outage_point(config, signal, method, spec.trials, spec.seed)
+                    row = _outage_point(config, signal, method, spec.trials, spec.seed, mc)
                     if not (0.0 <= row.value <= 1.0) or not math.isfinite(row.value):
                         raise NumericError(
                             f"outage row out of range: {row.signal} {row.method} at {rho_db} dB -> {row.value!r}"
@@ -163,32 +179,24 @@ def run_sweep(spec: SweepSpec) -> list[CurveRow]:
     return rows
 
 
-def all_signal_outages(config: SystemConfig, method: str = "closed") -> tuple[float, float, float, float]:
-    """Outage of x1..x4 at the config's operating point, by the given method."""
-    values = []
-    for signal in SIGNALS:
-        row = _outage_point(config, signal, method, DEFAULT_TRIALS, 1)
-        values.append(row.value)
-    return tuple(values)
-
-
 def throughput_rows(
     spec: SweepSpec, methods: tuple[str, ...] = ("closed",)
 ) -> list[CurveRow]:
     """Delay-limited throughput over the grid, composed from the four outage curves.
 
-    Rows carry signal tag ``"sum"``; MC rows reuse the spec's trial count and
-    seed for each of the four per-signal estimates.
+    Rows carry signal tag ``"sum"``; MC rows use the spec's trial count and
+    seed, with one engine call per role group.
     """
     rows: list[CurveRow] = []
     for rho_db in spec.rho_grid_db():
+        mc: _GridPointMc = {}
         for mode in spec.sic_modes:
             config = replace(spec.config, rho_db=rho_db, sic_mode=mode)
             for method in methods:
                 if method not in ("closed", "mc", "oma"):
                     raise ConfigError(f"throughput supports closed, mc or oma, not {method!r}")
                 outages = [
-                    _outage_point(config, signal, method, spec.trials, spec.seed).value
+                    _outage_point(config, signal, method, spec.trials, spec.seed, mc).value
                     for signal in SIGNALS
                 ]
                 value = analysis.throughput_delay_limited(config, outages)

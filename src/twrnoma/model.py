@@ -16,10 +16,6 @@ import numpy as np
 
 from .errors import ConfigError
 
-# Two active rates closer than this (relative) are treated as coincident when
-# deciding whether the partial-fraction coefficients are well defined.
-DEGENERATE_RTOL = 1e-9
-
 _B_SUM_TOL = 1e-9
 
 
@@ -155,10 +151,7 @@ class DerivedConstants:
 
     ``lam`` holds the exponential rates of the active relay-side interference
     terms (the in-pair term always, the two cross-pair terms only when
-    ``varpi1 > 0``); ``lam_p`` the rates of the cross-pair-only sum. ``phi``
-    carries the partial-fraction coefficients of the three-term case and is
-    ``None`` whenever fewer than three terms are active or two rates coincide
-    within ``DEGENERATE_RTOL`` (the expansion divides by rate differences).
+    ``varpi1 > 0``); ``lam_p`` the rates of the cross-pair-only sum.
 
     When a power split cannot support its target rate the corresponding
     feasibility flag is ``False`` and the dependent thresholds (``tau_l``,
@@ -168,7 +161,6 @@ class DerivedConstants:
     gamma_th: tuple[float, float, float, float]
     lam: tuple[float, ...]
     lam_p: tuple[float, ...]
-    phi: tuple[float, float, float] | None
     beta_l: float
     beta_t: float
     tau_l: float | None
@@ -182,14 +174,6 @@ class DerivedConstants:
 def sinr_threshold(rate: float) -> float:
     """Target SINR for a rate delivered over the two-slot exchange."""
     return 2.0 ** (2.0 * rate) - 1.0
-
-
-def _pairwise_distinct(rates: tuple[float, ...]) -> bool:
-    for i in range(len(rates)):
-        for j in range(i + 1, len(rates)):
-            if abs(rates[i] - rates[j]) <= DEGENERATE_RTOL * max(rates[i], rates[j]):
-                return False
-    return True
 
 
 def build_derived_constants(config: SystemConfig, roles: PairRoles) -> DerivedConstants:
@@ -211,15 +195,6 @@ def build_derived_constants(config: SystemConfig, roles: PairRoles) -> DerivedCo
         lam = lam + cross
         lam_p = cross
 
-    phi = None
-    if len(lam) == 3 and _pairwise_distinct(lam):
-        l1, l2, l3 = lam
-        phi = (
-            1.0 / ((l2 - l1) * (l3 - l1)),
-            1.0 / ((l3 - l2) * (l2 - l1)),
-            1.0 / ((l3 - l1) * (l3 - l2)),
-        )
-
     beta_l = g_l / (rho * a_l)
     beta_t = g_t / (rho * a_t)
 
@@ -235,7 +210,6 @@ def build_derived_constants(config: SystemConfig, roles: PairRoles) -> DerivedCo
         gamma_th=gamma_th,
         lam=lam,
         lam_p=lam_p,
-        phi=phi,
         beta_l=beta_l,
         beta_t=beta_t,
         tau_l=tau_l,
@@ -269,21 +243,13 @@ class RandomStream:
         return f"RandomStream(seed={self.seed}, path={self._spawn_key})"
 
 
-def sample_channels(stream: RandomStream, config: SystemConfig) -> ChannelSample:
-    """Draw one fading realization: four exponential power gains plus the residual gain.
-
-    Draw order is fixed (g1..g4, then gI), so identical seed and stream
-    position reproduce identical samples. Under pSIC the residual gain is not
-    drawn and is fixed at zero.
-    """
-    rng = stream.generator
-    g = [rng.exponential(om) for om in config.omega]
-    gi = rng.exponential(config.omega_i) if config.sic_mode == "ipSIC" else 0.0
-    return ChannelSample(g[0], g[1], g[2], g[3], gi)
-
-
 def sample_channel_block(stream: RandomStream, config: SystemConfig, count: int) -> ChannelSample:
-    """Vectorized variant of :func:`sample_channels`: each field is a ``count``-long array."""
+    """Draw ``count`` fading realizations: four exponential power gains plus the residual gain.
+
+    Each field is a ``count``-long array. Draw order is fixed (g1..g4, then
+    gI), so identical seed and stream position reproduce identical samples.
+    Under pSIC the residual gain is not drawn and is fixed at zero.
+    """
     rng = stream.generator
     g = [rng.exponential(om, size=count) for om in config.omega]
     if config.sic_mode == "ipSIC":

@@ -4,9 +4,12 @@ Estimates are built from the raw decoding events, never from the derived
 formulas, so they validate the analysis module independently. Each trial
 realizes the two transmission slots as independent fading blocks: the relay
 decode events are evaluated on the multiple-access block, the user decode
-events on the broadcast block. Trials are partitioned into fixed-size chunks
-on disjoint substreams with integer event counts merged at the end, so a
-given seed yields identical results for any worker count.
+events on the broadcast block. One engine, :func:`mc_outage`, counts the
+failures of both signals of a role group on the same draws, as the two
+signals share the relay's first decode and the opposite pair's receivers.
+Trials are partitioned into fixed-size chunks on disjoint substreams with
+integer event counts merged at the end, so a given seed yields identical
+results for any worker count.
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .model import PairRoles, RandomStream, SystemConfig, build_derived_constants, sample_channel_block
-from .sinr import compute_sinrs
+from .model import PairRoles, RandomStream, SystemConfig, sample_channel_block, sinr_threshold
+from .sinr import SinrSet, compute_sinrs
 
 CHUNK_SIZE = 1 << 17
 DEFAULT_TRIALS = 10**6  # reference iteration count for the numerical presets
@@ -65,6 +68,9 @@ class ErgodicRateEstimate:
 
 
 def _chunks(trials: int) -> list[tuple[int, int]]:
+    """(substream index, size) of every chunk of a run of ``trials`` draws."""
+    if trials < _MIN_TRIALS:
+        raise ConfigError(f"at least {_MIN_TRIALS} trials are required, got {trials}")
     bounds = []
     index = 0
     done = 0
@@ -76,69 +82,53 @@ def _chunks(trials: int) -> list[tuple[int, int]]:
     return bounds
 
 
-def _count_chunk(config: SystemConfig, roles: PairRoles, stream: RandomStream, size: int) -> tuple[int, int]:
-    """Failure counts for both signals over one chunk of two-slot realizations."""
-    dc = build_derived_constants(config, roles)
-    g_l = dc.gamma_th[roles.l - 1]
-    g_t = dc.gamma_th[roles.t - 1]
+def _slot_sinrs(
+    config: SystemConfig, roles: PairRoles, stream: RandomStream, size: int
+) -> tuple[SinrSet, SinrSet]:
+    """SINRs of one chunk's two slots: the multiple-access block, then the broadcast block."""
     uplink = compute_sinrs(config, roles, sample_channel_block(stream, config, size))
     downlink = compute_sinrs(config, roles, sample_channel_block(stream, config, size))
-    ok_l = (uplink.relay_strong > g_l) & (downlink.user_cross > g_t) & (downlink.user_own > g_l)
-    ok_t = (
-        (uplink.relay_weak > g_t)
-        & (uplink.relay_strong > g_l)
-        & (downlink.user_cross > g_t)
-        & (downlink.far_user > g_t)
-    )
-    return size - int(ok_l.sum()), size - int(ok_t.sum())
+    return uplink, downlink
 
 
-def _count_failures(
-    config: SystemConfig, roles: PairRoles, trials: int, seed: int, workers: int
-) -> tuple[int, int]:
-    if trials < _MIN_TRIALS:
-        raise ConfigError(f"at least {_MIN_TRIALS} trials are required, got {trials}")
-    root = RandomStream(seed)
+def mc_outage(
+    config: SystemConfig,
+    roles: PairRoles,
+    trials: int = DEFAULT_TRIALS,
+    seed: int = 1,
+    workers: int = 1,
+) -> dict[str, OutageEstimate]:
+    """Simulated outage of the pair's two signals, keyed by signal, from the same draws.
+
+    ``x_l`` needs the relay's first decode and, at the opposite pair's near
+    user, the decode of ``x_t`` and then its own; ``x_t`` needs both relay
+    decodes, that near user's first decode and the far user's decode.
+    """
     bounds = _chunks(trials)
+    g_l = sinr_threshold(config.rates[roles.l - 1])
+    g_t = sinr_threshold(config.rates[roles.t - 1])
+    root = RandomStream(seed)
+
+    def failures(bound: tuple[int, int]) -> tuple[int, int]:
+        index, size = bound
+        uplink, downlink = _slot_sinrs(config, roles, root.substream(index), size)
+        relay_l = uplink.relay_strong > g_l
+        cross_t = downlink.user_cross > g_t
+        ok_l = relay_l & cross_t & (downlink.user_own > g_l)
+        ok_t = relay_l & (uplink.relay_weak > g_t) & cross_t & (downlink.far_user > g_t)
+        return size - int(ok_l.sum()), size - int(ok_t.sum())
+
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            counts = list(
-                pool.map(lambda ib: _count_chunk(config, roles, root.substream(ib[0]), ib[1]), bounds)
-            )
+            counts = list(pool.map(failures, bounds))
     else:
-        counts = [_count_chunk(config, roles, root.substream(i), n) for i, n in bounds]
-    fail_l = sum(c[0] for c in counts)
-    fail_t = sum(c[1] for c in counts)
-    return fail_l, fail_t
-
-
-def _estimate(fails: int, trials: int, seed: int, signal: str, config: SystemConfig, roles: PairRoles) -> OutageEstimate:
-    lo, hi = wilson_interval(fails, trials)
-    return OutageEstimate(fails / trials, trials, lo, hi, seed, signal, config.sic_mode, roles)
-
-
-def mc_outage_xl(
-    config: SystemConfig,
-    roles: PairRoles,
-    trials: int = DEFAULT_TRIALS,
-    seed: int = 1,
-    workers: int = 1,
-) -> OutageEstimate:
-    """Simulated outage of the stronger signal from its complementary decode events."""
-    fail_l, _ = _count_failures(config, roles, trials, seed, workers)
-    return _estimate(fail_l, trials, seed, f"x{roles.l}", config, roles)
-
-
-def mc_outage_xt(
-    config: SystemConfig,
-    roles: PairRoles,
-    trials: int = DEFAULT_TRIALS,
-    seed: int = 1,
-    workers: int = 1,
-) -> OutageEstimate:
-    """Simulated outage of the weaker signal from its complementary decode events."""
-    _, fail_t = _count_failures(config, roles, trials, seed, workers)
-    return _estimate(fail_t, trials, seed, f"x{roles.t}", config, roles)
+        counts = [failures(bound) for bound in bounds]
+    fails = {f"x{roles.l}": sum(c[0] for c in counts), f"x{roles.t}": sum(c[1] for c in counts)}
+    estimates = {}
+    for signal, n in fails.items():
+        lo, hi = wilson_interval(n, trials)
+        estimates[signal] = OutageEstimate(n / trials, trials, lo, hi, seed, signal, config.sic_mode, roles)
+    return estimates
 
 
 def mc_ergodic_rates(
@@ -152,15 +142,11 @@ def mc_ergodic_rates(
     exchange. The relay-side interference makes these rates saturate at high
     SNR, which is the ceiling the delay-limited throughput runs into.
     """
-    if trials < _MIN_TRIALS:
-        raise ConfigError(f"at least {_MIN_TRIALS} trials are required, got {trials}")
     root = RandomStream(seed)
     sum_l = []
     sum_t = []
     for index, size in _chunks(trials):
-        stream = root.substream(index)
-        uplink = compute_sinrs(config, roles, sample_channel_block(stream, config, size))
-        downlink = compute_sinrs(config, roles, sample_channel_block(stream, config, size))
+        uplink, downlink = _slot_sinrs(config, roles, root.substream(index), size)
         chain_l = np.minimum(uplink.relay_strong, downlink.user_own)
         chain_t = np.minimum(uplink.relay_weak, downlink.far_user)
         sum_l.append(float(np.log2(1.0 + chain_l).sum()))

@@ -15,17 +15,16 @@ from twrnoma.analysis import (
     outage_xl_asymptotic,
     outage_xt,
     outage_xt_asymptotic,
-    throughput_delay_limited,
 )
 from twrnoma.experiments import (
     SweepSpec,
-    all_signal_outages,
     crossover_snr_db,
     oracle_agreement,
     run_sweep,
+    throughput_rows,
 )
 from twrnoma.model import GROUP_ONE, SystemConfig
-from twrnoma.montecarlo import mc_outage_xl, mc_outage_xt
+from twrnoma.montecarlo import mc_outage
 from twrnoma.oracle import integrate_semi_infinite
 
 SEED = 2024
@@ -78,9 +77,10 @@ def test_criterion_2_monte_carlo_agreement():
                             rho_db=rho_db, varpi1=level, varpi2=level,
                             omega_i_db=omega_i_db, sic_mode=mode,
                         )
-                        for kind, mc_fn in (("l", mc_outage_xl), ("t", mc_outage_xt)):
+                        estimates = mc_outage(cfg, GROUP_ONE, trials=trials, seed=SEED)
+                        for kind, signal in (("l", "x1"), ("t", "x2")):
                             p = _closed(cfg, kind)
-                            estimate = mc_fn(cfg, GROUP_ONE, trials=trials, seed=SEED)
+                            estimate = estimates[signal]
                             sigma = math.sqrt(p * (1.0 - p) / trials)
                             pull = abs(estimate.p_hat - p) / sigma if sigma > 0 else 0.0
                             worst = max(worst, pull)
@@ -159,20 +159,24 @@ def test_criterion_5_low_snr_crossover():
               + ", ".join(f"{mode} at {star:.2f} dB" for mode, star in crossings.items()))
 
 
+def _closed_throughput(config):
+    spec = SweepSpec(config=config, rho_min_db=config.rho_db, rho_max_db=config.rho_db,
+                     rho_step_db=1.0, sic_modes=(config.sic_mode,))
+    return throughput_rows(spec, methods=("closed",))[0].value
+
+
 def test_criterion_6_throughput_ceiling():
     try:
         cfg = table_config(omega_i_db=-10.0)
 
         def throughput(rho_db):
-            at = replace(cfg, rho_db=rho_db)
-            return throughput_delay_limited(at, all_signal_outages(at))
+            return _closed_throughput(replace(cfg, rho_db=rho_db))
 
         t50, t60 = throughput(50.0), throughput(60.0)
         assert t60 - t50 < 0.005, f"ceiling gap {t60 - t50}"
         for rho_db in (0.0, 10.0, 20.0, 30.0, 40.0, 50.0, 60.0):
             for mode in ("ipSIC", "pSIC"):
-                at = table_config(rho_db=rho_db, sic_mode=mode)
-                value = throughput_delay_limited(at, all_signal_outages(at))
+                value = _closed_throughput(table_config(rho_db=rho_db, sic_mode=mode))
                 assert 0.0 <= value <= 0.22 + 1e-12
     except AssertionError:
         report(6, "throughput ceiling", "FAIL")
@@ -206,8 +210,8 @@ def test_criterion_7_property_suite():
 
         # seeded estimates identical for any worker count
         cfg = table_config()
-        single = mc_outage_xl(cfg, GROUP_ONE, trials=200_000, seed=SEED, workers=1)
-        quad_workers = mc_outage_xl(cfg, GROUP_ONE, trials=200_000, seed=SEED, workers=4)
+        single = mc_outage(cfg, GROUP_ONE, trials=200_000, seed=SEED, workers=1)
+        quad_workers = mc_outage(cfg, GROUP_ONE, trials=200_000, seed=SEED, workers=4)
         assert single == quad_workers
     except AssertionError:
         report(7, "property suite", "FAIL")

@@ -216,15 +216,8 @@ class TestAsymptotics:
             cfg = table_config(rho_db=70.0, sic_mode=mode)
             for exact_fn, asym_fn in ((outage_xl, outage_xl_asymptotic), (outage_xt, outage_xt_asymptotic)):
                 exact = exact_fn(cfg, GROUP_ONE).probability
-                floor = asym_fn(cfg, GROUP_ONE, at_infinity=True).probability
+                floor = asym_fn(cfg, GROUP_ONE).probability
                 assert floor <= exact + 1e-3
-
-    def test_at_infinity_flag_consistent(self):
-        cfg = table_config()
-        assert (
-            outage_xl_asymptotic(cfg, GROUP_ONE, at_infinity=True).probability
-            == outage_xl_asymptotic(cfg, GROUP_ONE).probability
-        )
 
     def test_no_cross_leakage_routes_to_reduced_terms(self):
         cfg = table_config(varpi1=0.0)

@@ -3,12 +3,11 @@ from dataclasses import replace
 
 import pytest
 
-from twrnoma import analysis, cli
+from twrnoma import analysis, cli, experiments
 from twrnoma.errors import ConfigError
 from twrnoma.experiments import (
     SIGNAL_ROLES,
     SweepSpec,
-    all_signal_outages,
     crossover_snr_db,
     figure_preset,
     oma_outage,
@@ -18,12 +17,25 @@ from twrnoma.experiments import (
     throughput_rows,
     write_rows,
 )
-from twrnoma.model import GROUP_ONE, SystemConfig
+from twrnoma.model import GROUP_ONE, GROUP_TWO, SystemConfig
 
 
 def table_config(**overrides):
     overrides.setdefault("rho_db", 30.0)
     return SystemConfig(**overrides)
+
+
+def count_engine_calls(monkeypatch):
+    """Record (rho_db, sic_mode, roles) of every MC engine call the experiments make."""
+    calls = []
+    engine = experiments.mc_outage
+
+    def counted(config, roles, **kwargs):
+        calls.append((config.rho_db, config.sic_mode, roles))
+        return engine(config, roles, **kwargs)
+
+    monkeypatch.setattr(experiments, "mc_outage", counted)
+    return calls
 
 
 class TestOmaBaseline:
@@ -104,6 +116,12 @@ class TestSweep:
             assert row.ci_low is not None and row.ci_low <= row.value <= row.ci_high
             assert row.trials == 2000 and row.seed == 3
 
+    def test_one_engine_call_per_role_group(self, monkeypatch):
+        calls = count_engine_calls(monkeypatch)
+        rows = run_sweep(self.spec(methods=("mc",), signals=("x1", "x2", "x3", "x4"), rho_max_db=10.0))
+        assert len(rows) == 3 * 4 * 2
+        assert len(calls) == len(set(calls)) == 3 * 2 * 2
+
     def test_mirrored_signals_match_under_symmetric_scenario(self):
         rows = run_sweep(self.spec(signals=("x1", "x2", "x3", "x4"), rho_max_db=10.0))
         by_key = {(r.rho_db, r.signal, r.sic_mode): r.value for r in rows}
@@ -119,9 +137,25 @@ class TestThroughputRows:
             sic_modes=("ipSIC",),
         )
         row = throughput_rows(spec, methods=("closed",))[0]
-        outages = all_signal_outages(table_config(), "closed")
+        cfg = table_config()
+        outages = [
+            analysis.outage_xl(cfg, GROUP_ONE).probability,
+            analysis.outage_xt(cfg, GROUP_ONE).probability,
+            analysis.outage_xl(cfg, GROUP_TWO).probability,
+            analysis.outage_xt(cfg, GROUP_TWO).probability,
+        ]
         assert row.value == pytest.approx(analysis.throughput_delay_limited(table_config(), outages))
         assert row.signal == "sum"
+
+    def test_one_engine_call_per_role_group(self, monkeypatch):
+        calls = count_engine_calls(monkeypatch)
+        spec = SweepSpec(
+            config=table_config(), rho_min_db=0.0, rho_max_db=10.0, rho_step_db=5.0,
+            trials=2000, seed=3,
+        )
+        rows = throughput_rows(spec, methods=("mc",))
+        assert len(rows) == 3 * 2
+        assert len(calls) == len(set(calls)) == 3 * 2 * 2
 
     def test_bounded_by_rate_sum(self):
         spec = SweepSpec(

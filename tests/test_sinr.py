@@ -10,7 +10,6 @@ from twrnoma.model import (
     RandomStream,
     SystemConfig,
     sample_channel_block,
-    sample_channels,
 )
 from twrnoma.sinr import compute_sinrs
 
@@ -55,7 +54,8 @@ class TestHandWorkedPoints:
 
 class TestProperties:
     def sample(self, seed=0):
-        return sample_channels(RandomStream(seed), config())
+        block = sample_channel_block(RandomStream(seed), config(), 1)
+        return ChannelSample(*(float(g[0]) for g in (block.g1, block.g2, block.g3, block.g4, block.gI)))
 
     def test_all_fields_nonnegative(self):
         out = compute_sinrs(config(), GROUP_ONE, self.sample())
