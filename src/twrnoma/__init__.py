@@ -38,7 +38,8 @@ from .model import (
     build_derived_constants,
     load_config_file,
     omega_from_distances,
-    sample_channel_block,
+    slot_sample,
+    unit_rows,
 )
 from .montecarlo import (
     ErgodicRateEstimate,
@@ -48,7 +49,7 @@ from .montecarlo import (
     wilson_interval,
 )
 from .oracle import QuadSpec, integrate_semi_infinite, quad_outage_xl, quad_outage_xt
-from .sinr import SinrSet, compute_sinrs
+from .sinr import relay_sinrs, user_sinrs
 
 __all__ = [
     "ChannelSample",
@@ -66,11 +67,9 @@ __all__ = [
     "PairRoles",
     "QuadSpec",
     "RandomStream",
-    "SinrSet",
     "SweepSpec",
     "SystemConfig",
     "build_derived_constants",
-    "compute_sinrs",
     "crossover_snr_db",
     "diversity_order_estimate",
     "figure_preset",
@@ -88,8 +87,11 @@ __all__ = [
     "outage_xt_asymptotic",
     "quad_outage_xl",
     "quad_outage_xt",
+    "relay_sinrs",
     "run_sweep",
-    "sample_channel_block",
+    "slot_sample",
     "throughput_delay_limited",
+    "unit_rows",
+    "user_sinrs",
     "wilson_interval",
 ]

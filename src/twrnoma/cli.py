@@ -164,7 +164,7 @@ def _cmd_throughput(args) -> int:
         rho_step_db=args.rho_step_db, sic_modes=_SIC_CHOICES[args.sic],
         trials=settings.trials, seed=settings.seed,
     )
-    methods = _split(args.methods, ("closed", "mc", "oma"), "method")
+    methods = _split(args.methods, experiments.THROUGHPUT_METHODS, "method")
     _emit(experiments.throughput_rows(spec, methods), args)
     return 0
 

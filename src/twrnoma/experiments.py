@@ -22,7 +22,7 @@ import numpy as np
 
 from . import analysis
 from .errors import ConfigError, NumericError
-from .model import GROUP_ONE, GROUP_TWO, PairRoles, SystemConfig
+from .model import GROUP_ONE, SIGNAL_ROLES, PairRoles, SystemConfig
 from .montecarlo import DEFAULT_TRIALS, OutageEstimate, mc_outage
 from .oracle import QuadSpec, quad_outage_xl, quad_outage_xt
 
@@ -32,16 +32,7 @@ METHODS = ("closed", "asymptotic", "mc", "quad", "oma")
 SIGNALS = ("x1", "x2", "x3", "x4")
 SIC_MODES = ("ipSIC", "pSIC")
 
-# signal -> (role view, whether it is the pair's stronger-decoded or weaker signal)
-SIGNAL_ROLES: dict[str, tuple[PairRoles, str]] = {
-    "x1": (GROUP_ONE, "l"),
-    "x2": (GROUP_ONE, "t"),
-    "x3": (GROUP_TWO, "l"),
-    "x4": (GROUP_TWO, "t"),
-}
-
-# (SIC mode, role group) -> the MC engine's estimates, for one grid point
-_GridPointMc = dict[tuple[str, PairRoles], dict[str, OutageEstimate]]
+THROUGHPUT_METHODS = ("closed", "mc", "oma")
 
 CURVE_FIELDS = ("rho_db", "signal", "sic_mode", "method", "value", "ci_low", "ci_high", "trials", "seed")
 
@@ -124,15 +115,9 @@ def _outage_point(
     config: SystemConfig,
     signal: str,
     method: str,
-    trials: int,
-    seed: int,
-    mc: _GridPointMc,
+    mc: dict[tuple[str, str], OutageEstimate],
 ) -> CurveRow:
-    """One row at the config's operating point.
-
-    ``mc`` is filled on first use, so both signals of a role group are read
-    from one engine call.
-    """
+    """One row at the config's operating point; ``mc`` holds the grid point's MC estimates."""
     roles, kind = SIGNAL_ROLES[signal]
     if method == "closed":
         fn = analysis.outage_xl if kind == "l" else analysis.outage_xt
@@ -146,15 +131,22 @@ def _outage_point(
     elif method == "oma":
         value = oma_outage(config, roles, signal)
     elif method == "mc":
-        key = (config.sic_mode, roles)
-        if key not in mc:
-            mc[key] = mc_outage(config, roles, trials=trials, seed=seed)
-        est = mc[key][signal]
+        est = mc[(signal, config.sic_mode)]
         return CurveRow(config.rho_db, signal, config.sic_mode, method, est.p_hat,
                         est.ci_low, est.ci_high, est.trials, est.seed)
     else:  # pragma: no cover - guarded by SweepSpec validation
         raise ConfigError(f"unknown method {method!r}")
     return CurveRow(config.rho_db, signal, config.sic_mode, method, value)
+
+
+def _grid_point_mc(
+    spec: SweepSpec, rho_db: float, methods: tuple[str, ...], signals: tuple[str, ...]
+) -> dict[tuple[str, str], OutageEstimate]:
+    """The MC estimates one SNR point needs, from one engine call; empty without ``mc``."""
+    if "mc" not in methods:
+        return {}
+    config = replace(spec.config, rho_db=rho_db)
+    return mc_outage(config, signals, spec.sic_modes, trials=spec.trials, seed=spec.seed)
 
 
 def run_sweep(spec: SweepSpec) -> list[CurveRow]:
@@ -165,12 +157,12 @@ def run_sweep(spec: SweepSpec) -> list[CurveRow]:
     """
     rows: list[CurveRow] = []
     for rho_db in spec.rho_grid_db():
-        mc: _GridPointMc = {}
+        mc = _grid_point_mc(spec, rho_db, spec.methods, spec.signals)
         for signal in spec.signals:
             for mode in spec.sic_modes:
                 config = replace(spec.config, rho_db=rho_db, sic_mode=mode)
                 for method in spec.methods:
-                    row = _outage_point(config, signal, method, spec.trials, spec.seed, mc)
+                    row = _outage_point(config, signal, method, mc)
                     if not (0.0 <= row.value <= 1.0) or not math.isfinite(row.value):
                         raise NumericError(
                             f"outage row out of range: {row.signal} {row.method} at {rho_db} dB -> {row.value!r}"
@@ -185,20 +177,18 @@ def throughput_rows(
     """Delay-limited throughput over the grid, composed from the four outage curves.
 
     Rows carry signal tag ``"sum"``; MC rows use the spec's trial count and
-    seed, with one engine call per role group.
+    seed, with one engine call per SNR point.
     """
+    for method in methods:
+        if method not in THROUGHPUT_METHODS:
+            raise ConfigError(f"throughput supports closed, mc or oma, not {method!r}")
     rows: list[CurveRow] = []
     for rho_db in spec.rho_grid_db():
-        mc: _GridPointMc = {}
+        mc = _grid_point_mc(spec, rho_db, methods, SIGNALS)
         for mode in spec.sic_modes:
             config = replace(spec.config, rho_db=rho_db, sic_mode=mode)
             for method in methods:
-                if method not in ("closed", "mc", "oma"):
-                    raise ConfigError(f"throughput supports closed, mc or oma, not {method!r}")
-                outages = [
-                    _outage_point(config, signal, method, spec.trials, spec.seed, mc).value
-                    for signal in SIGNALS
-                ]
+                outages = [_outage_point(config, signal, method, mc).value for signal in SIGNALS]
                 value = analysis.throughput_delay_limited(config, outages)
                 rows.append(CurveRow(rho_db, "sum", mode, method, value,
                                      trials=spec.trials if method == "mc" else None,

@@ -50,6 +50,14 @@ class PairRoles:
 GROUP_ONE = PairRoles(1, 2, 3, 4)
 GROUP_TWO = PairRoles(3, 4, 1, 2)
 
+# signal -> (role view, whether it is the pair's stronger-decoded or weaker signal)
+SIGNAL_ROLES: dict[str, tuple[PairRoles, str]] = {
+    "x1": (GROUP_ONE, "l"),
+    "x2": (GROUP_ONE, "t"),
+    "x3": (GROUP_TWO, "l"),
+    "x4": (GROUP_TWO, "t"),
+}
+
 
 def omega_from_distances(d1: float, d2: float, alpha: float) -> tuple[float, float, float, float]:
     """Channel variances from relay distances: near users (1, 3) at ``d1``, far (2, 4) at ``d2``."""
@@ -132,14 +140,14 @@ class ChannelSample:
     """One fading realization: four channel power gains plus the residual gain.
 
     Fields may hold scalars or equally shaped arrays (one entry per draw);
-    ``gI`` is identically zero under perfect cancellation.
+    ``gI`` is ``None`` when no residual is drawn (perfect cancellation).
     """
 
     g1: Gain
     g2: Gain
     g3: Gain
     g4: Gain
-    gI: Gain
+    gI: Gain | None = None
 
     def gain(self, user: int) -> Gain:
         return (self.g1, self.g2, self.g3, self.g4)[user - 1]
@@ -243,19 +251,33 @@ class RandomStream:
         return f"RandomStream(seed={self.seed}, path={self._spawn_key})"
 
 
-def sample_channel_block(stream: RandomStream, config: SystemConfig, count: int) -> ChannelSample:
-    """Draw ``count`` fading realizations: four exponential power gains plus the residual gain.
+# Every Monte Carlo chunk draws UNIT_ROWS rows of unit exponentials, in two
+# halves. Under ipSIC the uplink (multiple-access) slot reads rows 0-4, g1..g4
+# and then the residual gain gI, and the downlink (broadcast) slot rows 5-9.
+# pSIC has no residual, so its slots read rows 0-3 and 4-7. A unit row scaled
+# by a variance equals ``exponential(variance)`` drawn in its place bit for
+# bit, so one draw serves both SIC modes and both role groups with the draws
+# each would have made alone.
+UNIT_ROWS = 10
+UPLINK, DOWNLINK = 0, 1
 
-    Each field is a ``count``-long array. Draw order is fixed (g1..g4, then
-    gI), so identical seed and stream position reproduce identical samples.
-    Under pSIC the residual gain is not drawn and is fixed at zero.
-    """
+
+def unit_rows(stream: RandomStream, count: int) -> list[np.ndarray]:
+    """The stream's next half of a chunk: ``UNIT_ROWS // 2`` rows of ``count`` unit exponential draws."""
     rng = stream.generator
-    g = [rng.exponential(om, size=count) for om in config.omega]
-    if config.sic_mode == "ipSIC":
-        gi = rng.exponential(config.omega_i, size=count)
-    else:
-        gi = np.zeros(count)
+    return [rng.standard_exponential(count) for _ in range(UNIT_ROWS // 2)]
+
+
+def slot_sample(config: SystemConfig, rows: list, sic_mode: str, slot: int) -> ChannelSample:
+    """One slot's fading under ``sic_mode``, scaled from a chunk's unit rows.
+
+    ``rows`` is indexed by row number; only the rows the slot reads need to
+    be present. ``gI`` is ``None`` under pSIC.
+    """
+    width = 5 if sic_mode == "ipSIC" else 4  # g1..g4, then gI under ipSIC
+    first = slot * width
+    g = [om * row for om, row in zip(config.omega, rows[first:first + 4])]
+    gi = config.omega_i * rows[first + 4] if sic_mode == "ipSIC" else None
     return ChannelSample(g[0], g[1], g[2], g[3], gi)
 
 

@@ -3,10 +3,16 @@
 Estimates are built from the raw decoding events, never from the derived
 formulas, so they validate the analysis module independently. Each trial
 realizes the two transmission slots as independent fading blocks: the relay
-decode events are evaluated on the multiple-access block, the user decode
-events on the broadcast block. One engine, :func:`mc_outage`, counts the
-failures of both signals of a role group on the same draws, as the two
-signals share the relay's first decode and the opposite pair's receivers.
+decode events are evaluated on the multiple-access (uplink) block, the user
+decode events on the broadcast (downlink) block.
+
+One engine, :func:`mc_outage`, serves every requested (signal, SIC mode) of
+an operating point from one draw. Each chunk draws ten rows of unit
+exponentials (``model.UNIT_ROWS``) in two halves of five. Under ipSIC the
+uplink reads rows 0-4 (g1..g4, then the residual gain) and the downlink rows
+5-9; pSIC draws no residual, so its slots read rows 0-3 and 4-7. A row scaled
+by a variance equals an exponential draw with that variance bit for bit, so
+every mode and role group sees exactly the draws it would have made alone.
 Trials are partitioned into fixed-size chunks on disjoint substreams with
 integer event counts merged at the end, so a given seed yields identical
 results for any worker count.
@@ -21,12 +27,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .model import PairRoles, RandomStream, SystemConfig, sample_channel_block, sinr_threshold
-from .sinr import SinrSet, compute_sinrs
+from .model import (
+    DOWNLINK,
+    SIGNAL_ROLES,
+    UPLINK,
+    PairRoles,
+    RandomStream,
+    SystemConfig,
+    sinr_threshold,
+    slot_sample,
+    unit_rows,
+)
+from .sinr import relay_sinrs, user_sinrs
 
 CHUNK_SIZE = 1 << 17
 DEFAULT_TRIALS = 10**6  # reference iteration count for the numerical presets
 _MIN_TRIALS = 1000
+# Draws per evaluation block: a block's float64 temporaries (32 KiB each) stay
+# in cache and are reused by the allocator instead of being mapped afresh.
+_BLOCK = 1 << 12
 _WILSON_Z = 1.959963984540054  # 95% two-sided normal quantile
 
 
@@ -82,52 +101,108 @@ def _chunks(trials: int) -> list[tuple[int, int]]:
     return bounds
 
 
-def _slot_sinrs(
-    config: SystemConfig, roles: PairRoles, stream: RandomStream, size: int
-) -> tuple[SinrSet, SinrSet]:
-    """SINRs of one chunk's two slots: the multiple-access block, then the broadcast block."""
-    uplink = compute_sinrs(config, roles, sample_channel_block(stream, config, size))
-    downlink = compute_sinrs(config, roles, sample_channel_block(stream, config, size))
-    return uplink, downlink
+def _groups(config: SystemConfig, signals: tuple[str, ...]) -> list[tuple[PairRoles, float, float]]:
+    """(roles, x_l threshold, x_t threshold) of each role group the signals belong to."""
+    for signal in signals:
+        if signal not in SIGNAL_ROLES:
+            raise ConfigError(f"unknown signal {signal!r}; expected one of {tuple(SIGNAL_ROLES)}")
+    groups = dict.fromkeys(SIGNAL_ROLES[signal][0] for signal in signals)
+    rates = config.rates
+    return [(roles, sinr_threshold(rates[roles.l - 1]), sinr_threshold(rates[roles.t - 1])) for roles in groups]
+
+
+def _relay_events(
+    config: SystemConfig, groups: list[tuple[PairRoles, float, float]], sic_modes: tuple[str, ...], rows: list
+) -> dict[tuple[str, str], np.ndarray]:
+    """Relay-side success of each (signal, SIC mode) on a block of the uplink rows.
+
+    ``x_l`` needs the relay's first decode, ``x_t`` both. The uplink gains,
+    and so the first decode, are the same in every mode.
+    """
+    uplink = slot_sample(config, rows, "ipSIC" if "ipSIC" in sic_modes else "pSIC", UPLINK)
+    ok = {}
+    for roles, g_l, g_t in groups:
+        strong, weak = relay_sinrs(config, roles, uplink, sic_modes)
+        relay_l = strong > g_l
+        for mode in sic_modes:
+            ok[(f"x{roles.l}", mode)] = relay_l
+            ok[(f"x{roles.t}", mode)] = relay_l & (weak[mode] > g_t)
+    return ok
+
+
+def _user_events(
+    config: SystemConfig, groups: list[tuple[PairRoles, float, float]], sic_modes: tuple[str, ...], rows: list
+) -> dict[tuple[str, str], np.ndarray]:
+    """User-side success of each (signal, SIC mode) on a block of the downlink rows.
+
+    Both signals need the opposite pair's near user to decode ``x_t`` first;
+    ``x_l`` then needs that user's own decode, ``x_t`` the far user's.
+    """
+    ok = {}
+    for mode in sic_modes:
+        downlink = slot_sample(config, rows, mode, DOWNLINK)
+        for roles, g_l, g_t in groups:
+            cross, own, far = user_sinrs(config, roles, downlink, mode)
+            cross_t = cross > g_t
+            ok[(f"x{roles.l}", mode)] = cross_t & (own > g_l)
+            ok[(f"x{roles.t}", mode)] = cross_t & (far > g_t)
+    return ok
 
 
 def mc_outage(
     config: SystemConfig,
-    roles: PairRoles,
+    signals: tuple[str, ...],
+    sic_modes: tuple[str, ...],
     trials: int = DEFAULT_TRIALS,
     seed: int = 1,
     workers: int = 1,
-) -> dict[str, OutageEstimate]:
-    """Simulated outage of the pair's two signals, keyed by signal, from the same draws.
+) -> dict[tuple[str, str], OutageEstimate]:
+    """Simulated outage keyed by (signal, SIC mode), every entry from one draw per chunk.
 
-    ``x_l`` needs the relay's first decode and, at the opposite pair's near
-    user, the decode of ``x_t`` and then its own; ``x_t`` needs both relay
-    decodes, that near user's first decode and the far user's decode.
+    ``config.sic_mode`` is not read: ``sic_modes`` selects the modes. Each
+    chunk draws its uplink half of the unit rows and evaluates the relay
+    events, keeps only row 4 of that half, then draws the downlink half and
+    evaluates the user events. Both run on blocks of ``_BLOCK`` draws, so
+    every mode and role group reads the same draws and the working set stays
+    small.
     """
     bounds = _chunks(trials)
-    g_l = sinr_threshold(config.rates[roles.l - 1])
-    g_t = sinr_threshold(config.rates[roles.t - 1])
+    for mode in sic_modes:
+        if mode not in ("ipSIC", "pSIC"):
+            raise ConfigError(f"sic mode must be 'ipSIC' or 'pSIC', got {mode!r}")
+    groups = _groups(config, signals)
     root = RandomStream(seed)
 
-    def failures(bound: tuple[int, int]) -> tuple[int, int]:
+    def failures(bound: tuple[int, int]) -> dict[tuple[str, str], int]:
         index, size = bound
-        uplink, downlink = _slot_sinrs(config, roles, root.substream(index), size)
-        relay_l = uplink.relay_strong > g_l
-        cross_t = downlink.user_cross > g_t
-        ok_l = relay_l & cross_t & (downlink.user_own > g_l)
-        ok_t = relay_l & (uplink.relay_weak > g_t) & cross_t & (downlink.far_user > g_t)
-        return size - int(ok_l.sum()), size - int(ok_t.sum())
+        stream = root.substream(index)
+        blocks = [slice(start, start + _BLOCK) for start in range(0, size, _BLOCK)]
+        rows = unit_rows(stream, size)
+        relay = [_relay_events(config, groups, sic_modes, [row[b] for row in rows]) for b in blocks]
+        # keep row 4 only: pSIC's downlink starts there, on ipSIC's uplink residual
+        rows[:4] = [None] * 4
+        rows += unit_rows(stream, size)
+        fails = dict.fromkeys(((signal, mode) for signal in signals for mode in sic_modes), 0)
+        for b, up in zip(blocks, relay):
+            down = _user_events(config, groups, sic_modes, [row if row is None else row[b] for row in rows])
+            for key in fails:
+                ok = up[key] & down[key]
+                fails[key] += ok.size - int(np.count_nonzero(ok))
+        return fails
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             counts = list(pool.map(failures, bounds))
     else:
         counts = [failures(bound) for bound in bounds]
-    fails = {f"x{roles.l}": sum(c[0] for c in counts), f"x{roles.t}": sum(c[1] for c in counts)}
     estimates = {}
-    for signal, n in fails.items():
-        lo, hi = wilson_interval(n, trials)
-        estimates[signal] = OutageEstimate(n / trials, trials, lo, hi, seed, signal, config.sic_mode, roles)
+    for signal in signals:
+        for mode in sic_modes:
+            n = sum(c[(signal, mode)] for c in counts)
+            lo, hi = wilson_interval(n, trials)
+            estimates[(signal, mode)] = OutageEstimate(
+                n / trials, trials, lo, hi, seed, signal, mode, SIGNAL_ROLES[signal][0]
+            )
     return estimates
 
 
@@ -142,13 +217,17 @@ def mc_ergodic_rates(
     exchange. The relay-side interference makes these rates saturate at high
     SNR, which is the ceiling the delay-limited throughput runs into.
     """
+    mode = config.sic_mode
     root = RandomStream(seed)
     sum_l = []
     sum_t = []
     for index, size in _chunks(trials):
-        uplink, downlink = _slot_sinrs(config, roles, root.substream(index), size)
-        chain_l = np.minimum(uplink.relay_strong, downlink.user_own)
-        chain_t = np.minimum(uplink.relay_weak, downlink.far_user)
+        stream = root.substream(index)
+        rows = unit_rows(stream, size) + unit_rows(stream, size)
+        strong, weak = relay_sinrs(config, roles, slot_sample(config, rows, mode, UPLINK), (mode,))
+        _, own, far = user_sinrs(config, roles, slot_sample(config, rows, mode, DOWNLINK), mode)
+        chain_l = np.minimum(strong, own)
+        chain_t = np.minimum(weak[mode], far)
         sum_l.append(float(np.log2(1.0 + chain_l).sum()))
         sum_t.append(float(np.log2(1.0 + chain_t).sum()))
     rates = {

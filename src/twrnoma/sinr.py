@@ -1,54 +1,65 @@
-"""Instantaneous SINR evaluation for one fading realization.
+"""Instantaneous SINRs of the decode stages for one fading realization.
 
 Pure arithmetic on the sample's power gains; every formula broadcasts, so a
 :class:`~twrnoma.model.ChannelSample` holding arrays yields arrays of SINRs.
-All denominators contain the unit noise term, so they are bounded below by 1
-and no division guards are needed.
+The relay stage reads the uplink (multiple-access) slot and the user stage
+the downlink (broadcast) slot, so each slot is evaluated only for the stage
+that decodes on it. The residual gain of imperfect cancellation enters only
+under ``ipSIC``; under ``pSIC`` the term is left out, not added as zero. All
+denominators contain the unit noise term, so they are bounded below by 1 and
+no division guards are needed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .model import ChannelSample, Gain, PairRoles, SystemConfig
 
 
-@dataclass(frozen=True)
-class SinrSet:
-    """The five decode-stage SINRs of one realization.
+def relay_sinrs(
+    config: SystemConfig, roles: PairRoles, uplink: ChannelSample, sic_modes: tuple[str, ...]
+) -> tuple[Gain, dict[str, Gain]]:
+    """The relay's two decodes on the uplink slot: ``(strong, {mode: weak})``.
 
-    ``relay_strong``: relay decoding the stronger uplink signal against the
-    weaker one plus cross-pair leakage. ``relay_weak``: relay decoding the
-    weaker uplink signal after cancelling the stronger (residual gain applies
-    under ipSIC). ``user_cross``: near receiver decoding the far user's signal
-    before cancellation. ``user_own``: near receiver decoding its own signal
-    after cancellation. ``far_user``: far receiver decoding its signal with
-    the near user's share as interference.
+    ``strong``: the stronger uplink signal ``x_l`` against the weaker one plus
+    cross-pair leakage; no SIC mode affects it. ``weak``: the weaker signal
+    ``x_t`` after cancelling ``x_l``, per SIC mode, with the residual gain
+    ``uplink.gI`` under ipSIC.
     """
-
-    relay_strong: Gain
-    relay_weak: Gain
-    user_cross: Gain
-    user_own: Gain
-    far_user: Gain
-
-
-def compute_sinrs(config: SystemConfig, roles: PairRoles, sample: ChannelSample) -> SinrSet:
-    """Evaluate all five SINRs for ``sample`` under the given role assignment."""
     rho = config.rho
-    eps = config.epsilon
     a_l, a_t = config.a[roles.l - 1], config.a[roles.t - 1]
     a_k, a_r = config.a[roles.k - 1], config.a[roles.r - 1]
-    b_l, b_t = config.b[roles.l - 1], config.b[roles.t - 1]
-    g_l, g_t = sample.gain(roles.l), sample.gain(roles.t)
-    g_k, g_r = sample.gain(roles.k), sample.gain(roles.r)
+    g_l, g_t = uplink.gain(roles.l), uplink.gain(roles.t)
+    g_k, g_r = uplink.gain(roles.k), uplink.gain(roles.r)
 
     cross = rho * config.varpi1 * (g_k * a_k + g_r * a_r)
-    residual = eps * rho * sample.gI
+    signal_t = rho * g_t * a_t
+    strong = rho * g_l * a_l / (signal_t + cross + 1.0)
+    weak = {
+        mode: signal_t / (rho * uplink.gI + cross + 1.0 if mode == "ipSIC" else cross + 1.0)
+        for mode in sic_modes
+    }
+    return strong, weak
 
-    relay_strong = rho * g_l * a_l / (rho * g_t * a_t + cross + 1.0)
-    relay_weak = rho * g_t * a_t / (residual + cross + 1.0)
-    user_cross = rho * g_k * b_t / (rho * g_k * b_l + rho * config.varpi2 * g_k + 1.0)
-    user_own = rho * g_k * b_l / (residual + rho * config.varpi2 * g_k + 1.0)
-    far_user = rho * g_r * b_t / (rho * g_r * b_l + rho * config.varpi2 * g_r + 1.0)
-    return SinrSet(relay_strong, relay_weak, user_cross, user_own, far_user)
+
+def user_sinrs(
+    config: SystemConfig, roles: PairRoles, downlink: ChannelSample, sic_mode: str
+) -> tuple[Gain, Gain, Gain]:
+    """The opposite pair's decodes on the downlink slot: ``(cross, own, far)``.
+
+    ``cross``: the near receiver ``k`` decoding the far user's signal ``x_t``
+    before cancellation. ``own``: ``k`` decoding its own signal ``x_l`` after
+    cancellation, with the residual gain ``downlink.gI`` under ipSIC. ``far``:
+    the far receiver ``r`` decoding ``x_t`` with ``x_l``'s share as interference.
+    """
+    rho = config.rho
+    b_l, b_t = config.b[roles.l - 1], config.b[roles.t - 1]
+    g_k, g_r = downlink.gain(roles.k), downlink.gain(roles.r)
+
+    rho_k = rho * g_k
+    share_l = rho_k * b_l
+    leak_k = rho * config.varpi2 * g_k
+    cross = rho_k * b_t / (share_l + leak_k + 1.0)
+    own = share_l / (rho * downlink.gI + leak_k + 1.0 if sic_mode == "ipSIC" else leak_k + 1.0)
+    rho_r = rho * g_r
+    far = rho_r * b_t / (rho_r * b_l + rho * config.varpi2 * g_r + 1.0)
+    return cross, own, far

@@ -17,6 +17,7 @@ from twrnoma.analysis import (
     outage_xt_asymptotic,
 )
 from twrnoma.experiments import (
+    SIC_MODES,
     SweepSpec,
     crossover_snr_db,
     oracle_agreement,
@@ -72,15 +73,13 @@ def test_criterion_2_monte_carlo_agreement():
         for rho_db in RHO_GRID_DB:
             for level in IS_LEVELS:
                 for omega_i_db in RESIDUAL_DB:
-                    for mode in ("ipSIC", "pSIC"):
-                        cfg = table_config(
-                            rho_db=rho_db, varpi1=level, varpi2=level,
-                            omega_i_db=omega_i_db, sic_mode=mode,
-                        )
-                        estimates = mc_outage(cfg, GROUP_ONE, trials=trials, seed=SEED)
+                    cell = table_config(rho_db=rho_db, varpi1=level, varpi2=level, omega_i_db=omega_i_db)
+                    estimates = mc_outage(cell, ("x1", "x2"), SIC_MODES, trials=trials, seed=SEED)
+                    for mode in SIC_MODES:
+                        cfg = replace(cell, sic_mode=mode)
                         for kind, signal in (("l", "x1"), ("t", "x2")):
                             p = _closed(cfg, kind)
-                            estimate = estimates[signal]
+                            estimate = estimates[(signal, mode)]
                             sigma = math.sqrt(p * (1.0 - p) / trials)
                             pull = abs(estimate.p_hat - p) / sigma if sigma > 0 else 0.0
                             worst = max(worst, pull)
@@ -210,8 +209,8 @@ def test_criterion_7_property_suite():
 
         # seeded estimates identical for any worker count
         cfg = table_config()
-        single = mc_outage(cfg, GROUP_ONE, trials=200_000, seed=SEED, workers=1)
-        quad_workers = mc_outage(cfg, GROUP_ONE, trials=200_000, seed=SEED, workers=4)
+        single = mc_outage(cfg, ("x1", "x2"), SIC_MODES, trials=200_000, seed=SEED, workers=1)
+        quad_workers = mc_outage(cfg, ("x1", "x2"), SIC_MODES, trials=200_000, seed=SEED, workers=4)
         assert single == quad_workers
     except AssertionError:
         report(7, "property suite", "FAIL")

@@ -26,13 +26,13 @@ def table_config(**overrides):
 
 
 def count_engine_calls(monkeypatch):
-    """Record (rho_db, sic_mode, roles) of every MC engine call the experiments make."""
+    """Record (rho_db, signals, sic_modes) of every MC engine call the experiments make."""
     calls = []
     engine = experiments.mc_outage
 
-    def counted(config, roles, **kwargs):
-        calls.append((config.rho_db, config.sic_mode, roles))
-        return engine(config, roles, **kwargs)
+    def counted(config, signals, sic_modes, **kwargs):
+        calls.append((config.rho_db, signals, sic_modes))
+        return engine(config, signals, sic_modes, **kwargs)
 
     monkeypatch.setattr(experiments, "mc_outage", counted)
     return calls
@@ -116,11 +116,22 @@ class TestSweep:
             assert row.ci_low is not None and row.ci_low <= row.value <= row.ci_high
             assert row.trials == 2000 and row.seed == 3
 
-    def test_one_engine_call_per_role_group(self, monkeypatch):
+    def test_one_engine_call_per_grid_point(self, monkeypatch):
         calls = count_engine_calls(monkeypatch)
         rows = run_sweep(self.spec(methods=("mc",), signals=("x1", "x2", "x3", "x4"), rho_max_db=10.0))
         assert len(rows) == 3 * 4 * 2
-        assert len(calls) == len(set(calls)) == 3 * 2 * 2
+        assert calls == [(db, ("x1", "x2", "x3", "x4"), ("ipSIC", "pSIC")) for db in (0.0, 5.0, 10.0)]
+
+    def test_single_mode_rows_equal_both_mode_rows(self, capsys):
+        def rows(sic):
+            argv = ["outage", "--rho-db", "20", "--signals", "x1,x2,x3,x4", "--methods", "closed,mc",
+                    "--trials", "3000", "--seed", "5", "--sic", sic]
+            assert cli.main(argv) == 0
+            return capsys.readouterr().out.splitlines()[1:]
+
+        both = rows("both")
+        for sic, mode in (("ip", "ipSIC"), ("p", "pSIC")):
+            assert rows(sic) == [line for line in both if line.split(",")[2] == mode]
 
     def test_mirrored_signals_match_under_symmetric_scenario(self):
         rows = run_sweep(self.spec(signals=("x1", "x2", "x3", "x4"), rho_max_db=10.0))
@@ -147,7 +158,7 @@ class TestThroughputRows:
         assert row.value == pytest.approx(analysis.throughput_delay_limited(table_config(), outages))
         assert row.signal == "sum"
 
-    def test_one_engine_call_per_role_group(self, monkeypatch):
+    def test_one_engine_call_per_grid_point(self, monkeypatch):
         calls = count_engine_calls(monkeypatch)
         spec = SweepSpec(
             config=table_config(), rho_min_db=0.0, rho_max_db=10.0, rho_step_db=5.0,
@@ -155,7 +166,17 @@ class TestThroughputRows:
         )
         rows = throughput_rows(spec, methods=("mc",))
         assert len(rows) == 3 * 2
-        assert len(calls) == len(set(calls)) == 3 * 2 * 2
+        assert calls == [(db, ("x1", "x2", "x3", "x4"), ("ipSIC", "pSIC")) for db in (0.0, 5.0, 10.0)]
+
+    def test_bad_method_rejected_before_any_work(self, monkeypatch):
+        calls = count_engine_calls(monkeypatch)
+        spec = SweepSpec(
+            config=table_config(), rho_min_db=0.0, rho_max_db=10.0, rho_step_db=5.0,
+            trials=2000, seed=3,
+        )
+        with pytest.raises(ConfigError, match="quad"):
+            throughput_rows(spec, methods=("mc", "quad"))
+        assert calls == []
 
     def test_bounded_by_rate_sum(self):
         spec = SweepSpec(

@@ -7,6 +7,8 @@ from twrnoma.errors import ConfigError
 from twrnoma.model import (
     GROUP_ONE,
     GROUP_TWO,
+    DOWNLINK,
+    UPLINK,
     ChannelSample,
     PairRoles,
     RandomStream,
@@ -15,7 +17,8 @@ from twrnoma.model import (
     db_to_linear,
     load_config_file,
     omega_from_distances,
-    sample_channel_block,
+    slot_sample,
+    unit_rows,
 )
 
 
@@ -24,9 +27,10 @@ def table_config(**overrides):
 
 
 def single_draw(stream, config):
-    """One fading realization as plain floats, from a size-1 block."""
-    block = sample_channel_block(stream, config, 1)
-    return ChannelSample(*(float(g[0]) for g in (block.g1, block.g2, block.g3, block.g4, block.gI)))
+    """The uplink slot of one fading realization as plain floats, from a size-1 draw."""
+    block = slot_sample(config, unit_rows(stream, 1), config.sic_mode, UPLINK)
+    gi = None if block.gI is None else float(block.gI[0])
+    return ChannelSample(*(float(g[0]) for g in (block.g1, block.g2, block.g3, block.g4)), gi)
 
 
 class TestSystemConfig:
@@ -123,11 +127,11 @@ class TestSampling:
     def test_perfect_cancellation_zeroes_residual(self):
         stream = RandomStream(3)
         for _ in range(16):
-            assert single_draw(stream, table_config(sic_mode="pSIC")).gI == 0.0
+            assert single_draw(stream, table_config(sic_mode="pSIC")).gI is None
 
     def test_block_matches_means_within_three_sigma(self):
         n = 10**6
-        block = sample_channel_block(RandomStream(17), table_config(), n)
+        block = slot_sample(table_config(), unit_rows(RandomStream(17), n), "ipSIC", UPLINK)
         for gains, omega in ((block.g1, 0.25), (block.g2, 0.01), (block.g3, 0.25), (block.g4, 0.01)):
             sigma = omega / math.sqrt(n)
             assert abs(float(np.mean(gains)) - omega) < 3 * sigma
@@ -135,12 +139,29 @@ class TestSampling:
 
     def test_same_seed_bit_identical(self):
         cfg = table_config()
-        a = sample_channel_block(RandomStream(5), cfg, 1000)
-        b = sample_channel_block(RandomStream(5), cfg, 1000)
+        a = slot_sample(cfg, unit_rows(RandomStream(5), 1000), "ipSIC", UPLINK)
+        b = slot_sample(cfg, unit_rows(RandomStream(5), 1000), "ipSIC", UPLINK)
         assert np.array_equal(a.g1, b.g1) and np.array_equal(a.gI, b.gI)
         s1 = single_draw(RandomStream(5), cfg)
         s2 = single_draw(RandomStream(5), cfg)
         assert s1 == s2
+
+    def test_slots_read_the_unit_row_layout(self):
+        # a scaled unit row equals an exponential draw with that variance;
+        # ipSIC slots read rows 0-4 and 5-9, pSIC slots rows 0-3 and 4-7
+        cfg = table_config()
+        stream = RandomStream(5)
+        rows = unit_rows(stream, 1000) + unit_rows(stream, 1000)
+        rng = RandomStream(5).generator
+        direct = [rng.exponential(om, size=1000) for om in (cfg.omega + (cfg.omega_i,)) * 2]
+        ipsic = [slot_sample(cfg, rows, "ipSIC", slot) for slot in (UPLINK, DOWNLINK)]
+        scaled = [g for s in ipsic for g in (s.g1, s.g2, s.g3, s.g4, s.gI)]
+        assert all(np.array_equal(a, b) for a, b in zip(scaled, direct, strict=True))
+        psic = [slot_sample(cfg, rows, "pSIC", slot) for slot in (UPLINK, DOWNLINK)]
+        scaled = [g for s in psic for g in (s.g1, s.g2, s.g3, s.g4)]
+        expected = [om * row for om, row in zip(cfg.omega * 2, rows[:8])]
+        assert all(np.array_equal(a, b) for a, b in zip(scaled, expected, strict=True))
+        assert psic[0].gI is None and psic[1].gI is None
 
     def test_substreams_differ_and_are_reconstructible(self):
         root = RandomStream(5)

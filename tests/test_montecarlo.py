@@ -6,7 +6,10 @@ import pytest
 from twrnoma.analysis import outage_xl, outage_xt
 from twrnoma.errors import ConfigError
 from twrnoma.model import GROUP_ONE, GROUP_TWO, SystemConfig
-from twrnoma.montecarlo import mc_ergodic_rates, mc_outage, wilson_interval
+from twrnoma.montecarlo import CHUNK_SIZE, mc_ergodic_rates, mc_outage, wilson_interval
+
+SIGNALS = ("x1", "x2", "x3", "x4")
+MODES = ("ipSIC", "pSIC")
 
 
 def table_config(**overrides):
@@ -44,53 +47,100 @@ FROZEN_FAILURES = {
     (40.0, "pSIC"): (65, 351, 57, 347),
 }
 
+# Three chunks, the last one short: 2 * CHUNK_SIZE + 1234 trials at 20 dB,
+# seed 1, x1..x4 failure counts per mode.
+THREE_CHUNK_TRIALS = 2 * CHUNK_SIZE + 1234
+FROZEN_THREE_CHUNK_FAILURES = {
+    "ipSIC": (17740, 43186, 17715, 43479),
+    "pSIC": (10464, 28139, 10388, 28166),
+}
+
+# Ergodic rates for the same run, per mode and role group, as exact floats.
+FROZEN_ERGODIC_RATES = {
+    ("ipSIC", GROUP_ONE): {"x1": 0.677879182594846, "x2": 0.06067422894349292},
+    ("ipSIC", GROUP_TWO): {"x3": 0.6784382691364477, "x4": 0.060638132743082586},
+    ("pSIC", GROUP_ONE): {"x1": 0.8546825661613734, "x2": 0.08861745235895722},
+    ("pSIC", GROUP_TWO): {"x3": 0.8564226749779816, "x4": 0.08852381601485491},
+}
+
 
 class TestOutageEstimators:
     def test_zero_rates_exact_zero(self):
         cfg = table_config(rates=(0.0, 0.0, 0.0, 0.0))
-        estimates = mc_outage(cfg, GROUP_ONE, trials=2000, seed=1)
-        assert estimates["x1"].p_hat == 0.0
-        assert estimates["x2"].p_hat == 0.0
+        estimates = mc_outage(cfg, ("x1", "x2"), MODES, trials=2000, seed=1)
+        assert all(est.p_hat == 0.0 for est in estimates.values())
 
     def test_infeasible_split_certain_outage(self):
         cfg = table_config(b=(0.001, 0.999, 0.001, 0.999), varpi2=0.5)
-        assert mc_outage(cfg, GROUP_ONE, trials=2000, seed=1)["x1"].p_hat == 1.0
+        assert mc_outage(cfg, ("x1",), ("ipSIC",), trials=2000, seed=1)[("x1", "ipSIC")].p_hat == 1.0
 
     def test_minimum_trials_enforced(self):
         with pytest.raises(ConfigError):
-            mc_outage(table_config(), GROUP_ONE, trials=10, seed=1)
+            mc_outage(table_config(), ("x1",), MODES, trials=10, seed=1)
+
+    def test_unknown_signal_or_mode_rejected(self):
+        with pytest.raises(ConfigError, match="signal"):
+            mc_outage(table_config(), ("x5",), MODES, trials=2000, seed=1)
+        with pytest.raises(ConfigError, match="sic mode"):
+            mc_outage(table_config(), ("x1",), ("partial",), trials=2000, seed=1)
 
     def test_reproducible_and_worker_independent(self):
         cfg = table_config()
-        first = mc_outage(cfg, GROUP_ONE, trials=300_000, seed=42)
-        second = mc_outage(cfg, GROUP_ONE, trials=300_000, seed=42)
-        threaded = mc_outage(cfg, GROUP_ONE, trials=300_000, seed=42, workers=4)
+        first = mc_outage(cfg, ("x1", "x2"), MODES, trials=300_000, seed=42)
+        second = mc_outage(cfg, ("x1", "x2"), MODES, trials=300_000, seed=42)
+        threaded = mc_outage(cfg, ("x1", "x2"), MODES, trials=300_000, seed=42, workers=4)
         assert first == second == threaded
-        assert first["x1"].ci_low <= first["x1"].p_hat <= first["x1"].ci_high
+        est = first[("x1", "ipSIC")]
+        assert est.ci_low <= est.p_hat <= est.ci_high
 
     def test_tags(self):
-        estimates = mc_outage(table_config(sic_mode="pSIC"), GROUP_ONE, trials=2000, seed=3)
-        assert list(estimates) == ["x1", "x2"]
-        est = estimates["x2"]
-        assert est.signal == "x2" and est.mode == "pSIC" and est.seed == 3
-        assert list(mc_outage(table_config(), GROUP_TWO, trials=2000, seed=3)) == ["x3", "x4"]
+        estimates = mc_outage(table_config(), ("x2", "x3"), ("pSIC",), trials=2000, seed=3)
+        assert list(estimates) == [("x2", "pSIC"), ("x3", "pSIC")]
+        est = estimates[("x2", "pSIC")]
+        assert est.signal == "x2" and est.mode == "pSIC" and est.seed == 3 and est.roles == GROUP_ONE
+        assert estimates[("x3", "pSIC")].roles == GROUP_TWO
+
+    def test_config_sic_mode_not_read(self):
+        ip = mc_outage(table_config(sic_mode="ipSIC"), SIGNALS, MODES, trials=2000, seed=3)
+        p = mc_outage(table_config(sic_mode="pSIC"), SIGNALS, MODES, trials=2000, seed=3)
+        assert ip == p
 
     @pytest.mark.parametrize("rho_db,mode", sorted(FROZEN_FAILURES))
     def test_failure_counts_frozen(self, rho_db, mode):
-        cfg = table_config(rho_db=rho_db, sic_mode=mode)
+        cfg = table_config(rho_db=rho_db)
         trials = 20_000
-        estimates = {**mc_outage(cfg, GROUP_ONE, trials=trials, seed=1),
-                     **mc_outage(cfg, GROUP_TWO, trials=trials, seed=1)}
-        counts = tuple(round(estimates[s].p_hat * trials) for s in ("x1", "x2", "x3", "x4"))
+        estimates = mc_outage(cfg, SIGNALS, (mode,), trials=trials, seed=1)
+        counts = tuple(round(estimates[(s, mode)].p_hat * trials) for s in SIGNALS)
         assert counts == FROZEN_FAILURES[(rho_db, mode)]
+
+    def test_three_chunk_counts_frozen(self):
+        trials = THREE_CHUNK_TRIALS
+        estimates = mc_outage(table_config(rho_db=20.0), SIGNALS, MODES, trials=trials, seed=1)
+        for mode, frozen in FROZEN_THREE_CHUNK_FAILURES.items():
+            counts = tuple(round(estimates[(s, mode)].p_hat * trials) for s in SIGNALS)
+            assert counts == frozen, mode
+
+    def test_one_mode_or_group_equals_the_matching_part_of_all(self):
+        cfg = table_config(rho_db=20.0)
+        everything = mc_outage(cfg, SIGNALS, MODES, trials=THREE_CHUNK_TRIALS, seed=1)
+        for signals in (("x1",), ("x4",), ("x2", "x3")):
+            for modes in (("ipSIC",), ("pSIC",), ("pSIC", "ipSIC")):
+                part = mc_outage(cfg, signals, modes, trials=THREE_CHUNK_TRIALS, seed=1)
+                assert part == {key: everything[key] for key in part}
+
+    def test_three_workers_equal_one(self):
+        cfg = table_config(rho_db=20.0)
+        single = mc_outage(cfg, SIGNALS, MODES, trials=THREE_CHUNK_TRIALS, seed=1)
+        threaded = mc_outage(cfg, SIGNALS, MODES, trials=THREE_CHUNK_TRIALS, seed=1, workers=3)
+        assert threaded == single
 
     @pytest.mark.parametrize("mode", ["ipSIC", "pSIC"])
     def test_tracks_closed_form_within_three_sigma(self, mode):
         trials = 10**6
         cfg = table_config(sic_mode=mode)
-        estimates = mc_outage(cfg, GROUP_ONE, trials=trials, seed=2024)
+        estimates = mc_outage(cfg, ("x1", "x2"), (mode,), trials=trials, seed=2024)
         for signal, closed_fn in (("x1", outage_xl), ("x2", outage_xt)):
-            estimate = estimates[signal]
+            estimate = estimates[(signal, mode)]
             p = closed_fn(cfg, GROUP_ONE).probability
             sigma = math.sqrt(p * (1 - p) / trials)
             assert abs(estimate.p_hat - p) <= 3 * sigma
@@ -105,7 +155,7 @@ class TestOutageEstimators:
         inside_band = 0
         covered = 0
         for seed in range(100):
-            est = mc_outage(cfg, GROUP_ONE, trials=trials, seed=seed)["x1"]
+            est = mc_outage(cfg, ("x1",), ("ipSIC",), trials=trials, seed=seed)[("x1", "ipSIC")]
             if abs(est.p_hat - p) <= 3 * sigma:
                 inside_band += 1
             if est.ci_low <= p <= est.ci_high:
@@ -140,3 +190,9 @@ class TestErgodicRates:
         a = mc_ergodic_rates(cfg, GROUP_ONE, trials=30_000, seed=7)
         b = mc_ergodic_rates(cfg, GROUP_ONE, trials=30_000, seed=7)
         assert a == b
+
+    @pytest.mark.parametrize("mode,roles", sorted(FROZEN_ERGODIC_RATES, key=str))
+    def test_rates_frozen(self, mode, roles):
+        cfg = table_config(rho_db=20.0, sic_mode=mode)
+        estimate = mc_ergodic_rates(cfg, roles, trials=THREE_CHUNK_TRIALS, seed=1)
+        assert estimate.rates == FROZEN_ERGODIC_RATES[(mode, roles)]
