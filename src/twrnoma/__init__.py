@@ -8,7 +8,6 @@ estimation, and sweep/figure tooling around them.
 
 from .analysis import (
     HypoexpSpec,
-    OutageValue,
     diversity_order_estimate,
     hypoexp_pdf,
     outage_xl,
@@ -19,7 +18,6 @@ from .analysis import (
 )
 from .errors import ConfigError, NumericError, OracleError
 from .experiments import (
-    CurveRow,
     SweepSpec,
     crossover_snr_db,
     figure_preset,
@@ -31,7 +29,6 @@ from .model import (
     GROUP_ONE,
     GROUP_TWO,
     ChannelSample,
-    DerivedConstants,
     PairRoles,
     RandomStream,
     SystemConfig,
@@ -41,29 +38,18 @@ from .model import (
     slot_sample,
     unit_rows,
 )
-from .montecarlo import (
-    ErgodicRateEstimate,
-    OutageEstimate,
-    mc_ergodic_rates,
-    mc_outage,
-    wilson_interval,
-)
+from .montecarlo import mc_ergodic_rates, mc_outage, wilson_interval
 from .oracle import QuadSpec, integrate_semi_infinite, quad_outage_xl, quad_outage_xt
 from .sinr import relay_sinrs, user_sinrs
 
 __all__ = [
     "ChannelSample",
     "ConfigError",
-    "CurveRow",
-    "DerivedConstants",
-    "ErgodicRateEstimate",
     "GROUP_ONE",
     "GROUP_TWO",
     "HypoexpSpec",
     "NumericError",
     "OracleError",
-    "OutageEstimate",
-    "OutageValue",
     "PairRoles",
     "QuadSpec",
     "RandomStream",

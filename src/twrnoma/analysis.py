@@ -182,20 +182,25 @@ def _near_user_survival(config: SystemConfig, roles: PairRoles, dc: DerivedConst
     return base * (1.0 - scaled / (om_k + scaled) * math.exp(extra))
 
 
-def outage_xl(config: SystemConfig, roles: PairRoles) -> OutageValue:
+def closed_xl(config: SystemConfig, roles: PairRoles, dc: DerivedConstants) -> float:
     """Exact outage probability of the stronger signal of the transmitting pair.
 
     Success requires the relay to decode it on the uplink and the near
     receiver of the opposite pair to first strip the far signal and then
     decode this one. Returns exactly 1 when either downlink power split is
-    infeasible for its target rate.
+    infeasible for its target rate. ``dc`` holds the constants of ``config``
+    and ``roles``; they do not depend on the SIC mode.
     """
-    dc = build_derived_constants(config, roles)
-    signal = f"x{roles.l}"
     if not (dc.feasible_l and dc.feasible_t):
-        return OutageValue(1.0, "closed", config.sic_mode, signal, roles)
+        return 1.0
     raw = 1.0 - _relay_stage_survival(config, roles, dc) * _near_user_survival(config, roles, dc)
-    return OutageValue(_finish_probability(raw), "closed", config.sic_mode, signal, roles)
+    return _finish_probability(raw)
+
+
+def outage_xl(config: SystemConfig, roles: PairRoles) -> OutageValue:
+    """:func:`closed_xl` at the config's operating point, tagged with its signal."""
+    p = closed_xl(config, roles, build_derived_constants(config, roles))
+    return OutageValue(p, "closed", config.sic_mode, f"x{roles.l}", roles)
 
 
 def _relay_pair_survival(config: SystemConfig, roles: PairRoles, dc: DerivedConstants) -> float:
@@ -208,27 +213,31 @@ def _relay_pair_survival(config: SystemConfig, roles: PairRoles, dc: DerivedCons
     return prefactor * interference_laplace(dc.lam_p, s)
 
 
-def outage_xt(config: SystemConfig, roles: PairRoles) -> OutageValue:
+def closed_xt(config: SystemConfig, roles: PairRoles, dc: DerivedConstants) -> float:
     """Exact outage probability of the weaker signal of the transmitting pair.
 
     Success requires the relay to decode both uplink signals (the weaker one
     after cancellation) and both opposite-pair receivers to decode the
     relayed weak signal. Returns exactly 1 when its power split is infeasible.
     """
-    dc = build_derived_constants(config, roles)
-    signal = f"x{roles.t}"
     if not dc.feasible_t:
-        return OutageValue(1.0, "closed", config.sic_mode, signal, roles)
+        return 1.0
     om_k, om_r = config.omega[roles.k - 1], config.omega[roles.r - 1]
     survival = (
         _relay_pair_survival(config, roles, dc)
         * math.exp(-dc.xi_t / om_k)
         * math.exp(-dc.xi_t / om_r)
     )
-    return OutageValue(_finish_probability(1.0 - survival), "closed", config.sic_mode, signal, roles)
+    return _finish_probability(1.0 - survival)
 
 
-def outage_xl_asymptotic(config: SystemConfig, roles: PairRoles) -> OutageValue:
+def outage_xt(config: SystemConfig, roles: PairRoles) -> OutageValue:
+    """:func:`closed_xt` at the config's operating point, tagged with its signal."""
+    p = closed_xt(config, roles, build_derived_constants(config, roles))
+    return OutageValue(p, "closed", config.sic_mode, f"x{roles.t}", roles)
+
+
+def asymptotic_xl(config: SystemConfig, roles: PairRoles, dc: DerivedConstants) -> float:
     """High-SNR outage of the stronger signal (its error floor).
 
     The survival factors that persist at high SNR are invariant in the
@@ -237,34 +246,42 @@ def outage_xl_asymptotic(config: SystemConfig, roles: PairRoles) -> OutageValue:
     ``om_k / (om_k + eps * rho * tau * omega_i)`` (the would-be correction
     terms cancel), so the finite-SNR evaluation already equals the floor.
     """
-    dc = build_derived_constants(config, roles)
-    signal = f"x{roles.l}"
     if not (dc.feasible_l and dc.feasible_t):
-        return OutageValue(1.0, "asymptotic", config.sic_mode, signal, roles)
+        return 1.0
     om_l, om_k = config.omega[roles.l - 1], config.omega[roles.k - 1]
     bracket = interference_laplace(dc.lam, dc.beta_l / om_l)
     scaled = config.epsilon * dc.tau_l * config.rho * config.omega_i
     residual_stage = om_k / (om_k + scaled)
     raw = 1.0 - bracket * residual_stage
-    return OutageValue(_finish_probability(raw), "asymptotic", config.sic_mode, signal, roles)
+    return _finish_probability(raw)
 
 
-def outage_xt_asymptotic(config: SystemConfig, roles: PairRoles) -> OutageValue:
+def outage_xl_asymptotic(config: SystemConfig, roles: PairRoles) -> OutageValue:
+    """:func:`asymptotic_xl` at the config's operating point, tagged with its signal."""
+    p = asymptotic_xl(config, roles, build_derived_constants(config, roles))
+    return OutageValue(p, "asymptotic", config.sic_mode, f"x{roles.l}", roles)
+
+
+def asymptotic_xt(config: SystemConfig, roles: PairRoles, dc: DerivedConstants) -> float:
     """High-SNR outage of the weaker signal (its error floor).
 
     As with the stronger signal, the evaluated expression carries no residual
     SNR dependence.
     """
-    dc = build_derived_constants(config, roles)
-    signal = f"x{roles.t}"
     if not dc.feasible_t:
-        return OutageValue(1.0, "asymptotic", config.sic_mode, signal, roles)
+        return 1.0
     om_l, om_t = config.omega[roles.l - 1], config.omega[roles.t - 1]
     s = dc.beta_l / om_l + dc.beta_t * dc.varphi_t
     bracket = interference_laplace(dc.lam_p, s) / (
         dc.varphi_t * om_t * (1.0 + config.epsilon * config.rho * dc.beta_t * dc.varphi_t * config.omega_i)
     )
-    return OutageValue(_finish_probability(1.0 - bracket), "asymptotic", config.sic_mode, signal, roles)
+    return _finish_probability(1.0 - bracket)
+
+
+def outage_xt_asymptotic(config: SystemConfig, roles: PairRoles) -> OutageValue:
+    """:func:`asymptotic_xt` at the config's operating point, tagged with its signal."""
+    p = asymptotic_xt(config, roles, build_derived_constants(config, roles))
+    return OutageValue(p, "asymptotic", config.sic_mode, f"x{roles.t}", roles)
 
 
 def diversity_order_estimate(

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import analysis
 from .errors import ConfigError, NumericError
-from .model import GROUP_ONE, SIGNAL_ROLES, PairRoles, SystemConfig
+from .model import GROUP_ONE, SIGNAL_ROLES, PairRoles, SystemConfig, build_derived_constants
 from .montecarlo import DEFAULT_TRIALS, OutageEstimate, mc_outage
 from .oracle import QuadSpec, quad_outage_xl, quad_outage_xt
 
@@ -67,6 +67,8 @@ class SweepSpec:
     seed: int = 1
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.rho_min_db, self.rho_max_db, self.rho_step_db))):
+            raise ConfigError("rho_min_db, rho_max_db and rho_step_db must be finite")
         if self.rho_step_db <= 0.0:
             raise ConfigError("rho_step_db must be positive")
         if self.rho_max_db < self.rho_min_db:
@@ -111,42 +113,52 @@ def oma_outage(config: SystemConfig, roles: PairRoles, signal: str) -> float:
     return 1.0 - hop_src * hop_dst
 
 
-def _outage_point(
-    config: SystemConfig,
-    signal: str,
-    method: str,
-    mc: dict[tuple[str, str], OutageEstimate],
-) -> CurveRow:
-    """One row at the config's operating point; ``mc`` holds the grid point's MC estimates."""
-    roles, kind = SIGNAL_ROLES[signal]
-    if method == "closed":
-        fn = analysis.outage_xl if kind == "l" else analysis.outage_xt
-        value = fn(config, roles).probability
-    elif method == "asymptotic":
-        fn = analysis.outage_xl_asymptotic if kind == "l" else analysis.outage_xt_asymptotic
-        value = fn(config, roles).probability
-    elif method == "quad":
-        qfn = quad_outage_xl if kind == "l" else quad_outage_xt
-        value = qfn(config, roles)
-    elif method == "oma":
-        value = oma_outage(config, roles, signal)
-    elif method == "mc":
-        est = mc[(signal, config.sic_mode)]
-        return CurveRow(config.rho_db, signal, config.sic_mode, method, est.p_hat,
-                        est.ci_low, est.ci_high, est.trials, est.seed)
-    else:  # pragma: no cover - guarded by SweepSpec validation
-        raise ConfigError(f"unknown method {method!r}")
-    return CurveRow(config.rho_db, signal, config.sic_mode, method, value)
+class _GridPoint:
+    """What the rows of one SNR point share.
 
+    One config per SIC mode, and one set of derived constants per role group:
+    the constants do not read the SIC mode, so both signals, both modes and
+    the closed and asymptotic rows share them. The TDMA outage does not
+    depend on the SIC mode either and is computed once per signal, and the
+    MC estimates come from one engine call.
+    """
 
-def _grid_point_mc(
-    spec: SweepSpec, rho_db: float, methods: tuple[str, ...], signals: tuple[str, ...]
-) -> dict[tuple[str, str], OutageEstimate]:
-    """The MC estimates one SNR point needs, from one engine call; empty without ``mc``."""
-    if "mc" not in methods:
-        return {}
-    config = replace(spec.config, rho_db=rho_db)
-    return mc_outage(config, signals, spec.sic_modes, trials=spec.trials, seed=spec.seed)
+    def __init__(self, spec: SweepSpec, rho_db: float, methods: tuple[str, ...], signals: tuple[str, ...]):
+        self.configs = {mode: replace(spec.config, rho_db=rho_db, sic_mode=mode) for mode in spec.sic_modes}
+        config = self.configs[spec.sic_modes[0]]
+        self.constants = {}
+        if "closed" in methods or "asymptotic" in methods:
+            groups = dict.fromkeys(SIGNAL_ROLES[signal][0] for signal in signals)
+            built = {roles: build_derived_constants(config, roles) for roles in groups}
+            self.constants = {signal: built[SIGNAL_ROLES[signal][0]] for signal in signals}
+        self.oma = {}
+        if "oma" in methods:
+            self.oma = {signal: oma_outage(config, SIGNAL_ROLES[signal][0], signal) for signal in signals}
+        self.mc: dict[tuple[str, str], OutageEstimate] = {}
+        if "mc" in methods:
+            self.mc = mc_outage(config, signals, spec.sic_modes, trials=spec.trials, seed=spec.seed)
+
+    def row(self, signal: str, mode: str, method: str) -> CurveRow:
+        config = self.configs[mode]
+        roles, kind = SIGNAL_ROLES[signal]
+        if method == "closed":
+            fn = analysis.closed_xl if kind == "l" else analysis.closed_xt
+            value = fn(config, roles, self.constants[signal])
+        elif method == "asymptotic":
+            fn = analysis.asymptotic_xl if kind == "l" else analysis.asymptotic_xt
+            value = fn(config, roles, self.constants[signal])
+        elif method == "oma":
+            value = self.oma[signal]
+        elif method == "quad":
+            qfn = quad_outage_xl if kind == "l" else quad_outage_xt
+            value = qfn(config, roles)
+        elif method == "mc":
+            est = self.mc[(signal, mode)]
+            return CurveRow(config.rho_db, signal, mode, method, est.p_hat,
+                            est.ci_low, est.ci_high, est.trials, est.seed)
+        else:  # pragma: no cover - guarded by SweepSpec validation
+            raise ConfigError(f"unknown method {method!r}")
+        return CurveRow(config.rho_db, signal, mode, method, value)
 
 
 def run_sweep(spec: SweepSpec) -> list[CurveRow]:
@@ -157,12 +169,11 @@ def run_sweep(spec: SweepSpec) -> list[CurveRow]:
     """
     rows: list[CurveRow] = []
     for rho_db in spec.rho_grid_db():
-        mc = _grid_point_mc(spec, rho_db, spec.methods, spec.signals)
+        point = _GridPoint(spec, rho_db, spec.methods, spec.signals)
         for signal in spec.signals:
             for mode in spec.sic_modes:
-                config = replace(spec.config, rho_db=rho_db, sic_mode=mode)
                 for method in spec.methods:
-                    row = _outage_point(config, signal, method, mc)
+                    row = point.row(signal, mode, method)
                     if not (0.0 <= row.value <= 1.0) or not math.isfinite(row.value):
                         raise NumericError(
                             f"outage row out of range: {row.signal} {row.method} at {rho_db} dB -> {row.value!r}"
@@ -184,12 +195,11 @@ def throughput_rows(
             raise ConfigError(f"throughput supports closed, mc or oma, not {method!r}")
     rows: list[CurveRow] = []
     for rho_db in spec.rho_grid_db():
-        mc = _grid_point_mc(spec, rho_db, methods, SIGNALS)
+        point = _GridPoint(spec, rho_db, methods, SIGNALS)
         for mode in spec.sic_modes:
-            config = replace(spec.config, rho_db=rho_db, sic_mode=mode)
             for method in methods:
-                outages = [_outage_point(config, signal, method, mc).value for signal in SIGNALS]
-                value = analysis.throughput_delay_limited(config, outages)
+                outages = [point.row(signal, mode, method).value for signal in SIGNALS]
+                value = analysis.throughput_delay_limited(point.configs[mode], outages)
                 rows.append(CurveRow(rho_db, "sum", mode, method, value,
                                      trials=spec.trials if method == "mc" else None,
                                      seed=spec.seed if method == "mc" else None))
@@ -403,6 +413,8 @@ def oracle_agreement(
     Scenarios whose active interference rates nearly coincide are tracked
     separately (the partial-fraction route would be ill-conditioned there).
     """
+    if n_configs < 1:
+        raise ConfigError(f"at least one random scenario is required, got {n_configs}")
     rng = np.random.default_rng(seed)
     worst_distinct = 0.0
     worst_degenerate = 0.0

@@ -95,21 +95,22 @@ class SystemConfig:
         for name, values in (("a", self.a), ("b", self.b), ("omega", self.omega), ("rates", self.rates)):
             if len(values) != 4:
                 raise ConfigError(f"{name} must have exactly 4 entries, got {len(values)}")
-            if not all(math.isfinite(v) for v in values):
+            if not all(map(math.isfinite, values)):
                 raise ConfigError(f"{name} entries must be finite")
-        if not all(0.0 < v < 1.0 for v in self.a):
+        # every entry is finite from here on, so bounds on min and max bound them all
+        if not (0.0 < min(self.a) and max(self.a) < 1.0):
             raise ConfigError("uplink power coefficients a must lie in (0, 1)")
-        if not all(0.0 < v < 1.0 for v in self.b):
+        if not (0.0 < min(self.b) and max(self.b) < 1.0):
             raise ConfigError("downlink power coefficients b must lie in (0, 1)")
         if abs(self.b[0] + self.b[1] - 1.0) > _B_SUM_TOL or abs(self.b[2] + self.b[3] - 1.0) > _B_SUM_TOL:
             raise ConfigError("downlink splits must satisfy b1+b2 = 1 and b3+b4 = 1")
         if not (self.b[1] > self.b[0] and self.b[3] > self.b[2]):
             raise ConfigError("far users must get the larger downlink share (b2 > b1, b4 > b3)")
-        if not all(v > 0.0 for v in self.omega):
+        if not min(self.omega) > 0.0:
             raise ConfigError("channel variances must be positive")
         if not (0.0 <= self.varpi1 <= 1.0 and 0.0 <= self.varpi2 <= 1.0):
             raise ConfigError("interference impact levels varpi1, varpi2 must lie in [0, 1]")
-        if not all(v >= 0.0 for v in self.rates):
+        if not min(self.rates) >= 0.0:
             raise ConfigError("target rates must be non-negative")
         if self.sic_mode not in ("ipSIC", "pSIC"):
             raise ConfigError(f"sic_mode must be 'ipSIC' or 'pSIC', got {self.sic_mode!r}")

@@ -224,10 +224,16 @@ def mc_ergodic_rates(
     for index, size in _chunks(trials):
         stream = root.substream(index)
         rows = unit_rows(stream, size) + unit_rows(stream, size)
-        strong, weak = relay_sinrs(config, roles, slot_sample(config, rows, mode, UPLINK), (mode,))
-        _, own, far = user_sinrs(config, roles, slot_sample(config, rows, mode, DOWNLINK), mode)
-        chain_l = np.minimum(strong, own)
-        chain_t = np.minimum(weak[mode], far)
+        chain_l = np.empty(size)
+        chain_t = np.empty(size)
+        # stages run on _BLOCK-draw blocks so their temporaries are not mapped afresh per chunk
+        for start in range(0, size, _BLOCK):
+            b = slice(start, start + _BLOCK)
+            block = [row[b] for row in rows]
+            strong, weak = relay_sinrs(config, roles, slot_sample(config, block, mode, UPLINK), (mode,))
+            _, own, far = user_sinrs(config, roles, slot_sample(config, block, mode, DOWNLINK), mode)
+            np.minimum(strong, own, out=chain_l[b])
+            np.minimum(weak[mode], far, out=chain_t[b])
         sum_l.append(float(np.log2(1.0 + chain_l).sum()))
         sum_t.append(float(np.log2(1.0 + chain_t).sum()))
     rates = {

@@ -1,9 +1,10 @@
+import hashlib
 import json
 from dataclasses import replace
 
 import pytest
 
-from twrnoma import analysis, cli, experiments
+from twrnoma import analysis, cli, experiments, model, oracle
 from twrnoma.errors import ConfigError
 from twrnoma.experiments import (
     SIGNAL_ROLES,
@@ -36,6 +37,38 @@ def count_engine_calls(monkeypatch):
 
     monkeypatch.setattr(experiments, "mc_outage", counted)
     return calls
+
+
+def count_constant_builds(monkeypatch):
+    """Record (rho_db, roles) of every derived-constants build, whichever module makes it."""
+    calls = []
+    build = model.build_derived_constants
+
+    def counted(config, roles):
+        calls.append((config.rho_db, roles))
+        return build(config, roles)
+
+    for module in (model, analysis, experiments, oracle):
+        monkeypatch.setattr(module, "build_derived_constants", counted)
+    return calls
+
+
+def cli_sha256(capsys, argv):
+    assert cli.main(argv) == 0
+    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
+# Output of every non-MC sweep method on a non-default scenario, grid offset
+# and step, and of closed and TDMA throughput, recorded while every row still
+# built its own config and derived constants.
+FROZEN_SWEEP_ARGV = [
+    "sweep", "--methods", "closed,asymptotic,oma", "--signals", "x1,x2,x3,x4", "--sic", "both",
+    "--varpi1", "0.02", "--omega-i-db", "-13",
+    "--rho-min-db", "1.23", "--rho-max-db", "45", "--rho-step-db", "0.35",
+]
+FROZEN_SWEEP_SHA256 = "64d358d376e52f197cb2e908e6d74d729d65d12d8ed154591a9887047485feb6"
+FROZEN_THROUGHPUT_ARGV = ["throughput", "--methods", "closed,oma"]
+FROZEN_THROUGHPUT_SHA256 = "3e1f690573faccf8c05a02d28463d403e69cff62d081101d1085181adda234c6"
 
 
 class TestOmaBaseline:
@@ -122,6 +155,16 @@ class TestSweep:
         assert len(rows) == 3 * 4 * 2
         assert calls == [(db, ("x1", "x2", "x3", "x4"), ("ipSIC", "pSIC")) for db in (0.0, 5.0, 10.0)]
 
+    def test_one_constant_build_per_point_and_group(self, monkeypatch):
+        calls = count_constant_builds(monkeypatch)
+        spec = self.spec(methods=("closed", "asymptotic", "oma"), signals=("x1", "x2", "x3", "x4"), rho_max_db=10.0)
+        rows = run_sweep(spec)
+        assert len(rows) == 3 * 4 * 2 * 3
+        assert calls == [(db, roles) for db in (0.0, 5.0, 10.0) for roles in (GROUP_ONE, GROUP_TWO)]
+
+    def test_frozen_output_bytes(self, capsys):
+        assert cli_sha256(capsys, FROZEN_SWEEP_ARGV) == FROZEN_SWEEP_SHA256
+
     def test_single_mode_rows_equal_both_mode_rows(self, capsys):
         def rows(sic):
             argv = ["outage", "--rho-db", "20", "--signals", "x1,x2,x3,x4", "--methods", "closed,mc",
@@ -167,6 +210,16 @@ class TestThroughputRows:
         rows = throughput_rows(spec, methods=("mc",))
         assert len(rows) == 3 * 2
         assert calls == [(db, ("x1", "x2", "x3", "x4"), ("ipSIC", "pSIC")) for db in (0.0, 5.0, 10.0)]
+
+    def test_one_constant_build_per_point_and_group(self, monkeypatch):
+        calls = count_constant_builds(monkeypatch)
+        spec = SweepSpec(config=table_config(), rho_min_db=0.0, rho_max_db=10.0, rho_step_db=5.0)
+        rows = throughput_rows(spec, methods=("closed", "oma"))
+        assert len(rows) == 3 * 2 * 2
+        assert calls == [(db, roles) for db in (0.0, 5.0, 10.0) for roles in (GROUP_ONE, GROUP_TWO)]
+
+    def test_frozen_output_bytes(self, capsys):
+        assert cli_sha256(capsys, FROZEN_THROUGHPUT_ARGV) == FROZEN_THROUGHPUT_SHA256
 
     def test_bad_method_rejected_before_any_work(self, monkeypatch):
         calls = count_engine_calls(monkeypatch)
@@ -274,6 +327,21 @@ class TestCli:
     def test_bad_flag_value_exits_one(self, capsys):
         assert cli.main(["sweep", "--rho-min-db", "10", "--rho-max-db", "0"]) == 1
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--rho-max-db", "inf"],
+        ["sweep", "--rho-min-db", "nan"],
+        ["throughput", "--rho-step-db", "nan"],
+    ])
+    def test_non_finite_grid_bound_exits_one(self, argv, capsys):
+        assert cli.main(argv) == 1
+        assert "configuration error: rho_min_db, rho_max_db and rho_step_db must be finite" in capsys.readouterr().err
+
+    def test_validate_without_configs_exits_one(self, capsys):
+        assert cli.main(["validate", "--configs", "0"]) == 1
+        captured = capsys.readouterr()
+        assert "configuration error" in captured.err
+        assert "agreement" not in captured.out
 
     def test_unknown_method_exits_one(self, capsys):
         assert cli.main(["outage", "--methods", "sorcery"]) == 1
