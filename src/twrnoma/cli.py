@@ -10,6 +10,7 @@ agreement suite), ``figure`` (reference-scenario presets). Exit codes:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -185,6 +186,9 @@ def _cmd_diversity(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    for flag, tol in (("--rel-tol", args.rel_tol), ("--rel-tol-degenerate", args.rel_tol_degenerate)):
+        if not (tol > 0.0 and math.isfinite(tol)):
+            raise ConfigError(f"{flag} must be positive and finite, got {tol!r}")
     _, settings = _load_scenario(args)
     report = experiments.oracle_agreement(n_configs=args.configs, seed=settings.seed)
     print(f"checked {report.checked} random scenarios (both signals, both SIC modes)")

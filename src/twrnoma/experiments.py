@@ -34,6 +34,10 @@ SIC_MODES = ("ipSIC", "pSIC")
 
 THROUGHPUT_METHODS = ("closed", "mc", "oma")
 
+# Largest SNR grid a sweep accepts; a fine grid such as 0-45 dB in 0.05 dB
+# steps has about 900 points, a figure curve 19.
+MAX_GRID_POINTS = 100_000
+
 CURVE_FIELDS = ("rho_db", "signal", "sic_mode", "method", "value", "ci_low", "ci_high", "trials", "seed")
 
 
@@ -73,6 +77,11 @@ class SweepSpec:
             raise ConfigError("rho_step_db must be positive")
         if self.rho_max_db < self.rho_min_db:
             raise ConfigError("empty SNR grid: rho_max_db < rho_min_db")
+        if self._point_count() > MAX_GRID_POINTS:
+            raise ConfigError(
+                f"SNR grid has more than {MAX_GRID_POINTS} points; "
+                "raise rho_step_db or narrow [rho_min_db, rho_max_db]"
+            )
         for m in self.methods:
             if m not in METHODS:
                 raise ConfigError(f"unknown method {m!r}; expected one of {METHODS}")
@@ -85,9 +94,13 @@ class SweepSpec:
         if not self.methods or not self.signals or not self.sic_modes:
             raise ConfigError("methods, signals and sic_modes must be non-empty")
 
+    def _point_count(self) -> int | float:
+        # infinite when the span overflows or the step underflows it
+        span = (self.rho_max_db - self.rho_min_db) / self.rho_step_db + 1e-9
+        return math.floor(span) + 1 if math.isfinite(span) else math.inf
+
     def rho_grid_db(self) -> list[float]:
-        count = int(math.floor((self.rho_max_db - self.rho_min_db) / self.rho_step_db + 1e-9)) + 1
-        return [self.rho_min_db + i * self.rho_step_db for i in range(count)]
+        return [self.rho_min_db + i * self.rho_step_db for i in range(self._point_count())]
 
 
 def oma_outage(config: SystemConfig, roles: PairRoles, signal: str) -> float:

@@ -118,6 +118,17 @@ class TestSweep:
         with pytest.raises(ConfigError):
             self.spec(signals=())
 
+    def test_grid_size_is_capped(self):
+        cap = experiments.MAX_GRID_POINTS
+        assert len(self.spec(rho_max_db=cap - 1.0, rho_step_db=1.0).rho_grid_db()) == cap
+        for too_large in (
+            dict(rho_max_db=float(cap), rho_step_db=1.0),
+            dict(rho_min_db=-1e308, rho_max_db=1e308),
+            dict(rho_max_db=1e308, rho_step_db=1e-308),
+        ):
+            with pytest.raises(ConfigError, match="more than 100000 points"):
+                self.spec(**too_large)
+
     def test_rows_match_fresh_evaluations(self):
         rows = run_sweep(self.spec())
         for row in rows:
@@ -336,6 +347,33 @@ class TestCli:
     def test_non_finite_grid_bound_exits_one(self, argv, capsys):
         assert cli.main(argv) == 1
         assert "configuration error: rho_min_db, rho_max_db and rho_step_db must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--rho-max-db", "1e9", "--rho-step-db", "0.001"],
+        ["sweep", "--rho-max-db", "1e308", "--rho-step-db", "1e-308"],
+    ])
+    def test_oversized_grid_exits_one(self, argv, capsys):
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert "configuration error: SNR grid has more than 100000 points" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["--rel-tol", "-1"],
+        ["--rel-tol", "0"],
+        ["--rel-tol", "nan"],
+        ["--rel-tol-degenerate", "-1"],
+        ["--rel-tol-degenerate", "inf"],
+    ])
+    def test_bad_validate_tolerance_exits_one_before_any_quadrature(self, argv, monkeypatch, capsys):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("oracle_agreement must not run")
+
+        monkeypatch.setattr(experiments, "oracle_agreement", forbidden)
+        assert cli.main(["validate", "--configs", "2", *argv]) == 1
+        captured = capsys.readouterr()
+        assert f"configuration error: {argv[0]} must be positive and finite" in captured.err
+        assert captured.out == ""
 
     def test_validate_without_configs_exits_one(self, capsys):
         assert cli.main(["validate", "--configs", "0"]) == 1

@@ -1,6 +1,7 @@
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -10,10 +11,41 @@ from twrnoma.errors import ConfigError, OracleError
 from twrnoma.model import GROUP_ONE, SystemConfig
 from twrnoma.oracle import QuadSpec, integrate_semi_infinite, quad_outage_xl, quad_outage_xt
 
+from test_analysis import (
+    GOLDEN_XL_IPSIC_30DB,
+    GOLDEN_XL_PSIC_30DB,
+    GOLDEN_XT_IPSIC_30DB,
+    GOLDEN_XT_PSIC_30DB,
+)
+
 
 def table_config(**overrides):
     overrides.setdefault("rho_db", 30.0)
     return SystemConfig(**overrides)
+
+
+class TestGaussKronrodRule:
+    def test_kronrod_weights_sum_to_interval_length(self):
+        assert math.fsum(oracle._KRONROD_WEIGHTS) == pytest.approx(2.0, abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "nodes, weights, degree",
+        [
+            (oracle._NODES, oracle._KRONROD_WEIGHTS, 22),
+            (oracle._NODES[1::2], oracle._GAUSS_WEIGHTS, 13),
+        ],
+        ids=["K15", "G7"],
+    )
+    def test_rule_is_exact_for_monomials(self, nodes, weights, degree):
+        for k in range(degree + 1):
+            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            assert math.fsum(weights * nodes**k) == pytest.approx(exact, abs=1e-15), k
+
+    def test_gauss_nodes_are_odd_indexed_kronrod_nodes(self):
+        nodes, weights = np.polynomial.legendre.leggauss(7)
+        assert oracle._NODES.shape == (15,) and np.all(np.diff(oracle._NODES) > 0.0)
+        assert np.allclose(oracle._NODES[1::2], nodes, rtol=0.0, atol=1e-15)
+        assert np.allclose(oracle._GAUSS_WEIGHTS, weights, rtol=0.0, atol=1e-15)
 
 
 class TestIntegrator:
@@ -38,6 +70,21 @@ class TestIntegrator:
         mean = sum(1.0 / r for r in rates)
         total = integrate_semi_infinite(lambda z: hypoexp_pdf(spec, z), 0.0, mean)
         assert abs(total - 1.0) <= 1e-8
+
+    @pytest.mark.parametrize("rates", [(2e5, 500.0, 5.0), (1.0, 2.0, 3.0), (0.5, 0.5, 50.0), (3.0, 7.0)])
+    @pytest.mark.parametrize("s", [0.01, 0.3, 5.0, 400.0])
+    def test_meets_requested_tolerance_on_laplace_transforms(self, rates, s):
+        # the Laplace transform of the density is the product of lam / (lam + s)
+        spec = HypoexpSpec(rates)
+        value = integrate_semi_infinite(
+            lambda z: hypoexp_pdf(spec, z) * np.exp(-s * z),
+            0.0,
+            oracle._decay_scale(rates, s),
+            QuadSpec(abs_tol=1e-13, rel_tol=1e-11),
+        )
+        with mpmath.workdps(40):
+            exact = mpmath.fprod(mpmath.mpf(r) / (mpmath.mpf(r) + mpmath.mpf(s)) for r in rates)
+            assert float(abs(value - exact) / exact) <= 1e-11
 
     def test_tolerance_monotonicity(self):
         spec = HypoexpSpec((0.5, 0.5, 50.0))
@@ -110,6 +157,19 @@ class TestOutageQuadrature:
         assert quad_outage_xt(cfg, GROUP_ONE) == pytest.approx(
             outage_xt(cfg, GROUP_ONE).probability, rel=1e-6
         )
+
+    @pytest.mark.parametrize(
+        "mode, golden_xl, golden_xt",
+        [
+            ("ipSIC", GOLDEN_XL_IPSIC_30DB, GOLDEN_XT_IPSIC_30DB),
+            ("pSIC", GOLDEN_XL_PSIC_30DB, GOLDEN_XT_PSIC_30DB),
+        ],
+        ids=["ipSIC", "pSIC"],
+    )
+    def test_matches_frozen_golden_values(self, mode, golden_xl, golden_xt):
+        cfg = table_config(sic_mode=mode)
+        assert quad_outage_xl(cfg, GROUP_ONE) == pytest.approx(golden_xl, rel=1e-12)
+        assert quad_outage_xt(cfg, GROUP_ONE) == pytest.approx(golden_xt, rel=1e-12)
 
     def test_no_panel_accepted_before_depth_two(self):
         # a depth-0 panel of the relay integral agreed with its refinement to
