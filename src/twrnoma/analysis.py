@@ -82,6 +82,30 @@ def _series_coefficients(rates: Sequence[float]) -> tuple[float, ...]:
     return tuple(hm / math.factorial(m + n - 1) for m, hm in enumerate(h))
 
 
+class HypoexpBatch:
+    """Several :class:`HypoexpSpec` with the same number of rates, stacked for one density call.
+
+    Row ``i`` of each table belongs to ``specs[i]``: its rates in ascending
+    order, their ``math.prod`` and ``math.fsum`` mean, and its series
+    coefficients. A series shorter than ``_SERIES_TERMS`` (coincident rates)
+    is padded with zero high-order coefficients, which leave Horner's sum
+    unchanged.
+    """
+
+    def __init__(self, specs: Sequence[HypoexpSpec]):
+        stages = {len(spec.rates) for spec in specs}
+        if len(stages) != 1:
+            raise ConfigError("a hypoexponential batch needs at least one spec, all with the same number of rates")
+        (self.stages,) = stages
+        ordered = [sorted(spec.rates) for spec in specs]
+        self.rates = np.array(ordered)
+        self.prod = np.array([math.prod(rates) for rates in ordered])
+        self.mean = np.array([math.fsum(rates) / self.stages for rates in ordered])
+        self.series = np.zeros((len(specs), _SERIES_TERMS))
+        for row, spec in zip(self.series, specs):
+            row[: len(spec.series)] = spec.series
+
+
 def _divided_difference_exp2(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
     """Divided difference of exp over nodes ``hi >= lo``, exact when they meet."""
     gap = hi - lo
@@ -89,7 +113,9 @@ def _divided_difference_exp2(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
     return np.exp(hi) * ratio
 
 
-def hypoexp_pdf(spec: HypoexpSpec, z: float | np.ndarray) -> float | np.ndarray:
+def hypoexp_pdf(
+    spec: HypoexpSpec | HypoexpBatch, z: float | np.ndarray, owner: np.ndarray | None = None
+) -> float | np.ndarray:
     """Density at ``z >= 0`` of the sum of independent exponentials in ``spec``.
 
     ``z`` is a float or an array; a float gives a float. Valid for any rate
@@ -97,12 +123,18 @@ def hypoexp_pdf(spec: HypoexpSpec, z: float | np.ndarray) -> float | np.ndarray:
     plain exponential. The density is ``prod(rates) z^(n-1)`` times the
     divided difference of exp over the nodes ``-rate * z``, evaluated in a
     form that stays exact when nodes cluster.
+
+    With a :class:`HypoexpBatch`, ``owner[i]`` names the member whose density
+    row ``i`` of ``z`` takes; the member's parameters are broadcast over the
+    row. Each value equals that member's own density at that point, bit for bit.
     """
+    batch = spec if isinstance(spec, HypoexpBatch) else HypoexpBatch((spec,))
     zv = np.atleast_1d(np.asarray(z, dtype=float))
     if np.any(zv < 0.0):
         raise ConfigError("hypoexponential density is supported on z >= 0")
-    rates = sorted(spec.rates)
-    n = len(rates)
+    member = 0 if owner is None else np.asarray(owner).reshape((-1,) + (1,) * (zv.ndim - 1))
+    n = batch.stages
+    rates = [batch.rates[member, k] for k in range(n)]
     if n == 1:
         value = rates[0] * np.exp(-rates[0] * zv)
     else:
@@ -115,18 +147,20 @@ def hypoexp_pdf(spec: HypoexpSpec, z: float | np.ndarray) -> float | np.ndarray:
             near = spread <= _SERIES_SPREAD
             if near.any():
                 # series in the scaled deviations, around the node mean
-                t = (rates[0] - rates[2]) * zv[near]
-                total = np.full_like(t, spec.series[-1])
-                for coefficient in spec.series[-2::-1]:
-                    total = total * t + coefficient
-                dd[near] = np.exp(-math.fsum(rates) / n * zv[near]) * total
+                near_member = np.broadcast_to(member, zv.shape)[near]
+                z_near = zv[near]
+                t = (batch.rates[near_member, 0] - batch.rates[near_member, 2]) * z_near
+                total = batch.series[near_member, -1]
+                for column in range(_SERIES_TERMS - 2, -1, -1):
+                    total = total * t + batch.series[near_member, column]
+                dd[near] = np.exp(-batch.mean[near_member] * z_near) * total
             far = ~near
             if far.any():
                 # spread-out nodes: recurse on the extremes, whose gap is too
                 # large for catastrophic cancellation
                 x0, x1, x2 = (x[far] for x in nodes)
                 dd[far] = (_divided_difference_exp2(x0, x1) - _divided_difference_exp2(x1, x2)) / spread[far]
-        value = np.maximum(math.prod(rates) * zv ** (n - 1) * dd, 0.0)
+        value = np.maximum(batch.prod[member] * zv ** (n - 1) * dd, 0.0)
     return float(value[0]) if np.ndim(z) == 0 else value
 
 

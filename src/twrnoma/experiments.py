@@ -22,9 +22,9 @@ import numpy as np
 
 from . import analysis
 from .errors import ConfigError, NumericError
-from .model import GROUP_ONE, SIGNAL_ROLES, PairRoles, SystemConfig, build_derived_constants
+from .model import GROUP_ONE, SIGNAL_ROLES, PairRoles, SystemConfig, build_derived_constants, db_to_linear
 from .montecarlo import DEFAULT_TRIALS, OutageEstimate, mc_outage
-from .oracle import QuadSpec, quad_outage_xl, quad_outage_xt
+from .oracle import QuadSpec, quad_outages
 
 OMA_PHASES = 8
 
@@ -37,6 +37,11 @@ THROUGHPUT_METHODS = ("closed", "mc", "oma")
 # Largest SNR grid a sweep accepts; a fine grid such as 0-45 dB in 0.05 dB
 # steps has about 900 points, a figure curve 19.
 MAX_GRID_POINTS = 100_000
+
+# Scenarios that oracle_agreement draws and checks together: with both
+# signals and both SIC modes, 32 oracle cases, so memory does not grow with
+# the number of scenarios.
+_AGREEMENT_GROUP = 8
 
 CURVE_FIELDS = ("rho_db", "signal", "sic_mode", "method", "value", "ci_low", "ci_high", "trials", "seed")
 
@@ -103,6 +108,14 @@ class SweepSpec:
         return [self.rho_min_db + i * self.rho_step_db for i in range(self._point_count())]
 
 
+def _evaluated_grid_db(spec: SweepSpec) -> list[float]:
+    """The spec's SNR grid, checked before any point is evaluated: its end must not overflow in linear units."""
+    grid = spec.rho_grid_db()
+    if not math.isfinite(db_to_linear(grid[-1])):
+        raise ConfigError(f"the SNR grid ends at {grid[-1]:g} dB, which overflows in linear units")
+    return grid
+
+
 def oma_outage(config: SystemConfig, roles: PairRoles, signal: str) -> float:
     """Outage of one signal under the eight-phase TDMA relaying reference.
 
@@ -132,8 +145,9 @@ class _GridPoint:
     One config per SIC mode, and one set of derived constants per role group:
     the constants do not read the SIC mode, so both signals, both modes and
     the closed and asymptotic rows share them. The TDMA outage does not
-    depend on the SIC mode either and is computed once per signal, and the
-    MC estimates come from one engine call.
+    depend on the SIC mode either and is computed once per signal. The MC
+    estimates come from one engine call, and the quadrature values of every
+    (signal, mode) from one batched oracle call.
     """
 
     def __init__(self, spec: SweepSpec, rho_db: float, methods: tuple[str, ...], signals: tuple[str, ...]):
@@ -150,6 +164,11 @@ class _GridPoint:
         self.mc: dict[tuple[str, str], OutageEstimate] = {}
         if "mc" in methods:
             self.mc = mc_outage(config, signals, spec.sic_modes, trials=spec.trials, seed=spec.seed)
+        self.quad: dict[tuple[str, str], float] = {}
+        if "quad" in methods:
+            keys = [(signal, mode) for signal in signals for mode in spec.sic_modes]
+            cases = [(self.configs[mode], *SIGNAL_ROLES[signal]) for signal, mode in keys]
+            self.quad = dict(zip(keys, quad_outages(cases)))
 
     def row(self, signal: str, mode: str, method: str) -> CurveRow:
         config = self.configs[mode]
@@ -163,8 +182,7 @@ class _GridPoint:
         elif method == "oma":
             value = self.oma[signal]
         elif method == "quad":
-            qfn = quad_outage_xl if kind == "l" else quad_outage_xt
-            value = qfn(config, roles)
+            value = self.quad[(signal, mode)]
         elif method == "mc":
             est = self.mc[(signal, mode)]
             return CurveRow(config.rho_db, signal, mode, method, est.p_hat,
@@ -181,7 +199,7 @@ def run_sweep(spec: SweepSpec) -> list[CurveRow]:
     range-checked before emission.
     """
     rows: list[CurveRow] = []
-    for rho_db in spec.rho_grid_db():
+    for rho_db in _evaluated_grid_db(spec):
         point = _GridPoint(spec, rho_db, spec.methods, spec.signals)
         for signal in spec.signals:
             for mode in spec.sic_modes:
@@ -207,7 +225,7 @@ def throughput_rows(
         if method not in THROUGHPUT_METHODS:
             raise ConfigError(f"throughput supports closed, mc or oma, not {method!r}")
     rows: list[CurveRow] = []
-    for rho_db in spec.rho_grid_db():
+    for rho_db in _evaluated_grid_db(spec):
         point = _GridPoint(spec, rho_db, methods, SIGNALS)
         for mode in spec.sic_modes:
             for method in methods:
@@ -429,23 +447,23 @@ def oracle_agreement(
     if n_configs < 1:
         raise ConfigError(f"at least one random scenario is required, got {n_configs}")
     rng = np.random.default_rng(seed)
+    n_degenerate = int(n_configs * degenerate_fraction)
     worst_distinct = 0.0
     worst_degenerate = 0.0
-    for i in range(n_configs):
-        degenerate = i < int(n_configs * degenerate_fraction)
-        config = random_valid_config(rng, force_degenerate=degenerate)
-        for mode in SIC_MODES:
-            cfg = replace(config, sic_mode=mode)
-            for kind in ("l", "t"):
-                if kind == "l":
-                    closed = analysis.outage_xl(cfg, GROUP_ONE).probability
-                    quad = quad_outage_xl(cfg, GROUP_ONE, spec)
-                else:
-                    closed = analysis.outage_xt(cfg, GROUP_ONE).probability
-                    quad = quad_outage_xt(cfg, GROUP_ONE, spec)
-                rel = abs(closed - quad) / max(quad, 1e-300)
-                if degenerate:
-                    worst_degenerate = max(worst_degenerate, rel)
-                else:
-                    worst_distinct = max(worst_distinct, rel)
+    for first in range(0, n_configs, _AGREEMENT_GROUP):
+        configs = [
+            random_valid_config(rng, force_degenerate=i < n_degenerate)
+            for i in range(first, min(first + _AGREEMENT_GROUP, n_configs))
+        ]
+        cases = [
+            (replace(config, sic_mode=mode), GROUP_ONE, kind)
+            for config in configs for mode in SIC_MODES for kind in ("l", "t")
+        ]
+        for i, ((cfg, roles, kind), quad) in enumerate(zip(cases, quad_outages(cases, spec))):
+            closed = analysis.outage_xl if kind == "l" else analysis.outage_xt
+            rel = abs(closed(cfg, roles).probability - quad) / max(quad, 1e-300)
+            if first + i // (2 * len(SIC_MODES)) < n_degenerate:
+                worst_degenerate = max(worst_degenerate, rel)
+            else:
+                worst_distinct = max(worst_distinct, rel)
     return AgreementReport(n_configs, worst_distinct, worst_degenerate)

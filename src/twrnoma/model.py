@@ -20,8 +20,11 @@ _B_SUM_TOL = 1e-9
 
 
 def db_to_linear(value_db: float) -> float:
-    """Single conversion point for dB-valued inputs."""
-    return 10.0 ** (value_db / 10.0)
+    """Single conversion point for dB-valued inputs; infinity when the linear value overflows."""
+    try:
+        return 10.0 ** (value_db / 10.0)
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -116,6 +119,9 @@ class SystemConfig:
             raise ConfigError(f"sic_mode must be 'ipSIC' or 'pSIC', got {self.sic_mode!r}")
         if not (math.isfinite(self.rho_db) and math.isfinite(self.omega_i_db)):
             raise ConfigError("rho_db and omega_i_db must be finite")
+        for name, value_db in (("rho_db", self.rho_db), ("omega_i_db", self.omega_i_db)):
+            if not math.isfinite(db_to_linear(value_db)):
+                raise ConfigError(f"{name} = {value_db:g} dB overflows in linear units")
 
     @property
     def rho(self) -> float:
@@ -288,6 +294,10 @@ class RunSettings:
 
     trials: int = 10**6
     seed: int = 1
+
+    def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
 
 _SCALAR_KEYS = {

@@ -11,22 +11,30 @@ Each panel is integrated by the 15-point Kronrod rule and its embedded
 7-point Gauss rule (QUADPACK's ``qk15``, Piessens et al., 1983). The panel's
 error estimate is ``|K15 - G7|``, floored at ``50 eps`` times the K15
 integral of ``|f|`` so that round-off cannot keep a converged panel open.
-The pass runs level by level: every panel still open at one bisection depth
-is evaluated, on its 15 nodes, in a single vectorised integrand call. A panel
-is accepted once its error estimate is at most its share of the tolerance,
+The pass runs level by level, over many integrals at once: every panel still
+open at one bisection depth, in every integral of the batch, is evaluated on
+its 15 nodes in a single vectorised integrand call. A panel is accepted once
+its error estimate is at most its share of its integral's tolerance,
 ``tol * (b - a)`` in ``u``, but never before depth 2, so a coarse panel whose
-two rules agree by chance cannot end the refinement early.
+two rules agree by chance cannot end the refinement early. Each integral
+keeps its own tolerance, depth limit and panel budget, and comes out bit for
+bit as it would alone.
+
+:func:`quad_outages` evaluates many outages in groups of ``_GROUP`` cases:
+within a group, the integrals of one kind (relay, near user, relay pair) and
+one density size share one batched pass. :func:`quad_outage_xl` and
+:func:`quad_outage_xt` are batches of one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .analysis import CLAMP_GATE, HypoexpSpec, hypoexp_pdf
+from .analysis import CLAMP_GATE, HypoexpBatch, HypoexpSpec, hypoexp_pdf
 from .errors import ConfigError, OracleError
 from .model import PairRoles, SystemConfig, build_derived_constants
 
@@ -35,6 +43,9 @@ _INITIAL_PANELS = 8
 # density of rates (2e5, 500, 5) was accepted with a true error of 6.3e-8.
 _MIN_DEPTH = 2
 _MAX_DEPTH = 60
+# Cases per batch in quad_outages, so at most this many integrals share an
+# integrand call and the working set does not grow with the number of cases.
+_GROUP = 32
 
 # QUADPACK qk15 on [-1, 1]: the non-negative Kronrod abscissae in descending
 # order, their Kronrod weights, and the Gauss weights of the abscissae
@@ -91,6 +102,110 @@ class QuadSpec:
             raise ConfigError("subdivision budget too small")
 
 
+def integrate_batch(
+    fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    lower: Sequence[float],
+    scale: Sequence[float],
+    spec: QuadSpec = QuadSpec(),
+    name: str = "semi-infinite",
+) -> np.ndarray:
+    """Integrate ``n`` integrands, the i-th over [lower[i], infinity), in one pass.
+
+    ``fn(z, owner)`` maps a ``(panels, 15)`` array of abscissae to integrand
+    values; row ``j`` belongs to integral ``owner[j]``, so per-integral
+    parameters broadcast over it as ``param[owner, None]``. Every panel still
+    open at one depth, in every integral, is evaluated in that one call. Each
+    integral keeps its own tolerance, depth limit and ``spec.max_subdivisions``
+    budget, and its value is bit for bit what it would be alone: its panels
+    stay together in the order they would have alone, and the two Kronrod
+    sums, which BLAS rounds differently by row position, run on its own rows.
+    """
+    lower = np.asarray(lower, dtype=float)
+    scale = np.asarray(scale, dtype=float)
+    if not np.all((scale > 0.0) & np.isfinite(scale)):
+        raise ConfigError("integration scale must be positive and finite")
+    count = scale.size
+
+    def gauss_kronrod(a, b, owner):
+        # K15 estimate and error estimate of every panel [a, b], in one call of fn
+        half = 0.5 * (b - a)
+        u = (0.5 * (a + b))[:, None] + half[:, None] * _NODES
+        panel_lower, panel_scale = lower[owner, None], scale[owner, None]
+        f = fn(panel_lower + panel_scale * (1.0 - u) / u, owner) * panel_scale / (u * u)
+        magnitude = np.abs(f)
+        kronrod, absolute = np.empty(a.size), np.empty(a.size)
+        rows = np.bincount(owner, minlength=count)
+        ends = np.cumsum(rows)
+        for first, last in zip((ends - rows)[rows > 0], ends[rows > 0]):
+            kronrod[first:last] = f[first:last] @ _KRONROD_WEIGHTS
+            absolute[first:last] = magnitude[first:last] @ _KRONROD_WEIGHTS
+        kronrod *= half
+        gauss = half * (f[:, 1::2] @ _GAUSS_WEIGHTS)
+        floor = _ROUNDOFF_FLOOR * half * absolute
+        return kronrod, np.maximum(np.abs(kronrod - gauss), floor)
+
+    def unconverged(reason, member):
+        # reads the current depth's panels
+        panels = np.flatnonzero(open_ & (owner == member))
+        worst = panels[np.argmax(err[panels])]
+        lo, sc = float(lower[member]), float(scale[member])
+        z_lo = lo + sc * (1.0 - b[worst]) / b[worst]
+        z_hi = lo + sc * (1.0 - a[worst]) / a[worst] if a[worst] > 0.0 else math.inf
+        return OracleError(
+            f"quadrature of the {name} integral {reason} "
+            f"(lower={lo:.6g}, scale={sc:.6g}, worst open panel z in [{z_lo:.6g}, {z_hi:.6g}])"
+        )
+
+    # Initial uniform panelling: it seeds the adaptive pass and gives the
+    # coarse estimate that anchors each relative tolerance.
+    edges = np.linspace(0.0, 1.0, _INITIAL_PANELS + 1)
+    a, b = np.tile(edges[:-1], count), np.tile(edges[1:], count)
+    owner = np.repeat(np.arange(count), _INITIAL_PANELS)
+    estimate, err = gauss_kronrod(a, b, owner)
+    tol = np.array([
+        max(spec.abs_tol, spec.rel_tol * abs(math.fsum(coarse)))
+        for coarse in estimate.reshape(count, _INITIAL_PANELS)
+    ])
+    spent = np.full(count, _INITIAL_PANELS)
+    accepted, accepted_owner = [], []
+    depth = 0
+    while True:
+        done = (err <= tol[owner] * (b - a)) & (depth >= _MIN_DEPTH)
+        accepted.append(estimate[done])
+        accepted_owner.append(owner[done])
+        open_ = ~done
+        if not open_.any():
+            break
+        open_count = np.bincount(owner[open_], minlength=count)
+        if depth == _MAX_DEPTH:
+            raise unconverged(
+                f"exceeded the maximum bisection depth {_MAX_DEPTH} without converging",
+                int(np.flatnonzero(open_count)[0]),
+            )
+        spent += 2 * open_count
+        over = np.flatnonzero(spent > spec.max_subdivisions)
+        if over.size:
+            raise unconverged(
+                f"did not converge within the subdivision budget of {spec.max_subdivisions} panels",
+                int(over[0]),
+            )
+        a, b, owner = a[open_], b[open_], owner[open_]
+        # each integral's left halves, then its right halves, as it would bisect alone
+        start = np.cumsum(open_count) - open_count
+        left = start[owner] + np.arange(owner.size)
+        right = left + open_count[owner]
+        middle = 0.5 * (a + b)
+        halves = 2 * owner.size
+        a_next, b_next, owner_next = np.empty(halves), np.empty(halves), np.empty(halves, dtype=owner.dtype)
+        a_next[left], b_next[left], owner_next[left] = a, middle, owner
+        a_next[right], b_next[right], owner_next[right] = middle, b, owner
+        a, b, owner = a_next, b_next, owner_next
+        estimate, err = gauss_kronrod(a, b, owner)
+        depth += 1
+    estimates, owners = np.concatenate(accepted), np.concatenate(accepted_owner)
+    return np.array([math.fsum(estimates[owners == member]) for member in range(count)])
+
+
 def integrate_semi_infinite(
     fn: Callable[[np.ndarray], np.ndarray],
     lower: float = 0.0,
@@ -100,65 +215,14 @@ def integrate_semi_infinite(
 ) -> float:
     """Integrate ``fn`` over [lower, infinity) for exponentially decaying integrands.
 
-    ``fn`` maps an array of abscissae to an array of integrand values.
-    ``scale`` should match the integrand's decay length so the transformed
-    mass sits mid-interval; the rule never evaluates the endpoint u = 0
-    (z = infinity). ``name`` identifies the integral in the error raised when
-    it does not converge within ``spec.max_subdivisions`` panels or
-    ``_MAX_DEPTH`` bisections.
+    A batch of one for :func:`integrate_batch`. ``fn`` maps an array of
+    abscissae to an array of integrand values. ``scale`` should match the
+    integrand's decay length so the transformed mass sits mid-interval; the
+    rule never evaluates the endpoint u = 0 (z = infinity). ``name``
+    identifies the integral in the error raised when it does not converge
+    within ``spec.max_subdivisions`` panels or ``_MAX_DEPTH`` bisections.
     """
-    if scale <= 0.0 or not math.isfinite(scale):
-        raise ConfigError("integration scale must be positive and finite")
-
-    def gauss_kronrod(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # K15 estimate and error estimate of every panel [a, b], in one call of fn
-        half = 0.5 * (b - a)
-        u = ((0.5 * (a + b))[:, None] + half[:, None] * _NODES).ravel()
-        f = (fn(lower + scale * (1.0 - u) / u) * scale / (u * u)).reshape(a.size, _NODES.size)
-        kronrod = half * (f @ _KRONROD_WEIGHTS)
-        gauss = half * (f[:, 1::2] @ _GAUSS_WEIGHTS)
-        floor = _ROUNDOFF_FLOOR * half * (np.abs(f) @ _KRONROD_WEIGHTS)
-        return kronrod, np.maximum(np.abs(kronrod - gauss), floor)
-
-    def unconverged(reason: str, a: float, b: float) -> OracleError:
-        z_lo = lower + scale * (1.0 - b) / b
-        z_hi = lower + scale * (1.0 - a) / a if a > 0.0 else math.inf
-        return OracleError(
-            f"quadrature of the {name} integral {reason} "
-            f"(lower={lower:.6g}, scale={scale:.6g}, worst open panel z in [{z_lo:.6g}, {z_hi:.6g}])"
-        )
-
-    # Initial uniform panelling: it seeds the adaptive pass and gives the
-    # coarse estimate that anchors the relative tolerance.
-    edges = np.linspace(0.0, 1.0, _INITIAL_PANELS + 1)
-    a, b = edges[:-1], edges[1:]
-    estimate, err = gauss_kronrod(a, b)
-    tol = max(spec.abs_tol, spec.rel_tol * abs(math.fsum(estimate)))
-    spent = a.size
-    accepted = []
-    depth = 0
-    while True:
-        done = (err <= tol * (b - a)) & (depth >= _MIN_DEPTH)
-        accepted.append(estimate[done])
-        open_ = ~done
-        if not open_.any():
-            return math.fsum(np.concatenate(accepted))
-        worst = int(np.argmax(np.where(open_, err, -np.inf)))
-        if depth == _MAX_DEPTH:
-            raise unconverged(
-                f"exceeded the maximum bisection depth {_MAX_DEPTH} without converging", a[worst], b[worst]
-            )
-        spent += 2 * int(np.count_nonzero(open_))
-        if spent > spec.max_subdivisions:
-            raise unconverged(
-                f"did not converge within the subdivision budget of {spec.max_subdivisions} panels",
-                a[worst], b[worst],
-            )
-        a, b = a[open_], b[open_]
-        m = 0.5 * (a + b)
-        a, b = np.concatenate((a, m)), np.concatenate((m, b))
-        estimate, err = gauss_kronrod(a, b)
-        depth += 1
+    return float(integrate_batch(lambda z, owner: fn(z), (lower,), (scale,), spec, name)[0])
 
 
 def _decay_scale(rates: tuple[float, ...], s: float) -> float:
@@ -170,83 +234,146 @@ def _decay_scale(rates: tuple[float, ...], s: float) -> float:
     return 1.0 / inv
 
 
-def quad_outage_xl(config: SystemConfig, roles: PairRoles, spec: QuadSpec = QuadSpec()) -> float:
-    """Outage of the stronger signal via quadrature of its two survival integrals.
+def _relay_integrand(rates, s):
+    pdf, s = HypoexpBatch([HypoexpSpec(r) for r in rates]), np.array(s)
 
-    The relay stage integrates the hypoexponential interference density
-    against the conditional decode probability; the near-user stage
-    integrates the joint tail over the decode threshold. Degenerate and
-    reduced interference-term sets are handled natively by the density.
+    def integrand(z, owner):
+        return hypoexp_pdf(pdf, z, owner) * np.exp(-(z + 1.0) * s[owner, None])
+
+    return integrand
+
+
+def _pair_integrand(rates, s):
+    pdf, s = HypoexpBatch([HypoexpSpec(r) for r in rates]), np.array(s)
+
+    def integrand(z, owner):
+        return hypoexp_pdf(pdf, z, owner) * np.exp(-s[owner, None] * z)
+
+    return integrand
+
+
+def _user_integrand(om_k):
+    om_k = np.array(om_k)
+
+    def integrand(y, owner):
+        om = om_k[owner, None]
+        return np.exp(-y / om) / om
+
+    return integrand
+
+
+def _residual_user_integrand(om_k, tau, residual_scale):
+    om_k, tau, residual_scale = np.array(om_k), np.array(tau), np.array(residual_scale)
+
+    def integrand(y, owner):
+        om = om_k[owner, None]
+        survive_residual = 1.0 - np.exp(-(y - tau[owner, None]) / residual_scale[owner, None])
+        return survive_residual * np.exp(-y / om) / om
+
+    return integrand
+
+
+def quad_outages(
+    cases: Sequence[tuple[SystemConfig, PairRoles, str]], spec: QuadSpec = QuadSpec()
+) -> list[float]:
+    """Outage of each ``(config, roles, kind)`` case by quadrature of its survival integrals.
+
+    ``kind`` is ``"l"`` for the stronger signal of the transmitting pair and
+    ``"t"`` for the weaker. For the stronger signal, the relay stage
+    integrates the hypoexponential interference density against the
+    conditional decode probability, and the near-user stage integrates the
+    joint tail over the decode threshold. For the weaker signal, the
+    two-term cross-interference density is integrated against the joint
+    relay decode probability; its two user-side stages are plain exponential
+    tails and are evaluated exactly. Degenerate and reduced interference-term
+    sets are handled natively by the density.
+
+    Cases are evaluated in groups of ``_GROUP``. Within a group, all
+    integrals of one kind and density size go through one
+    :func:`integrate_batch` pass, so an integrand call never sees more than
+    ``_GROUP`` integrals and memory does not grow with the number of cases.
+    Each value equals the case's value evaluated alone, bit for bit.
     """
-    dc = build_derived_constants(config, roles)
+    outages: list[float] = []
+    for first in range(0, len(cases), _GROUP):
+        outages.extend(_group_outages(cases[first:first + _GROUP], spec))
+    return outages
+
+
+def _group_outages(cases, spec):
+    # (integrand factory, integral name, density size) -> {(lower, scale,
+    # integrand parameters): index} of the batch's members. An integral asked
+    # for twice, such as the relay integral of both SIC modes, is integrated once.
+    batches: dict[tuple, dict[tuple, int]] = {}
+
+    def request(key, lower, scale, *params):
+        members = batches.setdefault(key, {})
+        return key, members.setdefault((lower, scale, params), len(members))
+
+    plans = [
+        (_plan_xl if kind == "l" else _plan_xt)(config, roles, build_derived_constants(config, roles), request)
+        for config, roles, kind in cases
+    ]
+    value = {}
+    for key, members in batches.items():
+        factory, name = key[:2]
+        lowers, scales, params = zip(*members)
+        results = integrate_batch(factory(*zip(*params)), lowers, scales, spec, name)
+        value.update(((key, index), float(result)) for index, result in enumerate(results))
+    return [plan(value) for plan in plans]
+
+
+def _plan_xl(config, roles, dc, request):
+    # requests the x_l integrals; returns the outage as a function of the integral values
     if not (dc.feasible_l and dc.feasible_t):
-        return 1.0
+        return lambda value: 1.0
     g_l = dc.gamma_th[roles.l - 1]
     g_t = dc.gamma_th[roles.t - 1]
     if g_l == 0.0 and g_t == 0.0:
-        return 0.0
+        return lambda value: 0.0
     om_l, om_k = config.omega[roles.l - 1], config.omega[roles.k - 1]
-
-    pdf_spec = HypoexpSpec(dc.lam)
     s = dc.beta_l / om_l
-
-    def relay_integrand(z: np.ndarray) -> np.ndarray:
-        return hypoexp_pdf(pdf_spec, z) * np.exp(-(z + 1.0) * s)
-
-    relay = integrate_semi_infinite(relay_integrand, 0.0, _decay_scale(dc.lam, s), spec, "relay")
-
+    relay = request((_relay_integrand, "relay", len(dc.lam)), 0.0, _decay_scale(dc.lam, s), dc.lam, s)
     tau = dc.tau_l
     theta = dc.theta_l
     if config.epsilon == 0.0 or tau == 0.0:
-
-        def user_integrand(y: np.ndarray) -> np.ndarray:
-            return np.exp(-y / om_k) / om_k
-
+        user = request((_user_integrand, "near user"), theta, om_k, om_k)
     else:
         residual_scale = tau * config.rho * config.omega_i
-
-        def user_integrand(y: np.ndarray) -> np.ndarray:
-            survive_residual = 1.0 - np.exp(-(y - tau) / residual_scale)
-            return survive_residual * np.exp(-y / om_k) / om_k
-
-    user = integrate_semi_infinite(user_integrand, theta, om_k, spec, "near user")
-    return _finish(1.0 - relay * user)
+        user = request((_residual_user_integrand, "near user"), theta, om_k, om_k, tau, residual_scale)
+    return lambda value: _finish(1.0 - value[relay] * value[user])
 
 
-def quad_outage_xt(config: SystemConfig, roles: PairRoles, spec: QuadSpec = QuadSpec()) -> float:
-    """Outage of the weaker signal via quadrature of the relay-pair integral.
-
-    The two-term cross-interference density is integrated against the joint
-    relay decode probability; the two user-side stages are plain exponential
-    tails and are evaluated exactly.
-    """
-    dc = build_derived_constants(config, roles)
+def _plan_xt(config, roles, dc, request):
+    # requests the x_t integral; returns the outage as a function of the integral values
     if not dc.feasible_t:
-        return 1.0
+        return lambda value: 1.0
     g_l = dc.gamma_th[roles.l - 1]
     g_t = dc.gamma_th[roles.t - 1]
     if g_l == 0.0 and g_t == 0.0:
-        return 0.0
+        return lambda value: 0.0
     om_l, om_t = config.omega[roles.l - 1], config.omega[roles.t - 1]
     om_k, om_r = config.omega[roles.k - 1], config.omega[roles.r - 1]
-
     s = dc.beta_l / om_l + dc.beta_t * dc.varphi_t
     prefactor = math.exp(-dc.beta_l / om_l - dc.beta_t * dc.varphi_t) / (
         dc.varphi_t * om_t * (1.0 + config.epsilon * config.rho * dc.beta_t * dc.varphi_t * config.omega_i)
     )
-    if dc.lam_p:
-        pdf_spec = HypoexpSpec(dc.lam_p)
-
-        def pair_integrand(z: np.ndarray) -> np.ndarray:
-            return hypoexp_pdf(pdf_spec, z) * np.exp(-s * z)
-
-        integral = integrate_semi_infinite(pair_integrand, 0.0, _decay_scale(dc.lam_p, s), spec, "relay pair")
-    else:
-        # no cross-pair leakage: the interference sum is identically zero
-        integral = 1.0
-    relay_pair = prefactor * integral
     users = math.exp(-dc.xi_t / om_k) * math.exp(-dc.xi_t / om_r)
-    return _finish(1.0 - relay_pair * users)
+    if not dc.lam_p:
+        # no cross-pair leakage: the interference sum is identically zero
+        return lambda value: _finish(1.0 - prefactor * users)
+    pair = request((_pair_integrand, "relay pair", len(dc.lam_p)), 0.0, _decay_scale(dc.lam_p, s), dc.lam_p, s)
+    return lambda value: _finish(1.0 - prefactor * value[pair] * users)
+
+
+def quad_outage_xl(config: SystemConfig, roles: PairRoles, spec: QuadSpec = QuadSpec()) -> float:
+    """Outage of the stronger signal via quadrature: :func:`quad_outages` of one case."""
+    return quad_outages([(config, roles, "l")], spec)[0]
+
+
+def quad_outage_xt(config: SystemConfig, roles: PairRoles, spec: QuadSpec = QuadSpec()) -> float:
+    """Outage of the weaker signal via quadrature: :func:`quad_outages` of one case."""
+    return quad_outages([(config, roles, "t")], spec)[0]
 
 
 def _finish(raw: float) -> float:

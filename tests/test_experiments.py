@@ -129,6 +129,16 @@ class TestSweep:
             with pytest.raises(ConfigError, match="more than 100000 points"):
                 self.spec(**too_large)
 
+    def test_grid_end_must_not_overflow(self, monkeypatch):
+        calls = count_constant_builds(monkeypatch)
+        assert len(run_sweep(self.spec(rho_max_db=3080.0, rho_step_db=1000.0))) == 4 * 2 * 2
+        calls.clear()
+        with pytest.raises(ConfigError, match="the SNR grid ends at 4000 dB, which overflows"):
+            run_sweep(self.spec(rho_max_db=4000.0, rho_step_db=1000.0))
+        with pytest.raises(ConfigError, match="the SNR grid ends at 4000 dB, which overflows"):
+            throughput_rows(self.spec(rho_max_db=4000.0, rho_step_db=1000.0))
+        assert calls == []
+
     def test_rows_match_fresh_evaluations(self):
         rows = run_sweep(self.spec())
         for row in rows:
@@ -165,6 +175,26 @@ class TestSweep:
         rows = run_sweep(self.spec(methods=("mc",), signals=("x1", "x2", "x3", "x4"), rho_max_db=10.0))
         assert len(rows) == 3 * 4 * 2
         assert calls == [(db, ("x1", "x2", "x3", "x4"), ("ipSIC", "pSIC")) for db in (0.0, 5.0, 10.0)]
+
+    def test_one_quadrature_call_per_grid_point(self, monkeypatch):
+        calls = []
+        batched = experiments.quad_outages
+
+        def counted(cases, *args):
+            calls.append([(config.rho_db, config.sic_mode, roles, kind) for config, roles, kind in cases])
+            return batched(cases, *args)
+
+        monkeypatch.setattr(experiments, "quad_outages", counted)
+        rows = run_sweep(self.spec(methods=("quad",), signals=("x1", "x4"), rho_max_db=10.0))
+        assert len(rows) == 3 * 2 * 2
+        assert calls == [
+            [(db, mode, roles, kind) for roles, kind in ((GROUP_ONE, "l"), (GROUP_TWO, "t")) for mode in ("ipSIC", "pSIC")]
+            for db in (0.0, 5.0, 10.0)
+        ]
+        for row in rows:
+            roles, kind = SIGNAL_ROLES[row.signal]
+            single = oracle.quad_outage_xl if kind == "l" else oracle.quad_outage_xt
+            assert row.value == single(replace(table_config(), rho_db=row.rho_db, sic_mode=row.sic_mode), roles)
 
     def test_one_constant_build_per_point_and_group(self, monkeypatch):
         calls = count_constant_builds(monkeypatch)
@@ -380,6 +410,35 @@ class TestCli:
         captured = capsys.readouterr()
         assert "configuration error" in captured.err
         assert "agreement" not in captured.out
+
+    @pytest.mark.parametrize("argv", [
+        ["outage", "--methods", "closed,mc", "--trials", "2000", "--seed", "-1"],
+        ["validate", "--configs", "2", "--seed", "-1"],
+    ])
+    def test_negative_seed_exits_one(self, argv, capsys):
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert "configuration error: seed must be non-negative, got -1" in captured.err
+        assert captured.out == ""
+
+    def test_negative_seed_in_config_file_exits_one(self, tmp_path, capsys):
+        scenario = tmp_path / "s.cfg"
+        scenario.write_text("seed = -1\n", encoding="utf-8")
+        assert cli.main(["outage", "--config", str(scenario), "--methods", "closed,mc", "--trials", "2000"]) == 1
+        assert "configuration error: seed must be non-negative, got -1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["outage", "--rho-db", "3090"],
+        ["outage", "--omega-i-db", "5000"],
+        ["throughput", "--rho-max-db", "4000", "--rho-step-db", "1000"],
+        ["sweep", "--rho-max-db", "1e308", "--rho-step-db", "1e307"],
+        ["diversity", "--rho-lo-db", "40", "--rho-hi-db", "1e6"],
+    ])
+    def test_overflowing_db_value_exits_one(self, argv, capsys):
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert "configuration error: " in captured.err and "overflows in linear units" in captured.err
+        assert captured.out == ""
 
     def test_unknown_method_exits_one(self, capsys):
         assert cli.main(["outage", "--methods", "sorcery"]) == 1

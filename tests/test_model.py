@@ -45,6 +45,12 @@ class TestSystemConfig:
         assert cfg.omega_i == pytest.approx(0.01)
         assert db_to_linear(0.0) == 1.0
 
+    def test_overflowing_linear_value(self):
+        assert db_to_linear(3090.0) == math.inf
+        assert table_config(rho_db=3080.0).rho == pytest.approx(1e308)
+        with pytest.raises(ConfigError, match="rho_db = 3090 dB overflows in linear units"):
+            table_config(rho_db=3090.0)
+
     def test_epsilon_binary(self):
         assert table_config(sic_mode="ipSIC").epsilon == 1.0
         assert table_config(sic_mode="pSIC").epsilon == 0.0
@@ -62,6 +68,8 @@ class TestSystemConfig:
             {"rates": (-0.1, 0.01, 0.1, 0.01)},
             {"sic_mode": "partial"},
             {"rho_db": math.inf},
+            {"rho_db": 3090.0},  # 10^309 overflows
+            {"omega_i_db": 5000.0},
         ],
     )
     def test_invalid_configs_rejected(self, overrides):
@@ -192,6 +200,11 @@ class TestConfigFile:
         config, settings = load_config_file(path)
         assert config == SystemConfig(rho_db=25.0)
         assert settings.trials == 50000 and settings.seed == 9
+
+    def test_negative_seed_rejected(self, tmp_path):
+        assert load_config_file(self.write(tmp_path, "seed = 0\n"))[1].seed == 0
+        with pytest.raises(ConfigError, match="seed must be non-negative, got -1"):
+            load_config_file(self.write(tmp_path, "seed = -1\n"))
 
     def test_distances_derive_variances(self, tmp_path):
         config, _ = load_config_file(self.write(tmp_path, "d1=2\nd2=10\nalpha=2\n"))

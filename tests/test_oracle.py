@@ -6,10 +6,18 @@ import numpy as np
 import pytest
 
 from twrnoma import oracle
-from twrnoma.analysis import HypoexpSpec, hypoexp_pdf, outage_xl, outage_xt
+from twrnoma.analysis import HypoexpBatch, HypoexpSpec, hypoexp_pdf, outage_xl, outage_xt
 from twrnoma.errors import ConfigError, OracleError
-from twrnoma.model import GROUP_ONE, SystemConfig
-from twrnoma.oracle import QuadSpec, integrate_semi_infinite, quad_outage_xl, quad_outage_xt
+from twrnoma.experiments import oracle_agreement, random_valid_config
+from twrnoma.model import GROUP_ONE, GROUP_TWO, SystemConfig, build_derived_constants
+from twrnoma.oracle import (
+    QuadSpec,
+    integrate_batch,
+    integrate_semi_infinite,
+    quad_outage_xl,
+    quad_outage_xt,
+    quad_outages,
+)
 
 from test_analysis import (
     GOLDEN_XL_IPSIC_30DB,
@@ -192,8 +200,8 @@ class TestOutageQuadrature:
         assert oracle._finish(-1e-13) == 0.0
         assert oracle._finish(1.0 + 1e-13) == 1.0
         # integrals three times too large drive the outage far below 0
-        true_integral = oracle.integrate_semi_infinite
-        monkeypatch.setattr(oracle, "integrate_semi_infinite", lambda *args: 3.0 * true_integral(*args))
+        true_integrals = oracle.integrate_batch
+        monkeypatch.setattr(oracle, "integrate_batch", lambda *args: 3.0 * true_integrals(*args))
         with pytest.raises(OracleError, match="clamp gate"):
             quad_outage_xl(table_config(), GROUP_ONE)
 
@@ -202,3 +210,136 @@ class TestOutageQuadrature:
         for nudge in (1 - 1e-6, 1 + 1e-6):
             moved = quad_outage_xl(table_config(varpi1=0.01 * nudge), GROUP_ONE)
             assert abs(moved - base) < 1e-6
+
+
+TIGHT = QuadSpec(abs_tol=1e-13, rel_tol=1e-11)
+
+
+def laplace_integrand(rate_sets, s):
+    # hypoexp_pdf(rates_i) * exp(-s_i z) for member i, whose integral is prod(lam / (lam + s_i))
+    batch = HypoexpBatch([HypoexpSpec(rates) for rates in rate_sets])
+    s = np.array(s)
+    return lambda z, owner: hypoexp_pdf(batch, z, owner) * np.exp(-s[owner, None] * z)
+
+
+class TestBatchedIntegrator:
+    RATE_SETS = [(2e5, 500.0, 5.0), (1.0, 2.0, 3.0), (0.5, 0.5, 50.0), (1.0, 1.0, 1.0), (3.0, 7.0, 7.0 * (1 + 1e-9))]
+    S = [0.01, 0.3, 5.0, 400.0, 2.0]
+
+    def test_members_equal_their_lone_integrals(self):
+        scales = [oracle._decay_scale(rates, s) for rates, s in zip(self.RATE_SETS, self.S)]
+        batched = integrate_batch(laplace_integrand(self.RATE_SETS, self.S), [0.0] * 5, scales, TIGHT)
+        for i, (rates, s, scale) in enumerate(zip(self.RATE_SETS, self.S, scales)):
+            spec = HypoexpSpec(rates)
+            alone = integrate_semi_infinite(lambda z: hypoexp_pdf(spec, z) * np.exp(-s * z), 0.0, scale, TIGHT)
+            assert batched[i] == alone, rates
+            assert alone == pytest.approx(math.prod(r / (r + s) for r in rates), rel=1e-11)
+
+    @pytest.mark.parametrize("seed", [6, 8])
+    def test_deep_members_equal_their_lone_integrals(self, seed):
+        # mismatched scales drive some integrals past depth 2 with an odd
+        # number of open panels, where a BLAS row sum rounds by row position
+        rng = np.random.default_rng(seed)
+        rate_sets = [tuple(10.0 ** rng.uniform(-1.0, 3.0, size=3)) for _ in range(24)]
+        weights = list(10.0 ** rng.uniform(-2.0, 2.0, size=24))
+        scales = [oracle._decay_scale(r, s) * 10.0 ** rng.uniform(-1.5, 1.5) for r, s in zip(rate_sets, weights)]
+        batched = integrate_batch(laplace_integrand(rate_sets, weights), [0.0] * 24, scales, TIGHT)
+        for rates, s, scale, value in zip(rate_sets, weights, scales, batched):
+            spec = HypoexpSpec(rates)
+            alone = integrate_semi_infinite(lambda z: hypoexp_pdf(spec, z) * np.exp(-s * z), 0.0, scale, TIGHT)
+            assert value == alone, rates
+            assert alone == pytest.approx(math.prod(r / (r + s) for r in rates), rel=1e-10)
+
+    def test_batch_density_equals_member_density(self):
+        z = np.linspace(0.0, 3.0, 45).reshape(3, 15)
+        owner = np.array([2, 0, 3])
+        batch = HypoexpBatch([HypoexpSpec(rates) for rates in self.RATE_SETS])
+        values = hypoexp_pdf(batch, z, owner)
+        for row, member in enumerate(owner):
+            assert np.array_equal(values[row], hypoexp_pdf(HypoexpSpec(self.RATE_SETS[member]), z[row]))
+
+    def test_batch_needs_equal_rate_counts(self):
+        with pytest.raises(ConfigError):
+            HypoexpBatch([HypoexpSpec((1.0,)), HypoexpSpec((1.0, 2.0))])
+
+    def test_each_integral_keeps_its_own_budget(self):
+        # exp(-z) on its natural scale converges at depth 2 (56 panels); the
+        # mismatched 50 exp(-50 z) needs more, and only it is named
+        easy, hard = (1.0, 1.0), (50.0, 10.0)
+        rates, scales = np.array([easy[0], hard[0]]), [easy[1], hard[1]]
+
+        def integrand(z, owner):
+            return rates[owner, None] * np.exp(-rates[owner, None] * z)
+
+        starved = QuadSpec(abs_tol=1e-12, rel_tol=1e-12, max_subdivisions=56)
+        assert integrate_batch(integrand, [0.0], [1.0], starved)[0] == pytest.approx(1.0, rel=1e-12)
+        with pytest.raises(OracleError, match=r"^quadrature of the test integral did not converge .* \(lower=0, scale=10,"):
+            integrate_batch(integrand, [0.0, 0.0], scales, starved, "test")
+
+    def test_bad_scale_in_a_batch_rejected(self):
+        with pytest.raises(ConfigError):
+            integrate_batch(lambda z, owner: z, [0.0, 0.0], [1.0, math.nan])
+
+
+def mixed_cases():
+    """Distinct-rate and near-coincident scenarios, no cross-pair leakage, an
+    infeasible split and zero rates, under both SIC modes and both signals."""
+    rng = np.random.default_rng(5)
+    configs = [random_valid_config(rng), random_valid_config(rng, force_degenerate=True), random_valid_config(rng)]
+    configs += [
+        table_config(varpi1=0.0),
+        table_config(b=(0.001, 0.999, 0.001, 0.999), varpi2=0.5),
+        table_config(rates=(0.0, 0.0, 0.0, 0.0)),
+        table_config(rates=(0.1, 0.0, 0.1, 0.0)),
+        table_config(),
+    ]
+    return [
+        (replace(config, sic_mode=mode), roles, kind)
+        for config in configs for mode in ("ipSIC", "pSIC") for roles in (GROUP_ONE, GROUP_TWO) for kind in ("l", "t")
+    ]
+
+
+class TestBatchedOutages:
+    @pytest.mark.parametrize("spec", [QuadSpec(), TIGHT], ids=["default", "tight"])
+    def test_mixed_batch_equals_batches_of_one(self, spec):
+        cases = mixed_cases()
+        assert len(cases) > oracle._GROUP  # crosses a group boundary
+        batched = quad_outages(cases, spec)
+        alone = [quad_outages([case], spec)[0] for case in cases]
+        assert batched == alone
+        for (config, roles, kind), value in zip(cases, batched):
+            single = quad_outage_xl if kind == "l" else quad_outage_xt
+            assert single(config, roles, spec) == value
+        assert {1.0, 0.0} <= set(batched)
+
+    def test_errors_name_the_failing_member(self):
+        # at this tolerance a 56-panel budget suffices for the relay integral
+        # at varpi1 = 0.1 or 0.5 but not at 0.01
+        starved = QuadSpec(abs_tol=1e-15, rel_tol=1e-13, max_subdivisions=56)
+        configs = [table_config(varpi1=v, sic_mode="pSIC") for v in (0.1, 0.01, 0.5)]
+        passing = [(configs[0], GROUP_ONE, "l"), (configs[2], GROUP_ONE, "l")]
+        assert quad_outages(passing, starved) == [quad_outage_xl(c, GROUP_ONE, starved) for c, _, _ in passing]
+        dc = build_derived_constants(configs[1], GROUP_ONE)
+        scale = oracle._decay_scale(dc.lam, dc.beta_l / configs[1].omega[0])
+        with pytest.raises(OracleError, match=rf"^quadrature of the relay integral .* \(lower=0, scale={scale:.6g},"):
+            quad_outages([(c, GROUP_ONE, "l") for c in configs], starved)
+
+    def test_integrals_per_call_never_exceed_the_group(self, monkeypatch):
+        widths = []
+        true_integrals = oracle.integrate_batch
+
+        def spied(fn, lower, scale, *args):
+            def integrand(z, owner):
+                widths.append(np.unique(owner).size)
+                return fn(z, owner)
+
+            return true_integrals(integrand, lower, scale, *args)
+
+        monkeypatch.setattr(oracle, "integrate_batch", spied)
+        oracle_agreement(n_configs=200)
+        assert 1 < max(widths) <= oracle._GROUP
+        widths.clear()
+        rng = np.random.default_rng(9)
+        cases = [(random_valid_config(rng), GROUP_ONE, "l") for _ in range(3 * oracle._GROUP)]
+        quad_outages(cases)
+        assert max(widths) == oracle._GROUP
