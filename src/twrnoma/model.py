@@ -8,6 +8,7 @@ properties); everything downstream works in linear units.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
@@ -120,8 +121,12 @@ class SystemConfig:
         if not (math.isfinite(self.rho_db) and math.isfinite(self.omega_i_db)):
             raise ConfigError("rho_db and omega_i_db must be finite")
         for name, value_db in (("rho_db", self.rho_db), ("omega_i_db", self.omega_i_db)):
-            if not math.isfinite(db_to_linear(value_db)):
+            linear = db_to_linear(value_db)
+            if not math.isfinite(linear):
                 raise ConfigError(f"{name} = {value_db:g} dB overflows in linear units")
+            # the closed forms and the Monte Carlo events divide by these values
+            if linear < sys.float_info.min:
+                raise ConfigError(f"{name} = {value_db:g} dB underflows in linear units")
 
     @property
     def rho(self) -> float:
@@ -269,10 +274,18 @@ UNIT_ROWS = 10
 UPLINK, DOWNLINK = 0, 1
 
 
-def unit_rows(stream: RandomStream, count: int) -> list[np.ndarray]:
-    """The stream's next half of a chunk: ``UNIT_ROWS // 2`` rows of ``count`` unit exponential draws."""
+def unit_rows(stream: RandomStream, count: int, out: list | None = None) -> list[np.ndarray]:
+    """The stream's next half of a chunk: ``UNIT_ROWS // 2`` rows of ``count`` unit exponential draws.
+
+    With ``out`` (``UNIT_ROWS // 2`` contiguous float64 rows of at least
+    ``count`` entries) the draws are written into the first ``count`` entries
+    of each row, bit for bit the values a fresh draw would return, and the
+    returned rows are views of ``out``.
+    """
     rng = stream.generator
-    return [rng.standard_exponential(count) for _ in range(UNIT_ROWS // 2)]
+    if out is None:
+        return [rng.standard_exponential(count) for _ in range(UNIT_ROWS // 2)]
+    return [rng.standard_exponential(out=row[:count]) for row in out]
 
 
 def slot_sample(config: SystemConfig, rows: list, sic_mode: str, slot: int) -> ChannelSample:

@@ -16,6 +16,12 @@ every mode and role group sees exactly the draws it would have made alone.
 Trials are partitioned into fixed-size chunks on disjoint substreams with
 integer event counts merged at the end, so a given seed yields identical
 results for any worker count.
+
+Every decode event is decided by :class:`~twrnoma.sinr.EventDecisions`
+from rho-free linear forms of the unit rows, outside a guard band around
+each event's boundary; draws inside the band are decided again by the SINR
+path, so the counts are the SINR path's by construction (see
+:mod:`twrnoma.sinr`).
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ from .errors import ConfigError
 from .model import (
     DOWNLINK,
     SIGNAL_ROLES,
+    UNIT_ROWS,
     UPLINK,
     PairRoles,
     RandomStream,
@@ -38,7 +45,7 @@ from .model import (
     slot_sample,
     unit_rows,
 )
-from .sinr import relay_sinrs, user_sinrs
+from .sinr import EventDecisions, Group, relay_sinrs, user_sinrs
 
 CHUNK_SIZE = 1 << 17
 DEFAULT_TRIALS = 10**6  # reference iteration count for the numerical presets
@@ -101,7 +108,7 @@ def _chunks(trials: int) -> list[tuple[int, int]]:
     return bounds
 
 
-def _groups(config: SystemConfig, signals: tuple[str, ...]) -> list[tuple[PairRoles, float, float]]:
+def _groups(config: SystemConfig, signals: tuple[str, ...]) -> list[Group]:
     """(roles, x_l threshold, x_t threshold) of each role group the signals belong to."""
     for signal in signals:
         if signal not in SIGNAL_ROLES:
@@ -109,44 +116,6 @@ def _groups(config: SystemConfig, signals: tuple[str, ...]) -> list[tuple[PairRo
     groups = dict.fromkeys(SIGNAL_ROLES[signal][0] for signal in signals)
     rates = config.rates
     return [(roles, sinr_threshold(rates[roles.l - 1]), sinr_threshold(rates[roles.t - 1])) for roles in groups]
-
-
-def _relay_events(
-    config: SystemConfig, groups: list[tuple[PairRoles, float, float]], sic_modes: tuple[str, ...], rows: list
-) -> dict[tuple[str, str], np.ndarray]:
-    """Relay-side success of each (signal, SIC mode) on a block of the uplink rows.
-
-    ``x_l`` needs the relay's first decode, ``x_t`` both. The uplink gains,
-    and so the first decode, are the same in every mode.
-    """
-    uplink = slot_sample(config, rows, "ipSIC" if "ipSIC" in sic_modes else "pSIC", UPLINK)
-    ok = {}
-    for roles, g_l, g_t in groups:
-        strong, weak = relay_sinrs(config, roles, uplink, sic_modes)
-        relay_l = strong > g_l
-        for mode in sic_modes:
-            ok[(f"x{roles.l}", mode)] = relay_l
-            ok[(f"x{roles.t}", mode)] = relay_l & (weak[mode] > g_t)
-    return ok
-
-
-def _user_events(
-    config: SystemConfig, groups: list[tuple[PairRoles, float, float]], sic_modes: tuple[str, ...], rows: list
-) -> dict[tuple[str, str], np.ndarray]:
-    """User-side success of each (signal, SIC mode) on a block of the downlink rows.
-
-    Both signals need the opposite pair's near user to decode ``x_t`` first;
-    ``x_l`` then needs that user's own decode, ``x_t`` the far user's.
-    """
-    ok = {}
-    for mode in sic_modes:
-        downlink = slot_sample(config, rows, mode, DOWNLINK)
-        for roles, g_l, g_t in groups:
-            cross, own, far = user_sinrs(config, roles, downlink, mode)
-            cross_t = cross > g_t
-            ok[(f"x{roles.l}", mode)] = cross_t & (own > g_l)
-            ok[(f"x{roles.t}", mode)] = cross_t & (far > g_t)
-    return ok
 
 
 def mc_outage(
@@ -160,41 +129,46 @@ def mc_outage(
     """Simulated outage keyed by (signal, SIC mode), every entry from one draw per chunk.
 
     ``config.sic_mode`` is not read: ``sic_modes`` selects the modes. Each
-    chunk draws its uplink half of the unit rows and evaluates the relay
-    events, keeps only row 4 of that half, then draws the downlink half and
-    evaluates the user events. Both run on blocks of ``_BLOCK`` draws, so
-    every mode and role group reads the same draws and the working set stays
-    small.
+    worker owns a buffer of six rows. A chunk draws its uplink half of the
+    unit rows into buffer rows 0-4 and decides the relay events, then draws
+    the downlink half into rows 0-3 and 5, keeping row 4, and decides the
+    user events. Both run on blocks of ``_BLOCK`` draws, so every mode and
+    role group reads the same draws and the working set stays small. Chunks
+    are dealt to the workers in turn; counts are integers, so the result
+    does not depend on how many workers there are.
     """
     bounds = _chunks(trials)
     for mode in sic_modes:
         if mode not in ("ipSIC", "pSIC"):
             raise ConfigError(f"sic mode must be 'ipSIC' or 'pSIC', got {mode!r}")
-    groups = _groups(config, signals)
+    decisions = EventDecisions(config, _groups(config, signals), sic_modes)
+    keys = list(dict.fromkeys((signal, mode) for signal in signals for mode in sic_modes))
     root = RandomStream(seed)
 
-    def failures(bound: tuple[int, int]) -> dict[tuple[str, str], int]:
-        index, size = bound
-        stream = root.substream(index)
-        blocks = [slice(start, start + _BLOCK) for start in range(0, size, _BLOCK)]
-        rows = unit_rows(stream, size)
-        relay = [_relay_events(config, groups, sic_modes, [row[b] for row in rows]) for b in blocks]
-        # keep row 4 only: pSIC's downlink starts there, on ipSIC's uplink residual
-        rows[:4] = [None] * 4
-        rows += unit_rows(stream, size)
-        fails = dict.fromkeys(((signal, mode) for signal in signals for mode in sic_modes), 0)
-        for b, up in zip(blocks, relay):
-            down = _user_events(config, groups, sic_modes, [row if row is None else row[b] for row in rows])
-            for key in fails:
-                ok = up[key] & down[key]
-                fails[key] += ok.size - int(np.count_nonzero(ok))
+    def failures(share: list[tuple[int, int]]) -> dict[tuple[str, str], int]:
+        buffer = np.empty((UNIT_ROWS // 2 + 1, max(size for _, size in share)))
+        fails = dict.fromkeys(keys, 0)
+        for index, size in share:
+            stream = root.substream(index)
+            blocks = [slice(start, start + _BLOCK) for start in range(0, size, _BLOCK)]
+            uplink = unit_rows(stream, size, list(buffer[:5]))
+            relay = [decisions.relay([row[b] for row in uplink]) for b in blocks]
+            # keep row 4 only: pSIC's downlink starts there, on ipSIC's uplink residual
+            rows = [None] * 4 + uplink[4:] + unit_rows(stream, size, [*buffer[:4], buffer[5]])
+            for b, up in zip(blocks, relay):
+                down = decisions.user([row if row is None else row[b] for row in rows])
+                for key in keys:
+                    ok = up[key] & down[key]
+                    fails[key] += ok.size - int(np.count_nonzero(ok))
         return fails
 
+    workers = max(1, min(workers, len(bounds)))
+    shares = [bounds[w::workers] for w in range(workers)]
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            counts = list(pool.map(failures, bounds))
+            counts = list(pool.map(failures, shares))
     else:
-        counts = [failures(bound) for bound in bounds]
+        counts = [failures(shares[0])]
     estimates = {}
     for signal in signals:
         for mode in sic_modes:

@@ -440,6 +440,17 @@ class TestCli:
         assert "configuration error: " in captured.err and "overflows in linear units" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("argv", [
+        ["outage", "--rho-db", "-4000"],
+        ["outage", "--rho-db", "-3200"],
+        ["outage", "--omega-i-db", "-4000", "--methods", "closed"],
+    ])
+    def test_underflowing_db_value_exits_one(self, argv, capsys):
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert "configuration error: " in captured.err and "underflows in linear units" in captured.err
+        assert captured.out == ""
+
     def test_unknown_method_exits_one(self, capsys):
         assert cli.main(["outage", "--methods", "sorcery"]) == 1
 

@@ -51,6 +51,13 @@ class TestSystemConfig:
         with pytest.raises(ConfigError, match="rho_db = 3090 dB overflows in linear units"):
             table_config(rho_db=3090.0)
 
+    @pytest.mark.parametrize("name", ["rho_db", "omega_i_db"])
+    @pytest.mark.parametrize("value_db", [-4000.0, -3200.0])  # zero, then a subnormal
+    def test_underflowing_linear_value(self, name, value_db):
+        with pytest.raises(ConfigError, match=f"{name} = {value_db:g} dB underflows in linear units"):
+            table_config(**{name: value_db})
+        assert table_config(**{name: -3070.0})  # 1e-307 is a normal float
+
     def test_epsilon_binary(self):
         assert table_config(sic_mode="ipSIC").epsilon == 1.0
         assert table_config(sic_mode="pSIC").epsilon == 0.0
@@ -170,6 +177,14 @@ class TestSampling:
         expected = [om * row for om, row in zip(cfg.omega * 2, rows[:8])]
         assert all(np.array_equal(a, b) for a, b in zip(scaled, expected, strict=True))
         assert psic[0].gI is None and psic[1].gI is None
+
+    def test_unit_rows_into_a_buffer_equal_fresh_draws(self):
+        fresh = unit_rows(RandomStream(5), 1000)
+        buffer = np.full((5, 1500), -1.0)
+        rows = unit_rows(RandomStream(5), 1000, list(buffer))
+        assert all(np.array_equal(a, b) for a, b in zip(rows, fresh, strict=True))
+        assert all(np.shares_memory(row, line) for row, line in zip(rows, buffer))
+        assert (buffer[:, 1000:] == -1.0).all()
 
     def test_substreams_differ_and_are_reconstructible(self):
         root = RandomStream(5)

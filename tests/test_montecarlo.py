@@ -1,11 +1,14 @@
 import math
 from dataclasses import replace
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from twrnoma import montecarlo, sinr
 from twrnoma.analysis import outage_xl, outage_xt
 from twrnoma.errors import ConfigError
-from twrnoma.model import GROUP_ONE, GROUP_TWO, SystemConfig
+from twrnoma.model import GROUP_ONE, GROUP_TWO, RandomStream, SystemConfig, sinr_threshold, unit_rows
 from twrnoma.montecarlo import CHUNK_SIZE, mc_ergodic_rates, mc_outage, wilson_interval
 
 SIGNALS = ("x1", "x2", "x3", "x4")
@@ -128,6 +131,12 @@ class TestOutageEstimators:
                 part = mc_outage(cfg, signals, modes, trials=THREE_CHUNK_TRIALS, seed=1)
                 assert part == {key: everything[key] for key in part}
 
+    def test_repeated_signals_and_modes_counted_once(self):
+        cfg = table_config(rho_db=0.0)
+        once = mc_outage(cfg, ("x1",), MODES, trials=2000, seed=1)
+        assert mc_outage(cfg, ("x1", "x1"), MODES, trials=2000, seed=1) == once
+        assert mc_outage(cfg, ("x1",), MODES + MODES, trials=2000, seed=1) == once
+
     def test_three_workers_equal_one(self):
         cfg = table_config(rho_db=20.0)
         single = mc_outage(cfg, SIGNALS, MODES, trials=THREE_CHUNK_TRIALS, seed=1)
@@ -162,6 +171,115 @@ class TestOutageEstimators:
                 covered += 1
         assert inside_band >= 99
         assert covered >= 90
+
+
+def failure_counts(cfg, trials=20_000, seed=1):
+    estimates = mc_outage(cfg, SIGNALS, MODES, trials=trials, seed=seed)
+    return {key: round(est.p_hat * trials) for key, est in estimates.items()}
+
+
+def near_infeasible_config():
+    # b_t - gamma_t (b_l + varpi2) is about 1e-13 of b_t for x2 and x4, and at
+    # 150 dB their cross and far cuts fall inside the range of the draws
+    b_l, b_t, varpi2 = 0.2, 0.8, 0.01
+    rate = 0.5 * math.log2(1.0 + b_t / (b_l + varpi2) * (1.0 - 1e-13))
+    cfg = table_config(rho_db=150.0, rates=(0.1, rate, 0.1, rate), varpi2=varpi2)
+    margin = (b_t - sinr_threshold(rate) * (b_l + varpi2)) / b_t
+    assert 1e-14 < margin < 1e-12
+    return cfg
+
+
+class TestGuardBand:
+    """Draws near an event boundary are decided by the SINR path, so counts never depend on the band."""
+
+    def test_counts_do_not_overflow_at_extreme_snr(self):
+        # rho * g overflows at 3080 dB; the rho-free forms do not, and no
+        # draw of this run lies between the event boundaries at 300 and 3080 dB
+        assert failure_counts(table_config(rho_db=3080.0)) == failure_counts(table_config(rho_db=300.0))
+
+    @pytest.mark.parametrize("cfg", [
+        *(table_config(rho_db=rho_db) for rho_db in sorted({rho for rho, _ in FROZEN_FAILURES})),
+        near_infeasible_config(),
+        table_config(rho_db=20.0, rates=(0.0, 0.0, 0.0, 0.0)),
+        table_config(rho_db=20.0, varpi1=0.0, varpi2=0.0),
+    ], ids=["0dB", "20dB", "40dB", "near_infeasible", "zero_rates", "no_leakage"])
+    def test_counts_equal_with_every_draw_redecided(self, cfg, monkeypatch):
+        banded = failure_counts(cfg)
+        monkeypatch.setattr(sinr, "_GUARD", math.inf)
+        assert failure_counts(cfg) == banded
+
+    @pytest.mark.parametrize("rho_db", [0.0, 17.3, 30.0, 45.1])
+    def test_draws_at_a_boundary_get_the_sinr_decision(self, rho_db):
+        for decided, reference in boundary_decisions(table_config(rho_db=rho_db)):
+            assert decided.keys() == reference.keys()
+            for key in reference:
+                assert np.array_equal(decided[key], reference[key]), key
+
+    def test_boundary_draws_need_the_band(self, monkeypatch):
+        # without the band the rho-free forms alone decide the draws above,
+        # and they disagree with the SINR path on some of them
+        monkeypatch.setattr(sinr, "_GUARD", 0.0)
+        disagree = 0
+        for rho_db in (0.0, 17.3, 30.0, 45.1):
+            for decided, reference in boundary_decisions(table_config(rho_db=rho_db)):
+                disagree += sum(int(np.count_nonzero(decided[key] != reference[key])) for key in reference)
+        assert disagree > 0
+
+
+# ulp offsets from an event's exact boundary: inside the band, then beyond it
+OFFSETS = (-600, -300, -40, -4, -3, -2, -1, 0, 1, 2, 3, 4, 40, 300, 600)
+
+
+def near(boundary: Fraction) -> np.ndarray:
+    """The float nearest ``boundary`` and its neighbours at ``OFFSETS`` ulps."""
+    value = float(boundary)
+    return np.array([value + k * math.ulp(value) for k in OFFSETS])
+
+
+def boundary_decisions(cfg, draws=64):
+    """(engine, SINR path) success masks on rows that put one event at a time on its boundary."""
+    groups = montecarlo._groups(cfg, SIGNALS)
+    decisions = sinr.EventDecisions(cfg, groups, MODES)
+    f = Fraction
+    a, b, om, v1, v2 = cfg.a, cfg.b, cfg.omega, f(cfg.varpi1), f(cfg.varpi2)
+    om_i, inv_rho = f(cfg.omega_i), 1 / f(cfg.rho)
+    out = []
+    for roles, g_l, g_t in groups:
+        l, t, k, r = roles.l - 1, roles.t - 1, roles.k - 1, roles.r - 1
+        g_l, g_t = f(g_l), f(g_t)
+        # relay events: x_l's strong decode, then x_t's weak decode per mode
+        for target, mode in ((l, None), (t, "ipSIC"), (t, "pSIC")):
+            base = unit_rows(RandomStream(7 + target), draws)
+            rows = [np.repeat(row, len(OFFSETS)) for row in base]
+            values = []
+            for j in range(draws):
+                u = [f(float(row[j])) for row in base]
+                leak = v1 * (f(a[k]) * f(om[k]) * u[k] + f(a[r]) * f(om[r]) * u[r]) + inv_rho
+                if mode is None:
+                    edge = g_l * (f(a[t]) * f(om[t]) * u[t] + leak) / (f(a[l]) * f(om[l]))
+                else:
+                    rest = leak + (om_i * u[4] if mode == "ipSIC" else 0)
+                    edge = g_t * rest / (f(a[t]) * f(om[t]))
+                values.append(near(edge))
+            rows[target] = np.concatenate(values)
+            out.append((decisions.relay(rows), sinr.relay_events(cfg, groups, MODES, rows)))
+        # user events per mode: the cross, own and far decodes
+        for mode, first in (("ipSIC", 5), ("pSIC", 4)):
+            cross = g_t * inv_rho / (f(om[k]) * (f(b[t]) - g_t * (f(b[l]) + v2)))
+            far = g_t * inv_rho / (f(om[r]) * (f(b[t]) - g_t * (f(b[l]) + v2)))
+            for target, edges in ((k, cross), (r, far), (k, None)):
+                base = unit_rows(RandomStream(11 + target), draws) + unit_rows(RandomStream(13 + target), draws)
+                rows = [np.repeat(row, len(OFFSETS)) for row in base]
+                if edges is None:  # own decode, with the residual row under ipSIC
+                    resid = [om_i * f(float(x)) if mode == "ipSIC" else 0 for x in base[first + 4]]
+                    values = [
+                        near(g_l * (x + inv_rho) / (f(om[k]) * (f(b[l]) - g_l * v2))) for x in resid
+                    ]
+                    rows[first + target] = np.concatenate(values)
+                else:
+                    rows[first + target] = np.tile(near(edges), draws)
+                out.append((decisions.user(rows), sinr.user_events(cfg, groups, MODES, rows)))
+    return out
 
 
 class TestErgodicRates:
