@@ -8,12 +8,10 @@ estimation, and sweep/figure tooling around them.
 
 from .analysis import (
     HypoexpSpec,
+    asymptotic_outage,
+    closed_outage,
     diversity_order_estimate,
     hypoexp_pdf,
-    outage_xl,
-    outage_xl_asymptotic,
-    outage_xt,
-    outage_xt_asymptotic,
     throughput_delay_limited,
 )
 from .errors import ConfigError, NumericError, OracleError
@@ -39,7 +37,7 @@ from .model import (
     unit_rows,
 )
 from .montecarlo import mc_ergodic_rates, mc_outage, wilson_interval
-from .oracle import QuadSpec, integrate_semi_infinite, quad_outage_xl, quad_outage_xt
+from .oracle import QuadSpec, integrate_semi_infinite, quad_outages
 from .sinr import relay_sinrs, user_sinrs
 
 __all__ = [
@@ -55,7 +53,9 @@ __all__ = [
     "RandomStream",
     "SweepSpec",
     "SystemConfig",
+    "asymptotic_outage",
     "build_derived_constants",
+    "closed_outage",
     "crossover_snr_db",
     "diversity_order_estimate",
     "figure_preset",
@@ -67,12 +67,7 @@ __all__ = [
     "oma_outage",
     "omega_from_distances",
     "oracle_agreement",
-    "outage_xl",
-    "outage_xl_asymptotic",
-    "outage_xt",
-    "outage_xt_asymptotic",
-    "quad_outage_xl",
-    "quad_outage_xt",
+    "quad_outages",
     "relay_sinrs",
     "run_sweep",
     "slot_sample",

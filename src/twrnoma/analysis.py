@@ -8,6 +8,9 @@ coincide, and the closed forms integrate against them via the Laplace
 transform, which is a plain product over rates and therefore never divides
 by rate differences. For well-separated rates this product agrees with the
 textbook partial-fraction expansion to machine precision.
+
+:func:`closed_outage` and :func:`asymptotic_outage` evaluate one signal
+under one SIC mode; the mode is an argument, not part of the config.
 """
 
 from __future__ import annotations
@@ -24,7 +27,9 @@ from .model import (
     PairRoles,
     SystemConfig,
     build_derived_constants,
+    check_sic_mode,
     db_to_linear,
+    signal_roles,
 )
 
 # Probabilities may stray this far outside [0, 1] from floating-point dust;
@@ -177,17 +182,6 @@ def interference_laplace(rates: Sequence[float], s: float) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class OutageValue:
-    """An outage probability tagged with how and for which signal it was computed."""
-
-    probability: float
-    method: str  # "closed" | "asymptotic"
-    mode: str  # "ipSIC" | "pSIC"
-    signal: str  # "x1".."x4"
-    roles: PairRoles
-
-
 def _finish_probability(raw: float) -> float:
     if not math.isfinite(raw):
         raise NumericError(f"outage evaluation produced a non-finite value: {raw!r}")
@@ -202,13 +196,13 @@ def _relay_stage_survival(config: SystemConfig, roles: PairRoles, dc: DerivedCon
     return math.exp(-dc.beta_l / om_l) * interference_laplace(dc.lam, dc.beta_l / om_l)
 
 
-def _near_user_survival(config: SystemConfig, roles: PairRoles, dc: DerivedConstants) -> float:
+def _near_user_survival(config: SystemConfig, roles: PairRoles, dc: DerivedConstants, mode: str) -> float:
     """Probability the near receiver decodes the far signal and then its own."""
     om_k = config.omega[roles.k - 1]
     theta = dc.theta_l
     tau = dc.tau_l
     base = math.exp(-theta / om_k)
-    if config.epsilon == 0.0 or tau == 0.0:
+    if mode == "pSIC" or tau == 0.0:
         return base
     scaled = tau * config.rho * config.omega_i
     # exponent written without the cancelling large terms: theta >= tau keeps it <= 0
@@ -216,38 +210,36 @@ def _near_user_survival(config: SystemConfig, roles: PairRoles, dc: DerivedConst
     return base * (1.0 - scaled / (om_k + scaled) * math.exp(extra))
 
 
-def closed_xl(config: SystemConfig, roles: PairRoles, dc: DerivedConstants) -> float:
+def _closed_xl(config: SystemConfig, roles: PairRoles, dc: DerivedConstants, mode: str) -> float:
     """Exact outage probability of the stronger signal of the transmitting pair.
 
     Success requires the relay to decode it on the uplink and the near
     receiver of the opposite pair to first strip the far signal and then
     decode this one. Returns exactly 1 when either downlink power split is
-    infeasible for its target rate. ``dc`` holds the constants of ``config``
-    and ``roles``; they do not depend on the SIC mode.
+    infeasible for its target rate.
     """
     if not (dc.feasible_l and dc.feasible_t):
         return 1.0
-    raw = 1.0 - _relay_stage_survival(config, roles, dc) * _near_user_survival(config, roles, dc)
+    raw = 1.0 - _relay_stage_survival(config, roles, dc) * _near_user_survival(config, roles, dc, mode)
     return _finish_probability(raw)
 
 
-def outage_xl(config: SystemConfig, roles: PairRoles) -> OutageValue:
-    """:func:`closed_xl` at the config's operating point, tagged with its signal."""
-    p = closed_xl(config, roles, build_derived_constants(config, roles))
-    return OutageValue(p, "closed", config.sic_mode, f"x{roles.l}", roles)
+def _residual_relay_factor(config: SystemConfig, dc: DerivedConstants, mode: str) -> float:
+    """The relay's residual-interference factor in the weaker signal's decode; 1 under pSIC."""
+    return 1.0 + config.rho * dc.beta_t * dc.varphi_t * config.omega_i if mode == "ipSIC" else 1.0
 
 
-def _relay_pair_survival(config: SystemConfig, roles: PairRoles, dc: DerivedConstants) -> float:
+def _relay_pair_survival(config: SystemConfig, roles: PairRoles, dc: DerivedConstants, mode: str) -> float:
     """Probability the relay decodes both uplink signals of the pair."""
     om_l, om_t = config.omega[roles.l - 1], config.omega[roles.t - 1]
     s = dc.beta_l / om_l + dc.beta_t * dc.varphi_t
     prefactor = math.exp(-dc.beta_l / om_l - dc.beta_t * dc.varphi_t) / (
-        dc.varphi_t * om_t * (1.0 + config.epsilon * config.rho * dc.beta_t * dc.varphi_t * config.omega_i)
+        dc.varphi_t * om_t * _residual_relay_factor(config, dc, mode)
     )
     return prefactor * interference_laplace(dc.lam_p, s)
 
 
-def closed_xt(config: SystemConfig, roles: PairRoles, dc: DerivedConstants) -> float:
+def _closed_xt(config: SystemConfig, roles: PairRoles, dc: DerivedConstants, mode: str) -> float:
     """Exact outage probability of the weaker signal of the transmitting pair.
 
     Success requires the relay to decode both uplink signals (the weaker one
@@ -258,45 +250,33 @@ def closed_xt(config: SystemConfig, roles: PairRoles, dc: DerivedConstants) -> f
         return 1.0
     om_k, om_r = config.omega[roles.k - 1], config.omega[roles.r - 1]
     survival = (
-        _relay_pair_survival(config, roles, dc)
+        _relay_pair_survival(config, roles, dc, mode)
         * math.exp(-dc.xi_t / om_k)
         * math.exp(-dc.xi_t / om_r)
     )
     return _finish_probability(1.0 - survival)
 
 
-def outage_xt(config: SystemConfig, roles: PairRoles) -> OutageValue:
-    """:func:`closed_xt` at the config's operating point, tagged with its signal."""
-    p = closed_xt(config, roles, build_derived_constants(config, roles))
-    return OutageValue(p, "closed", config.sic_mode, f"x{roles.t}", roles)
-
-
-def asymptotic_xl(config: SystemConfig, roles: PairRoles, dc: DerivedConstants) -> float:
+def _asymptotic_xl(config: SystemConfig, roles: PairRoles, dc: DerivedConstants, mode: str) -> float:
     """High-SNR outage of the stronger signal (its error floor).
 
     The survival factors that persist at high SNR are invariant in the
     transmit SNR once thresholds scale with it, and the first-order expansion
     of the residual-interference stage collapses exactly to
-    ``om_k / (om_k + eps * rho * tau * omega_i)`` (the would-be correction
-    terms cancel), so the finite-SNR evaluation already equals the floor.
+    ``om_k / (om_k + rho * tau * omega_i)`` under ipSIC and to 1 under pSIC
+    (the would-be correction terms cancel), so the finite-SNR evaluation
+    already equals the floor.
     """
     if not (dc.feasible_l and dc.feasible_t):
         return 1.0
     om_l, om_k = config.omega[roles.l - 1], config.omega[roles.k - 1]
     bracket = interference_laplace(dc.lam, dc.beta_l / om_l)
-    scaled = config.epsilon * dc.tau_l * config.rho * config.omega_i
-    residual_stage = om_k / (om_k + scaled)
+    residual_stage = om_k / (om_k + dc.tau_l * config.rho * config.omega_i) if mode == "ipSIC" else 1.0
     raw = 1.0 - bracket * residual_stage
     return _finish_probability(raw)
 
 
-def outage_xl_asymptotic(config: SystemConfig, roles: PairRoles) -> OutageValue:
-    """:func:`asymptotic_xl` at the config's operating point, tagged with its signal."""
-    p = asymptotic_xl(config, roles, build_derived_constants(config, roles))
-    return OutageValue(p, "asymptotic", config.sic_mode, f"x{roles.l}", roles)
-
-
-def asymptotic_xt(config: SystemConfig, roles: PairRoles, dc: DerivedConstants) -> float:
+def _asymptotic_xt(config: SystemConfig, roles: PairRoles, dc: DerivedConstants, mode: str) -> float:
     """High-SNR outage of the weaker signal (its error floor).
 
     As with the stronger signal, the evaluated expression carries no residual
@@ -306,16 +286,36 @@ def asymptotic_xt(config: SystemConfig, roles: PairRoles, dc: DerivedConstants) 
         return 1.0
     om_l, om_t = config.omega[roles.l - 1], config.omega[roles.t - 1]
     s = dc.beta_l / om_l + dc.beta_t * dc.varphi_t
-    bracket = interference_laplace(dc.lam_p, s) / (
-        dc.varphi_t * om_t * (1.0 + config.epsilon * config.rho * dc.beta_t * dc.varphi_t * config.omega_i)
-    )
+    bracket = interference_laplace(dc.lam_p, s) / (dc.varphi_t * om_t * _residual_relay_factor(config, dc, mode))
     return _finish_probability(1.0 - bracket)
 
 
-def outage_xt_asymptotic(config: SystemConfig, roles: PairRoles) -> OutageValue:
-    """:func:`asymptotic_xt` at the config's operating point, tagged with its signal."""
-    p = asymptotic_xt(config, roles, build_derived_constants(config, roles))
-    return OutageValue(p, "asymptotic", config.sic_mode, f"x{roles.t}", roles)
+def _evaluate(stronger, weaker, config, signal, mode, dc):
+    roles, kind = signal_roles(signal)
+    check_sic_mode(mode)
+    if dc is None:
+        dc = build_derived_constants(config, roles)
+    return (stronger if kind == "l" else weaker)(config, roles, dc, mode)
+
+
+def closed_outage(
+    config: SystemConfig, signal: str, mode: str, dc: DerivedConstants | None = None
+) -> float:
+    """Exact outage probability of ``signal`` (``"x1"``..``"x4"``) under SIC ``mode``.
+
+    ``dc`` may pass in the derived constants of ``config`` and the signal's
+    role group, which a caller evaluating several signals or modes at one
+    point builds once: they do not depend on the SIC mode. Unknown signals
+    and modes raise ``ConfigError``.
+    """
+    return _evaluate(_closed_xl, _closed_xt, config, signal, mode, dc)
+
+
+def asymptotic_outage(
+    config: SystemConfig, signal: str, mode: str, dc: DerivedConstants | None = None
+) -> float:
+    """High-SNR outage (error floor) of ``signal`` under SIC ``mode``; arguments as :func:`closed_outage`."""
+    return _evaluate(_asymptotic_xl, _asymptotic_xt, config, signal, mode, dc)
 
 
 def diversity_order_estimate(

@@ -17,9 +17,9 @@ from pathlib import Path
 
 from . import analysis, experiments
 from .errors import ConfigError, NumericError
-from .model import RunSettings, SystemConfig, load_config_file
+from .model import SIC_MODES, RunSettings, SystemConfig, load_config_file
 
-_SIC_CHOICES = {"ip": ("ipSIC",), "p": ("pSIC",), "both": ("ipSIC", "pSIC")}
+_SIC_CHOICES = {"ip": SIC_MODES[:1], "p": SIC_MODES[1:], "both": SIC_MODES}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -172,12 +172,10 @@ def _cmd_throughput(args) -> int:
 
 def _cmd_diversity(args) -> int:
     config, _ = _load_scenario(args)
-    roles, kind = experiments.SIGNAL_ROLES[args.signal]
-    mode = _SIC_CHOICES[args.sic][0]
-    fn = analysis.outage_xl if kind == "l" else analysis.outage_xt
+    (mode,) = _SIC_CHOICES[args.sic]
 
     def outage_at(rho_db: float) -> float:
-        return fn(replace(config, rho_db=rho_db, sic_mode=mode), roles).probability
+        return analysis.closed_outage(replace(config, rho_db=rho_db), args.signal, mode)
 
     estimate = analysis.diversity_order_estimate(outage_at, args.rho_lo_db, args.rho_hi_db)
     print(f"diversity order of {args.signal} ({mode}) between "
@@ -220,10 +218,8 @@ def _cmd_figure(args) -> int:
             sys.stdout.write(text)
     if args.id == 1:
         for signal in ("x1", "x2"):
-            for mode in ("ipSIC", "pSIC"):
-                cross = experiments.crossover_snr_db(
-                    replace(SystemConfig(), sic_mode=mode), signal=signal
-                )
+            for mode in SIC_MODES:
+                cross = experiments.crossover_snr_db(SystemConfig(), signal, mode)
                 shown = "none on [0, 45] dB" if cross is None else f"{cross:.2f} dB"
                 print(f"crossover vs TDMA baseline, {signal} {mode}: {shown}")
     return 0

@@ -22,15 +22,21 @@ import numpy as np
 
 from . import analysis
 from .errors import ConfigError, NumericError
-from .model import GROUP_ONE, SIGNAL_ROLES, PairRoles, SystemConfig, build_derived_constants, db_to_linear
+from .model import (
+    OMA_PHASES,
+    SIC_MODES,
+    SIGNAL_ROLES,
+    SystemConfig,
+    build_derived_constants,
+    check_sic_mode,
+    db_to_linear,
+    signal_roles,
+)
 from .montecarlo import DEFAULT_TRIALS, OutageEstimate, mc_outage
 from .oracle import QuadSpec, quad_outages
 
-OMA_PHASES = 8
-
 METHODS = ("closed", "asymptotic", "mc", "quad", "oma")
 SIGNALS = ("x1", "x2", "x3", "x4")
-SIC_MODES = ("ipSIC", "pSIC")
 
 THROUGHPUT_METHODS = ("closed", "mc", "oma")
 
@@ -94,8 +100,7 @@ class SweepSpec:
             if s not in SIGNALS:
                 raise ConfigError(f"unknown signal {s!r}; expected one of {SIGNALS}")
         for mode in self.sic_modes:
-            if mode not in SIC_MODES:
-                raise ConfigError(f"unknown SIC mode {mode!r}")
+            check_sic_mode(mode)
         if not self.methods or not self.signals or not self.sic_modes:
             raise ConfigError("methods, signals and sic_modes must be non-empty")
 
@@ -116,16 +121,14 @@ def _evaluated_grid_db(spec: SweepSpec) -> list[float]:
     return grid
 
 
-def oma_outage(config: SystemConfig, roles: PairRoles, signal: str) -> float:
+def oma_outage(config: SystemConfig, signal: str) -> float:
     """Outage of one signal under the eight-phase TDMA relaying reference.
 
     The per-hop SINR target compresses the message rate into its single
     phase of the eight-phase round; source and destination hops use the
-    full transmit power and fail independently.
+    full transmit power and fail independently. No SIC mode enters.
     """
-    view, kind = SIGNAL_ROLES[signal]
-    if view != roles:
-        raise ConfigError(f"signal {signal!r} does not belong to roles {roles!r}")
+    view, kind = signal_roles(signal)
     if kind == "l":
         src, dst = view.l, view.k
         rate = config.rates[view.l - 1]
@@ -142,17 +145,16 @@ def oma_outage(config: SystemConfig, roles: PairRoles, signal: str) -> float:
 class _GridPoint:
     """What the rows of one SNR point share.
 
-    One config per SIC mode, and one set of derived constants per role group:
-    the constants do not read the SIC mode, so both signals, both modes and
-    the closed and asymptotic rows share them. The TDMA outage does not
-    depend on the SIC mode either and is computed once per signal. The MC
-    estimates come from one engine call, and the quadrature values of every
-    (signal, mode) from one batched oracle call.
+    One config, and one set of derived constants per role group: the
+    constants do not read the SIC mode, so both signals, both modes and the
+    closed and asymptotic rows share them. The TDMA outage does not depend
+    on the SIC mode either and is computed once per signal. The MC estimates
+    come from one engine call, and the quadrature values of every (signal,
+    mode) from one batched oracle call.
     """
 
     def __init__(self, spec: SweepSpec, rho_db: float, methods: tuple[str, ...], signals: tuple[str, ...]):
-        self.configs = {mode: replace(spec.config, rho_db=rho_db, sic_mode=mode) for mode in spec.sic_modes}
-        config = self.configs[spec.sic_modes[0]]
+        self.config = config = replace(spec.config, rho_db=rho_db)
         self.constants = {}
         if "closed" in methods or "asymptotic" in methods:
             groups = dict.fromkeys(SIGNAL_ROLES[signal][0] for signal in signals)
@@ -160,25 +162,21 @@ class _GridPoint:
             self.constants = {signal: built[SIGNAL_ROLES[signal][0]] for signal in signals}
         self.oma = {}
         if "oma" in methods:
-            self.oma = {signal: oma_outage(config, SIGNAL_ROLES[signal][0], signal) for signal in signals}
+            self.oma = {signal: oma_outage(config, signal) for signal in signals}
         self.mc: dict[tuple[str, str], OutageEstimate] = {}
         if "mc" in methods:
             self.mc = mc_outage(config, signals, spec.sic_modes, trials=spec.trials, seed=spec.seed)
         self.quad: dict[tuple[str, str], float] = {}
         if "quad" in methods:
             keys = [(signal, mode) for signal in signals for mode in spec.sic_modes]
-            cases = [(self.configs[mode], *SIGNAL_ROLES[signal]) for signal, mode in keys]
-            self.quad = dict(zip(keys, quad_outages(cases)))
+            self.quad = dict(zip(keys, quad_outages([(config, signal, mode) for signal, mode in keys])))
 
     def row(self, signal: str, mode: str, method: str) -> CurveRow:
-        config = self.configs[mode]
-        roles, kind = SIGNAL_ROLES[signal]
+        config = self.config
         if method == "closed":
-            fn = analysis.closed_xl if kind == "l" else analysis.closed_xt
-            value = fn(config, roles, self.constants[signal])
+            value = analysis.closed_outage(config, signal, mode, self.constants[signal])
         elif method == "asymptotic":
-            fn = analysis.asymptotic_xl if kind == "l" else analysis.asymptotic_xt
-            value = fn(config, roles, self.constants[signal])
+            value = analysis.asymptotic_outage(config, signal, mode, self.constants[signal])
         elif method == "oma":
             value = self.oma[signal]
         elif method == "quad":
@@ -230,7 +228,7 @@ def throughput_rows(
         for mode in spec.sic_modes:
             for method in methods:
                 outages = [point.row(signal, mode, method).value for signal in SIGNALS]
-                value = analysis.throughput_delay_limited(point.configs[mode], outages)
+                value = analysis.throughput_delay_limited(point.config, outages)
                 rows.append(CurveRow(rho_db, "sum", mode, method, value,
                                      trials=spec.trials if method == "mc" else None,
                                      seed=spec.seed if method == "mc" else None))
@@ -239,24 +237,23 @@ def throughput_rows(
 
 def crossover_snr_db(
     config: SystemConfig,
-    signal: str = "x1",
+    signal: str,
+    mode: str,
     rho_min_db: float = 0.0,
     rho_max_db: float = 45.0,
     scan_step_db: float = 0.25,
     tol_db: float = 1e-6,
 ) -> float | None:
-    """SNR (dB) where the closed-form outage curve crosses the TDMA baseline.
+    """SNR (dB) where the closed-form outage of ``signal`` under ``mode`` crosses the TDMA baseline.
 
     Scans for the first sign change of (superposed - orthogonal) from below
     and refines it by bisection; returns ``None`` when the curves do not
     cross on the window. Deterministic: no randomness is involved.
     """
-    roles, kind = SIGNAL_ROLES[signal]
-    closed = analysis.outage_xl if kind == "l" else analysis.outage_xt
 
     def diff(rho_db: float) -> float:
         at = replace(config, rho_db=rho_db)
-        return closed(at, roles).probability - oma_outage(at, roles, signal)
+        return analysis.closed_outage(at, signal, mode) - oma_outage(at, signal)
 
     steps = int(math.floor((rho_max_db - rho_min_db) / scan_step_db)) + 1
     grid = [rho_min_db + i * scan_step_db for i in range(steps)]
@@ -404,7 +401,7 @@ def random_valid_config(rng: np.random.Generator, force_degenerate: bool = False
     if force_degenerate:
         # align the in-pair rate with the first cross-pair rate: a_t*om_t ~ varpi1*a_k*om_k
         varpi1 = (1.0 - a1) * omega[1] / (a3 * omega[2]) * (1.0 + float(rng.uniform(-1e-7, 1e-7)))
-    mode = "ipSIC" if rng.uniform() < 0.5 else "pSIC"
+    rng.uniform()  # once the scenario's SIC mode; still drawn so that later scenarios keep their values
     return SystemConfig(
         rho_db=float(rng.uniform(0.0, 60.0)),
         a=(a1, 1.0 - a1, a3, 1.0 - a3),
@@ -419,7 +416,6 @@ def random_valid_config(rng: np.random.Generator, force_degenerate: bool = False
             float(rng.uniform(0.05, 0.2)),
             float(rng.uniform(0.01, 0.1)),
         ),
-        sic_mode=mode,
     )
 
 
@@ -455,13 +451,9 @@ def oracle_agreement(
             random_valid_config(rng, force_degenerate=i < n_degenerate)
             for i in range(first, min(first + _AGREEMENT_GROUP, n_configs))
         ]
-        cases = [
-            (replace(config, sic_mode=mode), GROUP_ONE, kind)
-            for config in configs for mode in SIC_MODES for kind in ("l", "t")
-        ]
-        for i, ((cfg, roles, kind), quad) in enumerate(zip(cases, quad_outages(cases, spec))):
-            closed = analysis.outage_xl if kind == "l" else analysis.outage_xt
-            rel = abs(closed(cfg, roles).probability - quad) / max(quad, 1e-300)
+        cases = [(config, signal, mode) for config in configs for mode in SIC_MODES for signal in ("x1", "x2")]
+        for i, (case, quad) in enumerate(zip(cases, quad_outages(cases, spec))):
+            rel = abs(analysis.closed_outage(*case) - quad) / max(quad, 1e-300)
             if first + i // (2 * len(SIC_MODES)) < n_degenerate:
                 worst_degenerate = max(worst_degenerate, rel)
             else:

@@ -3,6 +3,9 @@
 All dB-valued inputs (transmit SNR, residual-interference variance) are converted
 to linear units in exactly one place (:func:`db_to_linear`, via the ``SystemConfig``
 properties); everything downstream works in linear units.
+
+The SIC mode is not part of the scenario: every evaluator takes it as an
+argument, one of :data:`SIC_MODES`, next to the config and the signal.
 """
 
 from __future__ import annotations
@@ -18,6 +21,19 @@ import numpy as np
 from .errors import ConfigError
 
 _B_SUM_TOL = 1e-9
+
+# Imperfect SIC (a residual of variance omega_i survives cancellation) and perfect SIC.
+SIC_MODES = ("ipSIC", "pSIC")
+# Phases of the TDMA baseline's round, each carrying one message at the full
+# rate, so its SINR threshold is 2^(OMA_PHASES * R) - 1.
+OMA_PHASES = 8
+
+
+def check_sic_mode(mode: str) -> str:
+    """``mode`` itself when it is one of :data:`SIC_MODES`; a ``ConfigError`` otherwise."""
+    if mode not in SIC_MODES:
+        raise ConfigError(f"unknown sic mode {mode!r}; expected one of {SIC_MODES}")
+    return mode
 
 
 def db_to_linear(value_db: float) -> float:
@@ -63,6 +79,14 @@ SIGNAL_ROLES: dict[str, tuple[PairRoles, str]] = {
 }
 
 
+def signal_roles(signal: str) -> tuple[PairRoles, str]:
+    """``SIGNAL_ROLES[signal]``, with a ``ConfigError`` for an unknown signal."""
+    try:
+        return SIGNAL_ROLES[signal]
+    except KeyError:
+        raise ConfigError(f"unknown signal {signal!r}; expected one of {tuple(SIGNAL_ROLES)}") from None
+
+
 def omega_from_distances(d1: float, d2: float, alpha: float) -> tuple[float, float, float, float]:
     """Channel variances from relay distances: near users (1, 3) at ``d1``, far (2, 4) at ``d2``."""
     if d1 <= 0 or d2 <= 0:
@@ -93,7 +117,6 @@ class SystemConfig:
     varpi1: float = 0.01
     varpi2: float = 0.01
     rates: tuple[float, float, float, float] = (0.1, 0.01, 0.1, 0.01)
-    sic_mode: str = "ipSIC"
 
     def __post_init__(self) -> None:
         for name, values in (("a", self.a), ("b", self.b), ("omega", self.omega), ("rates", self.rates)):
@@ -116,8 +139,12 @@ class SystemConfig:
             raise ConfigError("interference impact levels varpi1, varpi2 must lie in [0, 1]")
         if not min(self.rates) >= 0.0:
             raise ConfigError("target rates must be non-negative")
-        if self.sic_mode not in ("ipSIC", "pSIC"):
-            raise ConfigError(f"sic_mode must be 'ipSIC' or 'pSIC', got {self.sic_mode!r}")
+        # the largest threshold, the TDMA baseline's 2^(OMA_PHASES * R), must not overflow
+        if not OMA_PHASES * max(self.rates) < sys.float_info.max_exp:
+            raise ConfigError(
+                f"target rate {max(self.rates):g} BPCU overflows the TDMA threshold 2^({OMA_PHASES}R); "
+                f"rates must be below {sys.float_info.max_exp / OMA_PHASES:g} BPCU"
+            )
         if not (math.isfinite(self.rho_db) and math.isfinite(self.omega_i_db)):
             raise ConfigError("rho_db and omega_i_db must be finite")
         for name, value_db in (("rho_db", self.rho_db), ("omega_i_db", self.omega_i_db)):
@@ -137,11 +164,6 @@ class SystemConfig:
     def omega_i(self) -> float:
         """Residual-cancellation variance in linear units."""
         return db_to_linear(self.omega_i_db)
-
-    @property
-    def epsilon(self) -> float:
-        """Residual-interference switch: 1 under ipSIC, 0 under pSIC."""
-        return 1.0 if self.sic_mode == "ipSIC" else 0.0
 
 
 Gain = Union[float, np.ndarray]
@@ -294,6 +316,7 @@ def slot_sample(config: SystemConfig, rows: list, sic_mode: str, slot: int) -> C
     ``rows`` is indexed by row number; only the rows the slot reads need to
     be present. ``gI`` is ``None`` under pSIC.
     """
+    check_sic_mode(sic_mode)
     width = 5 if sic_mode == "ipSIC" else 4  # g1..g4, then gI under ipSIC
     first = slot * width
     g = [om * row for om, row in zip(config.omega, rows[first:first + 4])]
@@ -319,9 +342,7 @@ _SCALAR_KEYS = {
     "omega1", "omega2", "omega3", "omega4",
     "d1", "d2", "alpha", "r1", "r2", "r3", "r4",
 }
-_KNOWN_KEYS = _SCALAR_KEYS | {"sic_mode", "trials", "seed"}
-
-_SIC_ALIASES = {"ipsic": "ipSIC", "ip": "ipSIC", "psic": "pSIC", "p": "pSIC"}
+_KNOWN_KEYS = _SCALAR_KEYS | {"trials", "seed"}
 
 
 def load_config_file(path: str | Path) -> tuple[SystemConfig, RunSettings]:
@@ -329,7 +350,8 @@ def load_config_file(path: str | Path) -> tuple[SystemConfig, RunSettings]:
 
     Channel variances come either from ``omega1..omega4`` or from distances
     ``d1, d2`` with path-loss exponent ``alpha`` (never both). Unknown keys
-    are an error; missing keys fall back to the defaults of
+    are an error, ``sic_mode`` among them: the SIC mode is chosen per
+    command. Missing keys fall back to the defaults of
     :class:`SystemConfig` / :class:`RunSettings`.
     """
     raw: dict[str, str] = {}
@@ -382,11 +404,6 @@ def load_config_file(path: str | Path) -> tuple[SystemConfig, RunSettings]:
     for key in ("rho_db", "omega_i_db", "varpi1", "varpi2"):
         if key in raw:
             values[key] = number(key)
-    if "sic_mode" in raw:
-        mode = _SIC_ALIASES.get(raw["sic_mode"].lower())
-        if mode is None:
-            raise ConfigError(f"{path}: sic_mode must be ipSIC or pSIC, got {raw['sic_mode']!r}")
-        values["sic_mode"] = mode
 
     settings_kwargs = {}
     for key in ("trials", "seed"):

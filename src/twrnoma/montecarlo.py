@@ -41,7 +41,9 @@ from .model import (
     PairRoles,
     RandomStream,
     SystemConfig,
+    check_sic_mode,
     sinr_threshold,
+    signal_roles,
     slot_sample,
     unit_rows,
 )
@@ -110,10 +112,7 @@ def _chunks(trials: int) -> list[tuple[int, int]]:
 
 def _groups(config: SystemConfig, signals: tuple[str, ...]) -> list[Group]:
     """(roles, x_l threshold, x_t threshold) of each role group the signals belong to."""
-    for signal in signals:
-        if signal not in SIGNAL_ROLES:
-            raise ConfigError(f"unknown signal {signal!r}; expected one of {tuple(SIGNAL_ROLES)}")
-    groups = dict.fromkeys(SIGNAL_ROLES[signal][0] for signal in signals)
+    groups = dict.fromkeys(signal_roles(signal)[0] for signal in signals)
     rates = config.rates
     return [(roles, sinr_threshold(rates[roles.l - 1]), sinr_threshold(rates[roles.t - 1])) for roles in groups]
 
@@ -128,19 +127,17 @@ def mc_outage(
 ) -> dict[tuple[str, str], OutageEstimate]:
     """Simulated outage keyed by (signal, SIC mode), every entry from one draw per chunk.
 
-    ``config.sic_mode`` is not read: ``sic_modes`` selects the modes. Each
-    worker owns a buffer of six rows. A chunk draws its uplink half of the
-    unit rows into buffer rows 0-4 and decides the relay events, then draws
-    the downlink half into rows 0-3 and 5, keeping row 4, and decides the
-    user events. Both run on blocks of ``_BLOCK`` draws, so every mode and
+    Each worker owns a buffer of six rows. A chunk draws its uplink half of
+    the unit rows into buffer rows 0-4 and decides the relay events, then
+    draws the downlink half into rows 0-3 and 5, keeping row 4, and decides
+    the user events. Both run on blocks of ``_BLOCK`` draws, so every mode and
     role group reads the same draws and the working set stays small. Chunks
     are dealt to the workers in turn; counts are integers, so the result
     does not depend on how many workers there are.
     """
     bounds = _chunks(trials)
     for mode in sic_modes:
-        if mode not in ("ipSIC", "pSIC"):
-            raise ConfigError(f"sic mode must be 'ipSIC' or 'pSIC', got {mode!r}")
+        check_sic_mode(mode)
     decisions = EventDecisions(config, _groups(config, signals), sic_modes)
     keys = list(dict.fromkeys((signal, mode) for signal in signals for mode in sic_modes))
     root = RandomStream(seed)
@@ -181,9 +178,9 @@ def mc_outage(
 
 
 def mc_ergodic_rates(
-    config: SystemConfig, roles: PairRoles, trials: int = DEFAULT_TRIALS, seed: int = 1
+    config: SystemConfig, roles: PairRoles, mode: str, trials: int = DEFAULT_TRIALS, seed: int = 1
 ) -> ErgodicRateEstimate:
-    """Mean end-to-end achievable rates of the pair's signals.
+    """Mean end-to-end achievable rates of the pair's signals under SIC ``mode``.
 
     Each signal's rate per draw is 0.5 * log2(1 + min of its two decode
     stages), the relay stage on the multiple-access block and its destination
@@ -191,7 +188,7 @@ def mc_ergodic_rates(
     exchange. The relay-side interference makes these rates saturate at high
     SNR, which is the ceiling the delay-limited throughput runs into.
     """
-    mode = config.sic_mode
+    check_sic_mode(mode)
     root = RandomStream(seed)
     sum_l = []
     sum_t = []

@@ -20,10 +20,9 @@ two rules agree by chance cannot end the refinement early. Each integral
 keeps its own tolerance, depth limit and panel budget, and comes out bit for
 bit as it would alone.
 
-:func:`quad_outages` evaluates many outages in groups of ``_GROUP`` cases:
-within a group, the integrals of one kind (relay, near user, relay pair) and
-one density size share one batched pass. :func:`quad_outage_xl` and
-:func:`quad_outage_xt` are batches of one.
+:func:`quad_outages` evaluates many ``(config, signal, SIC mode)`` outages
+in groups of ``_GROUP`` cases: within a group, the integrals of one kind
+(relay, near user, relay pair) and one density size share one batched pass.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ import numpy as np
 
 from .analysis import CLAMP_GATE, HypoexpBatch, HypoexpSpec, hypoexp_pdf
 from .errors import ConfigError, OracleError
-from .model import PairRoles, SystemConfig, build_derived_constants
+from .model import SystemConfig, build_derived_constants, check_sic_mode, signal_roles
 
 _INITIAL_PANELS = 8
 # Depth before which no panel is accepted. With acceptance from depth 1, the
@@ -274,15 +273,16 @@ def _residual_user_integrand(om_k, tau, residual_scale):
 
 
 def quad_outages(
-    cases: Sequence[tuple[SystemConfig, PairRoles, str]], spec: QuadSpec = QuadSpec()
+    cases: Sequence[tuple[SystemConfig, str, str]], spec: QuadSpec = QuadSpec()
 ) -> list[float]:
-    """Outage of each ``(config, roles, kind)`` case by quadrature of its survival integrals.
+    """Outage of each ``(config, signal, SIC mode)`` case by quadrature of its survival integrals.
 
-    ``kind`` is ``"l"`` for the stronger signal of the transmitting pair and
-    ``"t"`` for the weaker. For the stronger signal, the relay stage
+    ``signal`` is ``"x1"``..``"x4"``; an unknown signal or mode raises
+    ``ConfigError``. For the stronger signal of the transmitting pair
+    (x1, x3), the relay stage
     integrates the hypoexponential interference density against the
     conditional decode probability, and the near-user stage integrates the
-    joint tail over the decode threshold. For the weaker signal, the
+    joint tail over the decode threshold. For the weaker signal (x2, x4), the
     two-term cross-interference density is integrated against the joint
     relay decode probability; its two user-side stages are plain exponential
     tails and are evaluated exactly. Degenerate and reduced interference-term
@@ -310,10 +310,11 @@ def _group_outages(cases, spec):
         members = batches.setdefault(key, {})
         return key, members.setdefault((lower, scale, params), len(members))
 
-    plans = [
-        (_plan_xl if kind == "l" else _plan_xt)(config, roles, build_derived_constants(config, roles), request)
-        for config, roles, kind in cases
-    ]
+    plans = []
+    for config, signal, mode in cases:
+        roles, kind = signal_roles(signal)
+        plan = _plan_xl if kind == "l" else _plan_xt
+        plans.append(plan(config, roles, check_sic_mode(mode), build_derived_constants(config, roles), request))
     value = {}
     for key, members in batches.items():
         factory, name = key[:2]
@@ -323,7 +324,7 @@ def _group_outages(cases, spec):
     return [plan(value) for plan in plans]
 
 
-def _plan_xl(config, roles, dc, request):
+def _plan_xl(config, roles, mode, dc, request):
     # requests the x_l integrals; returns the outage as a function of the integral values
     if not (dc.feasible_l and dc.feasible_t):
         return lambda value: 1.0
@@ -336,7 +337,7 @@ def _plan_xl(config, roles, dc, request):
     relay = request((_relay_integrand, "relay", len(dc.lam)), 0.0, _decay_scale(dc.lam, s), dc.lam, s)
     tau = dc.tau_l
     theta = dc.theta_l
-    if config.epsilon == 0.0 or tau == 0.0:
+    if mode == "pSIC" or tau == 0.0:
         user = request((_user_integrand, "near user"), theta, om_k, om_k)
     else:
         residual_scale = tau * config.rho * config.omega_i
@@ -344,7 +345,7 @@ def _plan_xl(config, roles, dc, request):
     return lambda value: _finish(1.0 - value[relay] * value[user])
 
 
-def _plan_xt(config, roles, dc, request):
+def _plan_xt(config, roles, mode, dc, request):
     # requests the x_t integral; returns the outage as a function of the integral values
     if not dc.feasible_t:
         return lambda value: 1.0
@@ -355,25 +356,14 @@ def _plan_xt(config, roles, dc, request):
     om_l, om_t = config.omega[roles.l - 1], config.omega[roles.t - 1]
     om_k, om_r = config.omega[roles.k - 1], config.omega[roles.r - 1]
     s = dc.beta_l / om_l + dc.beta_t * dc.varphi_t
-    prefactor = math.exp(-dc.beta_l / om_l - dc.beta_t * dc.varphi_t) / (
-        dc.varphi_t * om_t * (1.0 + config.epsilon * config.rho * dc.beta_t * dc.varphi_t * config.omega_i)
-    )
+    residual = 1.0 + config.rho * dc.beta_t * dc.varphi_t * config.omega_i if mode == "ipSIC" else 1.0
+    prefactor = math.exp(-dc.beta_l / om_l - dc.beta_t * dc.varphi_t) / (dc.varphi_t * om_t * residual)
     users = math.exp(-dc.xi_t / om_k) * math.exp(-dc.xi_t / om_r)
     if not dc.lam_p:
         # no cross-pair leakage: the interference sum is identically zero
         return lambda value: _finish(1.0 - prefactor * users)
     pair = request((_pair_integrand, "relay pair", len(dc.lam_p)), 0.0, _decay_scale(dc.lam_p, s), dc.lam_p, s)
     return lambda value: _finish(1.0 - prefactor * value[pair] * users)
-
-
-def quad_outage_xl(config: SystemConfig, roles: PairRoles, spec: QuadSpec = QuadSpec()) -> float:
-    """Outage of the stronger signal via quadrature: :func:`quad_outages` of one case."""
-    return quad_outages([(config, roles, "l")], spec)[0]
-
-
-def quad_outage_xt(config: SystemConfig, roles: PairRoles, spec: QuadSpec = QuadSpec()) -> float:
-    """Outage of the weaker signal via quadrature: :func:`quad_outages` of one case."""
-    return quad_outages([(config, roles, "t")], spec)[0]
 
 
 def _finish(raw: float) -> float:

@@ -46,7 +46,7 @@ import sys
 
 import numpy as np
 
-from .model import DOWNLINK, UPLINK, ChannelSample, Gain, PairRoles, SystemConfig, slot_sample
+from .model import DOWNLINK, UPLINK, ChannelSample, Gain, PairRoles, SystemConfig, check_sic_mode, slot_sample
 
 # (roles, x_l threshold, x_t threshold) of one role group
 Group = tuple[PairRoles, float, float]
@@ -76,7 +76,7 @@ def relay_sinrs(
     strong = rho * g_l * a_l / (signal_t + cross + 1.0)
     weak = {
         mode: signal_t / (rho * uplink.gI + cross + 1.0 if mode == "ipSIC" else cross + 1.0)
-        for mode in sic_modes
+        for mode in map(check_sic_mode, sic_modes)
     }
     return strong, weak
 
@@ -91,6 +91,7 @@ def user_sinrs(
     cancellation, with the residual gain ``downlink.gI`` under ipSIC. ``far``:
     the far receiver ``r`` decoding ``x_t`` with ``x_l``'s share as interference.
     """
+    check_sic_mode(sic_mode)
     rho = config.rho
     b_l, b_t = config.b[roles.l - 1], config.b[roles.t - 1]
     g_k, g_r = downlink.gain(roles.k), downlink.gain(roles.r)

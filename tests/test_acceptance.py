@@ -9,22 +9,19 @@ from dataclasses import replace
 
 from twrnoma.analysis import (
     HypoexpSpec,
+    asymptotic_outage,
+    closed_outage,
     diversity_order_estimate,
     hypoexp_pdf,
-    outage_xl,
-    outage_xl_asymptotic,
-    outage_xt,
-    outage_xt_asymptotic,
 )
 from twrnoma.experiments import (
-    SIC_MODES,
     SweepSpec,
     crossover_snr_db,
     oracle_agreement,
     run_sweep,
     throughput_rows,
 )
-from twrnoma.model import GROUP_ONE, SystemConfig
+from twrnoma.model import SIC_MODES, SystemConfig
 from twrnoma.montecarlo import mc_outage
 from twrnoma.oracle import integrate_semi_infinite
 
@@ -60,9 +57,12 @@ def test_criterion_1_oracle_equivalence():
               f"near-degenerate {result.max_rel_err_degenerate:.2e}, {elapsed:.1f}s")
 
 
-def _closed(config, kind):
-    fn = outage_xl if kind == "l" else outage_xt
-    return fn(config, GROUP_ONE).probability
+# the stronger and the weaker signal of the first pair
+SIGNAL = {"l": "x1", "t": "x2"}
+
+
+def _closed(config, kind, mode="ipSIC"):
+    return closed_outage(config, SIGNAL[kind], mode)
 
 
 def test_criterion_2_monte_carlo_agreement():
@@ -76,9 +76,8 @@ def test_criterion_2_monte_carlo_agreement():
                     cell = table_config(rho_db=rho_db, varpi1=level, varpi2=level, omega_i_db=omega_i_db)
                     estimates = mc_outage(cell, ("x1", "x2"), SIC_MODES, trials=trials, seed=SEED)
                     for mode in SIC_MODES:
-                        cfg = replace(cell, sic_mode=mode)
                         for kind, signal in (("l", "x1"), ("t", "x2")):
-                            p = _closed(cfg, kind)
+                            p = _closed(cell, kind, mode)
                             estimate = estimates[(signal, mode)]
                             sigma = math.sqrt(p * (1.0 - p) / trials)
                             pull = abs(estimate.p_hat - p) / sigma if sigma > 0 else 0.0
@@ -100,15 +99,14 @@ def test_criterion_3_error_floor():
         for mode in ("ipSIC", "pSIC"):
             for kind in ("l", "t"):
                 def curve(rho_db, mode=mode, kind=kind):
-                    return _closed(table_config(rho_db=rho_db, sic_mode=mode), kind)
+                    return _closed(table_config(rho_db=rho_db), kind, mode)
 
                 slope = diversity_order_estimate(curve, 50.0, 60.0)
                 assert abs(slope) < 0.05, f"{mode} x_{kind}: slope {slope}"
 
-                cfg = table_config(rho_db=60.0, sic_mode=mode)
-                exact = _closed(cfg, kind)
-                asym_fn = outage_xl_asymptotic if kind == "l" else outage_xt_asymptotic
-                floor = asym_fn(cfg, GROUP_ONE).probability
+                cfg = table_config(rho_db=60.0)
+                exact = _closed(cfg, kind, mode)
+                floor = asymptotic_outage(cfg, SIGNAL[kind], mode)
                 assert abs(exact - floor) / exact < 0.02, f"{mode} x_{kind}: gap {(exact-floor)/exact}"
     except AssertionError:
         report(3, "error floor", "FAIL")
@@ -122,10 +120,9 @@ def test_criterion_4_sic_ordering():
             for level in IS_LEVELS:
                 for omega_i_db in RESIDUAL_DB:
                     for kind in ("l", "t"):
-                        ip = _closed(table_config(rho_db=rho_db, varpi1=level, varpi2=level,
-                                                  omega_i_db=omega_i_db), kind)
-                        p = _closed(table_config(rho_db=rho_db, varpi1=level, varpi2=level,
-                                                 omega_i_db=omega_i_db, sic_mode="pSIC"), kind)
+                        cfg = table_config(rho_db=rho_db, varpi1=level, varpi2=level, omega_i_db=omega_i_db)
+                        ip = _closed(cfg, kind, "ipSIC")
+                        p = _closed(cfg, kind, "pSIC")
                         assert p <= ip + 1e-15
                         if ip > 1e-3:
                             assert p < ip
@@ -146,8 +143,8 @@ def test_criterion_5_low_snr_crossover():
         for mode in ("ipSIC", "pSIC"):
             assert values[(0.0, mode, "closed")] < values[(0.0, mode, "oma")], "low end"
             assert values[(45.0, mode, "closed")] > values[(45.0, mode, "oma")], "high end"
-            star = crossover_snr_db(replace(cfg, sic_mode=mode), "x1")
-            again = crossover_snr_db(replace(cfg, sic_mode=mode), "x1")
+            star = crossover_snr_db(cfg, "x1", mode)
+            again = crossover_snr_db(cfg, "x1", mode)
             assert star is not None and star == again  # deterministic report
             assert 0.0 < star < 45.0
             crossings[mode] = star
@@ -158,9 +155,9 @@ def test_criterion_5_low_snr_crossover():
               + ", ".join(f"{mode} at {star:.2f} dB" for mode, star in crossings.items()))
 
 
-def _closed_throughput(config):
+def _closed_throughput(config, mode="ipSIC"):
     spec = SweepSpec(config=config, rho_min_db=config.rho_db, rho_max_db=config.rho_db,
-                     rho_step_db=1.0, sic_modes=(config.sic_mode,))
+                     rho_step_db=1.0, sic_modes=(mode,))
     return throughput_rows(spec, methods=("closed",))[0].value
 
 
@@ -175,7 +172,7 @@ def test_criterion_6_throughput_ceiling():
         assert t60 - t50 < 0.005, f"ceiling gap {t60 - t50}"
         for rho_db in (0.0, 10.0, 20.0, 30.0, 40.0, 50.0, 60.0):
             for mode in ("ipSIC", "pSIC"):
-                value = _closed_throughput(table_config(rho_db=rho_db, sic_mode=mode))
+                value = _closed_throughput(table_config(rho_db=rho_db), mode)
                 assert 0.0 <= value <= 0.22 + 1e-12
     except AssertionError:
         report(6, "throughput ceiling", "FAIL")
@@ -195,7 +192,7 @@ def test_criterion_7_property_suite():
         # outage monotone non-increasing in SNR
         for mode in ("ipSIC", "pSIC"):
             for kind in ("l", "t"):
-                values = [_closed(table_config(rho_db=db, sic_mode=mode), kind)
+                values = [_closed(table_config(rho_db=db), kind, mode)
                           for db in (0, 5, 10, 15, 20, 25, 30, 35, 40, 50, 60)]
                 assert all(a >= b - 1e-15 for a, b in zip(values, values[1:]))
 

@@ -4,19 +4,18 @@ import mpmath
 import numpy as np
 import pytest
 
+from twrnoma import analysis
 from twrnoma.analysis import (
     HypoexpSpec,
+    asymptotic_outage,
+    closed_outage,
     hypoexp_pdf,
     interference_laplace,
     diversity_order_estimate,
-    outage_xl,
-    outage_xl_asymptotic,
-    outage_xt,
-    outage_xt_asymptotic,
     throughput_delay_limited,
 )
 from twrnoma.errors import ConfigError, NumericError
-from twrnoma.model import GROUP_ONE, SystemConfig, build_derived_constants
+from twrnoma.model import GROUP_ONE, GROUP_TWO, SystemConfig, build_derived_constants
 from twrnoma.oracle import integrate_semi_infinite
 
 # Reference operating point, validated three ways (closed form, tight-tolerance
@@ -129,58 +128,68 @@ class TestHypoexpPdf:
 class TestClosedForms:
     def test_reference_point_ipsic(self):
         cfg = table_config()
-        assert outage_xl(cfg, GROUP_ONE).probability == pytest.approx(GOLDEN_XL_IPSIC_30DB, rel=1e-6)
-        assert outage_xt(cfg, GROUP_ONE).probability == pytest.approx(GOLDEN_XT_IPSIC_30DB, rel=1e-6)
+        assert closed_outage(cfg, "x1", "ipSIC") == pytest.approx(GOLDEN_XL_IPSIC_30DB, rel=1e-6)
+        assert closed_outage(cfg, "x2", "ipSIC") == pytest.approx(GOLDEN_XT_IPSIC_30DB, rel=1e-6)
 
     def test_reference_point_psic(self):
-        cfg = table_config(sic_mode="pSIC")
-        assert outage_xl(cfg, GROUP_ONE).probability == pytest.approx(GOLDEN_XL_PSIC_30DB, rel=1e-6)
-        assert outage_xt(cfg, GROUP_ONE).probability == pytest.approx(GOLDEN_XT_PSIC_30DB, rel=1e-6)
+        cfg = table_config()
+        assert closed_outage(cfg, "x1", "pSIC") == pytest.approx(GOLDEN_XL_PSIC_30DB, rel=1e-6)
+        assert closed_outage(cfg, "x2", "pSIC") == pytest.approx(GOLDEN_XT_PSIC_30DB, rel=1e-6)
 
     @pytest.mark.parametrize("mode", ["ipSIC", "pSIC"])
     def test_zero_rates_mean_zero_outage(self, mode):
-        cfg = table_config(rates=(0.0, 0.0, 0.0, 0.0), sic_mode=mode)
-        assert outage_xl(cfg, GROUP_ONE).probability == 0.0
-        assert outage_xt(cfg, GROUP_ONE).probability == 0.0
+        cfg = table_config(rates=(0.0, 0.0, 0.0, 0.0))
+        assert closed_outage(cfg, "x1", mode) == 0.0
+        assert closed_outage(cfg, "x2", mode) == 0.0
 
     def test_infeasible_own_split_means_certain_outage(self):
         cfg = table_config(b=(0.001, 0.999, 0.001, 0.999), varpi2=0.5)
-        assert outage_xl(cfg, GROUP_ONE).probability == 1.0
+        assert closed_outage(cfg, "x1", "ipSIC") == 1.0
 
     def test_infeasible_cross_split_hits_both_signals(self):
         # b_t <= (b_l + varpi2) * gamma_t needs a large weak-signal rate
         cfg = table_config(b=(0.45, 0.55, 0.45, 0.55), varpi2=0.9, rates=(0.1, 0.35, 0.1, 0.35))
         dc = build_derived_constants(cfg, GROUP_ONE)
         assert not dc.feasible_t
-        assert outage_xl(cfg, GROUP_ONE).probability == 1.0
-        assert outage_xt(cfg, GROUP_ONE).probability == 1.0
+        assert closed_outage(cfg, "x1", "ipSIC") == 1.0
+        assert closed_outage(cfg, "x2", "ipSIC") == 1.0
 
     def test_tags(self):
-        value = outage_xl(table_config(), GROUP_ONE)
-        assert value.method == "closed" and value.mode == "ipSIC" and value.signal == "x1"
-        value = outage_xt(table_config(sic_mode="pSIC"), GROUP_ONE)
-        assert value.signal == "x2" and value.mode == "pSIC"
+        # the signal tag picks the role group and the stronger or weaker
+        # evaluator, the mode tag the cancellation; a shared dc changes nothing
+        cfg = table_config(varpi1=0.03, rates=(0.1, 0.02, 0.15, 0.05))
+        for signal, roles, evaluator in (
+            ("x1", GROUP_ONE, analysis._closed_xl), ("x2", GROUP_ONE, analysis._closed_xt),
+            ("x3", GROUP_TWO, analysis._closed_xl), ("x4", GROUP_TWO, analysis._closed_xt),
+        ):
+            dc = build_derived_constants(cfg, roles)
+            for mode in ("ipSIC", "pSIC"):
+                expected = evaluator(cfg, roles, dc, mode)
+                assert closed_outage(cfg, signal, mode) == expected
+                assert closed_outage(cfg, signal, mode, dc) == expected
+            assert closed_outage(cfg, signal, "pSIC") < closed_outage(cfg, signal, "ipSIC")
+        with pytest.raises(ConfigError, match="unknown signal"):
+            closed_outage(cfg, "x5", "ipSIC")
 
     @pytest.mark.parametrize("mode", ["ipSIC", "pSIC"])
     def test_monotone_nonincreasing_in_snr(self, mode):
         grid = [0.0, 5.0, 10.0, 15.0, 20.0, 30.0, 40.0, 50.0, 60.0]
-        for fn in (outage_xl, outage_xt):
-            values = [fn(table_config(rho_db=db, sic_mode=mode), GROUP_ONE).probability for db in grid]
+        for signal in ("x1", "x2"):
+            values = [closed_outage(table_config(rho_db=db), signal, mode) for db in grid]
             assert all(a >= b - 1e-15 for a, b in zip(values, values[1:]))
 
     def test_perfect_cancellation_never_worse(self):
         for db in (0.0, 10.0, 20.0, 30.0, 40.0):
-            ip = table_config(rho_db=db)
-            p = table_config(rho_db=db, sic_mode="pSIC")
-            assert outage_xl(p, GROUP_ONE).probability <= outage_xl(ip, GROUP_ONE).probability
-            assert outage_xt(p, GROUP_ONE).probability <= outage_xt(ip, GROUP_ONE).probability
+            cfg = table_config(rho_db=db)
+            assert closed_outage(cfg, "x1", "pSIC") <= closed_outage(cfg, "x1", "ipSIC")
+            assert closed_outage(cfg, "x2", "pSIC") <= closed_outage(cfg, "x2", "ipSIC")
 
     def test_degenerate_rate_continuity(self):
         # reference scenario sits exactly on a coincident-rate point; nudging
         # the leakage level off it must move the outage only marginally
-        base = outage_xl(table_config(varpi1=0.01), GROUP_ONE).probability
+        base = closed_outage(table_config(varpi1=0.01), "x1", "ipSIC")
         for nudge in (1 - 1e-6, 1 + 1e-6):
-            moved = outage_xl(table_config(varpi1=0.01 * nudge), GROUP_ONE).probability
+            moved = closed_outage(table_config(varpi1=0.01 * nudge), "x1", "ipSIC")
             assert abs(moved - base) < 1e-6
 
     def test_probability_range_guard(self):
@@ -193,35 +202,35 @@ class TestClosedForms:
 class TestAsymptotics:
     @pytest.mark.parametrize("mode", ["ipSIC", "pSIC"])
     def test_zero_rates(self, mode):
-        cfg = table_config(rates=(0.0, 0.0, 0.0, 0.0), sic_mode=mode)
-        assert outage_xl_asymptotic(cfg, GROUP_ONE).probability == 0.0
-        assert outage_xt_asymptotic(cfg, GROUP_ONE).probability == 0.0
+        cfg = table_config(rates=(0.0, 0.0, 0.0, 0.0))
+        assert asymptotic_outage(cfg, "x1", mode) == 0.0
+        assert asymptotic_outage(cfg, "x2", mode) == 0.0
 
     def test_perfect_cancellation_floor_ignores_residual_variance(self):
-        lo = table_config(sic_mode="pSIC", omega_i_db=-30.0)
-        hi = table_config(sic_mode="pSIC", omega_i_db=0.0)
-        assert outage_xl_asymptotic(lo, GROUP_ONE).probability == outage_xl_asymptotic(hi, GROUP_ONE).probability
-        assert outage_xt_asymptotic(lo, GROUP_ONE).probability == outage_xt_asymptotic(hi, GROUP_ONE).probability
+        lo = table_config(omega_i_db=-30.0)
+        hi = table_config(omega_i_db=0.0)
+        assert asymptotic_outage(lo, "x1", "pSIC") == asymptotic_outage(hi, "x1", "pSIC")
+        assert asymptotic_outage(lo, "x2", "pSIC") == asymptotic_outage(hi, "x2", "pSIC")
 
     @pytest.mark.parametrize("mode", ["ipSIC", "pSIC"])
     def test_floor_matches_exact_at_high_snr(self, mode):
-        cfg = table_config(rho_db=60.0, sic_mode=mode)
-        for exact_fn, asym_fn in ((outage_xl, outage_xl_asymptotic), (outage_xt, outage_xt_asymptotic)):
-            exact = exact_fn(cfg, GROUP_ONE).probability
-            floor = asym_fn(cfg, GROUP_ONE).probability
+        cfg = table_config(rho_db=60.0)
+        for signal in ("x1", "x2"):
+            exact = closed_outage(cfg, signal, mode)
+            floor = asymptotic_outage(cfg, signal, mode)
             assert abs(exact - floor) / exact < 0.02
 
     def test_floor_is_high_snr_limit_not_exceeding_exact(self):
         for mode in ("ipSIC", "pSIC"):
-            cfg = table_config(rho_db=70.0, sic_mode=mode)
-            for exact_fn, asym_fn in ((outage_xl, outage_xl_asymptotic), (outage_xt, outage_xt_asymptotic)):
-                exact = exact_fn(cfg, GROUP_ONE).probability
-                floor = asym_fn(cfg, GROUP_ONE).probability
+            cfg = table_config(rho_db=70.0)
+            for signal in ("x1", "x2"):
+                exact = closed_outage(cfg, signal, mode)
+                floor = asymptotic_outage(cfg, signal, mode)
                 assert floor <= exact + 1e-3
 
     def test_no_cross_leakage_routes_to_reduced_terms(self):
         cfg = table_config(varpi1=0.0)
-        value = outage_xt_asymptotic(cfg, GROUP_ONE).probability
+        value = asymptotic_outage(cfg, "x2", "ipSIC")
         assert 0.0 < value < 1.0
 
 
@@ -234,7 +243,7 @@ class TestDiversityOrder:
 
     def test_reference_scenario_has_error_floor(self):
         def curve(db):
-            return outage_xl(table_config(rho_db=db), GROUP_ONE).probability
+            return closed_outage(table_config(rho_db=db), "x1", "ipSIC")
 
         assert abs(diversity_order_estimate(curve, 50.0, 60.0)) < 0.05
 

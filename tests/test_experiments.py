@@ -4,10 +4,9 @@ from dataclasses import replace
 
 import pytest
 
-from twrnoma import analysis, cli, experiments, model, oracle
+from twrnoma import analysis, cli, experiments, model, montecarlo, oracle
 from twrnoma.errors import ConfigError
 from twrnoma.experiments import (
-    SIGNAL_ROLES,
     SweepSpec,
     crossover_snr_db,
     figure_preset,
@@ -69,25 +68,61 @@ FROZEN_SWEEP_ARGV = [
 FROZEN_SWEEP_SHA256 = "64d358d376e52f197cb2e908e6d74d729d65d12d8ed154591a9887047485feb6"
 FROZEN_THROUGHPUT_ARGV = ["throughput", "--methods", "closed,oma"]
 FROZEN_THROUGHPUT_SHA256 = "3e1f690573faccf8c05a02d28463d403e69cff62d081101d1085181adda234c6"
+# Stdout of the commands that read the SIC mode, recorded while the closed
+# forms and the oracle still took it from the config: the oracle agreement
+# suite, every non-MC method at one point, each diversity estimate, and
+# figure 1 with its crossover lines.
+FROZEN_CLI_SHA256 = [
+    (["validate", "--configs", "16", "--seed", "7"],
+     "541bfdf590ae7b582b5d77290a7e8fa2b6b355c32951a7b5d5da476371f87036"),
+    (["outage", "--methods", "closed,asymptotic,quad,oma", "--signals", "x1,x2,x3,x4", "--sic", "both",
+      "--varpi1", "0.02", "--omega-i-db", "-13", "--rho-db", "17.3"],
+     "f99ce539588992002afd6e37977069916a80a1402a712b0e5263d0c2f499bd4c"),
+    (["diversity", "--signal", "x1", "--sic", "ip"], "96ab7d45c7d56a594fd516f44b1545b7cf7ca1d7020caa5ce3d06291ac27ab9e"),
+    (["diversity", "--signal", "x1", "--sic", "p"], "a83ca62922df66f55269316aad89fae4cad96ec8dd0bdfbfee204d72267dfe4b"),
+    (["diversity", "--signal", "x2", "--sic", "ip"], "3bc89f29aad1b05b84aeecddceb71a862659011c8379a56e3ac5bb60b6794037"),
+    (["diversity", "--signal", "x2", "--sic", "p"], "f86f303b821dbba366a6f5e0008816d04630541d7f256d0405d347950cdc6f35"),
+    (["diversity", "--signal", "x3", "--sic", "ip"], "0c41295bcc4211726a2ca879f6db54edfb5605b4ce83065eb98d01bd9b5233aa"),
+    (["diversity", "--signal", "x3", "--sic", "p"], "dfda518032d109b0efb692b79a6af35fe6cece4ae1a9a7063cc26aec2f7f2944"),
+    (["diversity", "--signal", "x4", "--sic", "ip"], "c93ace371b2266dee2581431e404fd5794b7ad0503a1c635d353a4467335be09"),
+    (["diversity", "--signal", "x4", "--sic", "p"], "08ca5a0f0bef1b84bf6fd1a255df121a007c02335ac904eae30201530aa1a7c8"),
+    (["figure", "--id", "1", "--trials", "2000", "--seed", "1"],
+     "a18b1fe538c03f434bf3b1a536c1f7da28e10505f9bf934e70f3088755aae1fc"),
+]
+
+
+@pytest.mark.parametrize("argv, sha256", FROZEN_CLI_SHA256, ids=[" ".join(argv) for argv, _ in FROZEN_CLI_SHA256])
+def test_frozen_cli_output(capsys, argv, sha256):
+    assert cli_sha256(capsys, argv) == sha256
+
+
+@pytest.mark.parametrize("evaluate", [
+    lambda mode: analysis.closed_outage(table_config(), "x1", mode),
+    lambda mode: analysis.asymptotic_outage(table_config(), "x2", mode),
+    lambda mode: oracle.quad_outages([(table_config(), "x1", "ipSIC"), (table_config(), "x3", mode)]),
+    lambda mode: montecarlo.mc_outage(table_config(), ("x1",), ("ipSIC", mode), trials=2000),
+    lambda mode: montecarlo.mc_ergodic_rates(table_config(), GROUP_ONE, mode, trials=2000),
+    lambda mode: crossover_snr_db(table_config(), "x1", mode),
+    lambda mode: SweepSpec(config=table_config(), rho_min_db=0.0, rho_max_db=0.0, rho_step_db=1.0, sic_modes=(mode,)),
+], ids=["closed", "asymptotic", "quad", "mc", "ergodic", "crossover", "sweep"])
+def test_unknown_sic_mode_rejected(evaluate):
+    # a misspelt mode must not silently stand for pSIC
+    for mode in ("psic", "IPSIC", "partial"):
+        with pytest.raises(ConfigError, match="unknown sic mode"):
+            evaluate(mode)
 
 
 class TestOmaBaseline:
     def test_zero_rate_means_no_outage(self):
         cfg = table_config(rates=(0.0, 0.0, 0.0, 0.0))
-        assert oma_outage(cfg, GROUP_ONE, "x1") == 0.0
+        assert oma_outage(cfg, "x1") == 0.0
 
     def test_deep_noise_means_certain_outage(self):
         cfg = table_config(rho_db=-60.0)
-        assert oma_outage(cfg, GROUP_ONE, "x1") == pytest.approx(1.0, abs=1e-6)
-
-    def test_mismatched_roles_rejected(self):
-        from twrnoma.model import GROUP_TWO
-
-        with pytest.raises(ConfigError):
-            oma_outage(table_config(), GROUP_TWO, "x1")
+        assert oma_outage(cfg, "x1") == pytest.approx(1.0, abs=1e-6)
 
     def test_monotone_in_snr(self):
-        values = [oma_outage(table_config(rho_db=db), GROUP_ONE, "x2") for db in (0, 10, 20, 30)]
+        values = [oma_outage(table_config(rho_db=db), "x2") for db in (0, 10, 20, 30)]
         assert values == sorted(values, reverse=True)
 
 
@@ -142,10 +177,8 @@ class TestSweep:
     def test_rows_match_fresh_evaluations(self):
         rows = run_sweep(self.spec())
         for row in rows:
-            roles, kind = SIGNAL_ROLES[row.signal]
-            cfg = replace(table_config(), rho_db=row.rho_db, sic_mode=row.sic_mode)
-            fn = analysis.outage_xl if kind == "l" else analysis.outage_xt
-            assert row.value == fn(cfg, roles).probability
+            cfg = replace(table_config(), rho_db=row.rho_db)
+            assert row.value == analysis.closed_outage(cfg, row.signal, row.sic_mode)
 
     def test_deterministic_csv_bytes(self):
         spec = self.spec(methods=("closed", "mc"), trials=2000)
@@ -181,20 +214,19 @@ class TestSweep:
         batched = experiments.quad_outages
 
         def counted(cases, *args):
-            calls.append([(config.rho_db, config.sic_mode, roles, kind) for config, roles, kind in cases])
+            calls.append([(config.rho_db, signal, mode) for config, signal, mode in cases])
             return batched(cases, *args)
 
         monkeypatch.setattr(experiments, "quad_outages", counted)
         rows = run_sweep(self.spec(methods=("quad",), signals=("x1", "x4"), rho_max_db=10.0))
         assert len(rows) == 3 * 2 * 2
         assert calls == [
-            [(db, mode, roles, kind) for roles, kind in ((GROUP_ONE, "l"), (GROUP_TWO, "t")) for mode in ("ipSIC", "pSIC")]
+            [(db, signal, mode) for signal in ("x1", "x4") for mode in ("ipSIC", "pSIC")]
             for db in (0.0, 5.0, 10.0)
         ]
         for row in rows:
-            roles, kind = SIGNAL_ROLES[row.signal]
-            single = oracle.quad_outage_xl if kind == "l" else oracle.quad_outage_xt
-            assert row.value == single(replace(table_config(), rho_db=row.rho_db, sic_mode=row.sic_mode), roles)
+            case = (replace(table_config(), rho_db=row.rho_db), row.signal, row.sic_mode)
+            assert row.value == oracle.quad_outages([case])[0]
 
     def test_one_constant_build_per_point_and_group(self, monkeypatch):
         calls = count_constant_builds(monkeypatch)
@@ -233,12 +265,7 @@ class TestThroughputRows:
         )
         row = throughput_rows(spec, methods=("closed",))[0]
         cfg = table_config()
-        outages = [
-            analysis.outage_xl(cfg, GROUP_ONE).probability,
-            analysis.outage_xt(cfg, GROUP_ONE).probability,
-            analysis.outage_xl(cfg, GROUP_TWO).probability,
-            analysis.outage_xt(cfg, GROUP_TWO).probability,
-        ]
+        outages = [analysis.closed_outage(cfg, signal, "ipSIC") for signal in ("x1", "x2", "x3", "x4")]
         assert row.value == pytest.approx(analysis.throughput_delay_limited(table_config(), outages))
         assert row.signal == "sum"
 
@@ -283,19 +310,19 @@ class TestThroughputRows:
 class TestCrossover:
     def test_crossover_exists_and_is_deterministic(self):
         cfg = table_config()
-        first = crossover_snr_db(cfg, "x1")
-        second = crossover_snr_db(cfg, "x1")
+        first = crossover_snr_db(cfg, "x1", "ipSIC")
+        second = crossover_snr_db(cfg, "x1", "ipSIC")
         assert first is not None and first == second
         below = replace(cfg, rho_db=first - 3.0)
         above = replace(cfg, rho_db=first + 3.0)
-        assert analysis.outage_xl(below, GROUP_ONE).probability < oma_outage(below, GROUP_ONE, "x1")
-        assert analysis.outage_xl(above, GROUP_ONE).probability > oma_outage(above, GROUP_ONE, "x1")
+        assert analysis.closed_outage(below, "x1", "ipSIC") < oma_outage(below, "x1")
+        assert analysis.closed_outage(above, "x1", "ipSIC") > oma_outage(above, "x1")
 
     def test_no_crossover_reported_when_absent(self):
         # without an error floor (no leakage, perfect cancellation) the
         # superposed scheme stays below the baseline over the window
-        cfg = table_config(varpi1=0.0, varpi2=0.0, sic_mode="pSIC")
-        assert crossover_snr_db(cfg, "x2", rho_max_db=30.0) is None
+        cfg = table_config(varpi1=0.0, varpi2=0.0)
+        assert crossover_snr_db(cfg, "x2", "pSIC", rho_max_db=30.0) is None
 
 
 class TestFigurePresets:
@@ -363,7 +390,7 @@ class TestCli:
         assert code == 0
         row = capsys.readouterr().out.splitlines()[1]
         cfg = table_config(rho_db=20.0, varpi1=0.01, varpi2=0.1)
-        assert repr(analysis.outage_xl(cfg, GROUP_ONE).probability) in row
+        assert repr(analysis.closed_outage(cfg, "x1", "ipSIC")) in row
 
     def test_bad_flag_value_exits_one(self, capsys):
         assert cli.main(["sweep", "--rho-min-db", "10", "--rho-max-db", "0"]) == 1
@@ -449,6 +476,26 @@ class TestCli:
         assert cli.main(argv) == 1
         captured = capsys.readouterr()
         assert "configuration error: " in captured.err and "underflows in linear units" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("text, methods", [
+        ("r1 = 600\nr2 = 0.01\nr3 = 0.1\nr4 = 0.01\n", "closed"),  # 2^(2R) overflows
+        ("r1 = 200\nr2 = 0.01\nr3 = 0.1\nr4 = 0.01\n", "oma"),  # 2^(8R) overflows
+    ])
+    def test_overflowing_target_rate_exits_one(self, text, methods, tmp_path, capsys):
+        scenario = tmp_path / "s.cfg"
+        scenario.write_text(text, encoding="utf-8")
+        assert cli.main(["outage", "--config", str(scenario), "--methods", methods]) == 1
+        captured = capsys.readouterr()
+        assert "configuration error: target rate" in captured.err and "overflows the TDMA threshold" in captured.err
+        assert captured.out == ""
+
+    def test_sic_mode_key_in_config_file_exits_one(self, tmp_path, capsys):
+        scenario = tmp_path / "s.cfg"
+        scenario.write_text("sic_mode = pSIC\n", encoding="utf-8")
+        assert cli.main(["outage", "--config", str(scenario), "--methods", "closed"]) == 1
+        captured = capsys.readouterr()
+        assert "configuration error: " in captured.err and "unknown key 'sic_mode'" in captured.err
         assert captured.out == ""
 
     def test_unknown_method_exits_one(self, capsys):

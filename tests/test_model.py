@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -26,9 +27,9 @@ def table_config(**overrides):
     return SystemConfig(**overrides)
 
 
-def single_draw(stream, config):
+def single_draw(stream, config, mode="ipSIC"):
     """The uplink slot of one fading realization as plain floats, from a size-1 draw."""
-    block = slot_sample(config, unit_rows(stream, 1), config.sic_mode, UPLINK)
+    block = slot_sample(config, unit_rows(stream, 1), mode, UPLINK)
     gi = None if block.gI is None else float(block.gI[0])
     return ChannelSample(*(float(g[0]) for g in (block.g1, block.g2, block.g3, block.g4)), gi)
 
@@ -58,9 +59,18 @@ class TestSystemConfig:
             table_config(**{name: value_db})
         assert table_config(**{name: -3070.0})  # 1e-307 is a normal float
 
-    def test_epsilon_binary(self):
-        assert table_config(sic_mode="ipSIC").epsilon == 1.0
-        assert table_config(sic_mode="pSIC").epsilon == 0.0
+    def test_no_sic_mode_field(self):
+        assert len(fields(SystemConfig)) == 8
+        with pytest.raises(TypeError):
+            SystemConfig(sic_mode="pSIC")
+
+    def test_overflowing_target_rate(self):
+        # 2^(8R), the TDMA threshold, is the first to overflow: at R = 128
+        below = math.nextafter(128.0, 0.0)
+        assert table_config(rates=(below, 0.01, 0.1, 0.01)).rates[0] == below
+        for rate in (128.0, 200.0, 600.0):
+            with pytest.raises(ConfigError, match=f"target rate {rate:g} BPCU overflows the TDMA threshold"):
+                table_config(rates=(0.1, 0.01, rate, 0.01))
 
     @pytest.mark.parametrize(
         "overrides",
@@ -73,7 +83,7 @@ class TestSystemConfig:
             {"varpi1": -0.1},
             {"varpi2": 1.5},
             {"rates": (-0.1, 0.01, 0.1, 0.01)},
-            {"sic_mode": "partial"},
+            {"rates": (128.0, 0.01, 0.1, 0.01)},  # 2^(8*128) overflows
             {"rho_db": math.inf},
             {"rho_db": 3090.0},  # 10^309 overflows
             {"omega_i_db": 5000.0},
@@ -142,7 +152,7 @@ class TestSampling:
     def test_perfect_cancellation_zeroes_residual(self):
         stream = RandomStream(3)
         for _ in range(16):
-            assert single_draw(stream, table_config(sic_mode="pSIC")).gI is None
+            assert single_draw(stream, table_config(), "pSIC").gI is None
 
     def test_block_matches_means_within_three_sigma(self):
         n = 10**6
@@ -210,7 +220,7 @@ class TestConfigFile:
             "d1=2\nd2=10\nalpha=2\n"
             "omega_i_db=-20\nvarpi1=0.01\nvarpi2=0.01\n"
             "r1=0.1\nr2=0.01\nr3=0.1\nr4=0.01\n"
-            "sic_mode=ipSIC\ntrials=50000\nseed=9\n",
+            "trials=50000\nseed=9\n",
         )
         config, settings = load_config_file(path)
         assert config == SystemConfig(rho_db=25.0)
@@ -238,9 +248,10 @@ class TestConfigFile:
         with pytest.raises(ConfigError):
             load_config_file(self.write(tmp_path, "a1=0.8\na2=0.2\n"))
 
-    def test_sic_aliases(self, tmp_path):
-        config, _ = load_config_file(self.write(tmp_path, "sic_mode=p\n"))
-        assert config.sic_mode == "pSIC"
+    def test_sic_mode_key_rejected(self, tmp_path):
+        # the SIC mode is chosen per command (--sic), not per scenario
+        with pytest.raises(ConfigError, match="unknown key 'sic_mode'"):
+            load_config_file(self.write(tmp_path, "sic_mode=p\n"))
 
     def test_comments_and_blank_lines(self, tmp_path):
         config, _ = load_config_file(self.write(tmp_path, "# scenario\n\nrho_db=5 # override\n"))

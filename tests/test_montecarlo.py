@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from twrnoma import montecarlo, sinr
-from twrnoma.analysis import outage_xl, outage_xt
+from twrnoma.analysis import closed_outage
 from twrnoma.errors import ConfigError
 from twrnoma.model import GROUP_ONE, GROUP_TWO, RandomStream, SystemConfig, sinr_threshold, unit_rows
 from twrnoma.montecarlo import CHUNK_SIZE, mc_ergodic_rates, mc_outage, wilson_interval
@@ -103,11 +103,6 @@ class TestOutageEstimators:
         assert est.signal == "x2" and est.mode == "pSIC" and est.seed == 3 and est.roles == GROUP_ONE
         assert estimates[("x3", "pSIC")].roles == GROUP_TWO
 
-    def test_config_sic_mode_not_read(self):
-        ip = mc_outage(table_config(sic_mode="ipSIC"), SIGNALS, MODES, trials=2000, seed=3)
-        p = mc_outage(table_config(sic_mode="pSIC"), SIGNALS, MODES, trials=2000, seed=3)
-        assert ip == p
-
     @pytest.mark.parametrize("rho_db,mode", sorted(FROZEN_FAILURES))
     def test_failure_counts_frozen(self, rho_db, mode):
         cfg = table_config(rho_db=rho_db)
@@ -146,11 +141,11 @@ class TestOutageEstimators:
     @pytest.mark.parametrize("mode", ["ipSIC", "pSIC"])
     def test_tracks_closed_form_within_three_sigma(self, mode):
         trials = 10**6
-        cfg = table_config(sic_mode=mode)
+        cfg = table_config()
         estimates = mc_outage(cfg, ("x1", "x2"), (mode,), trials=trials, seed=2024)
-        for signal, closed_fn in (("x1", outage_xl), ("x2", outage_xt)):
+        for signal in ("x1", "x2"):
             estimate = estimates[(signal, mode)]
-            p = closed_fn(cfg, GROUP_ONE).probability
+            p = closed_outage(cfg, signal, mode)
             sigma = math.sqrt(p * (1 - p) / trials)
             assert abs(estimate.p_hat - p) <= 3 * sigma
 
@@ -159,7 +154,7 @@ class TestOutageEstimators:
         # interval should cover the true value at close to its nominal rate
         trials = 20_000
         cfg = table_config(rho_db=10.0)
-        p = outage_xl(cfg, GROUP_ONE).probability
+        p = closed_outage(cfg, "x1", "ipSIC")
         sigma = math.sqrt(p * (1 - p) / trials)
         inside_band = 0
         covered = 0
@@ -285,32 +280,32 @@ def boundary_decisions(cfg, draws=64):
 class TestErgodicRates:
     def test_vanishing_at_deep_noise(self):
         cfg = table_config(rho_db=-60.0)
-        rates = mc_ergodic_rates(cfg, GROUP_ONE, trials=20_000, seed=1).rates
+        rates = mc_ergodic_rates(cfg, GROUP_ONE, "ipSIC", trials=20_000, seed=1).rates
         assert all(value < 1e-3 for value in rates.values())
 
     def test_interference_free_rate_keeps_growing(self):
         # without leakage and with perfect cancellation the rate still climbs
         # between 40 and 60 dB; identical seeds make the draws common, and the
         # per-draw chain is strictly increasing in SNR
-        cfg = table_config(sic_mode="pSIC", varpi1=0.0, varpi2=0.0)
-        r40 = mc_ergodic_rates(replace(cfg, rho_db=40.0), GROUP_ONE, trials=50_000, seed=2).rates["x1"]
-        r60 = mc_ergodic_rates(replace(cfg, rho_db=60.0), GROUP_ONE, trials=50_000, seed=2).rates["x1"]
+        cfg = table_config(varpi1=0.0, varpi2=0.0)
+        r40 = mc_ergodic_rates(replace(cfg, rho_db=40.0), GROUP_ONE, "pSIC", trials=50_000, seed=2).rates["x1"]
+        r60 = mc_ergodic_rates(replace(cfg, rho_db=60.0), GROUP_ONE, "pSIC", trials=50_000, seed=2).rates["x1"]
         assert r60 > r40 + 0.1
 
     def test_weak_signal_rate_hits_ceiling(self):
         cfg = table_config()
-        r50 = mc_ergodic_rates(replace(cfg, rho_db=50.0), GROUP_ONE, trials=200_000, seed=5).rates["x2"]
-        r60 = mc_ergodic_rates(replace(cfg, rho_db=60.0), GROUP_ONE, trials=200_000, seed=5).rates["x2"]
+        r50 = mc_ergodic_rates(replace(cfg, rho_db=50.0), GROUP_ONE, "ipSIC", trials=200_000, seed=5).rates["x2"]
+        r60 = mc_ergodic_rates(replace(cfg, rho_db=60.0), GROUP_ONE, "ipSIC", trials=200_000, seed=5).rates["x2"]
         assert r60 - r50 < 0.01
 
     def test_reproducible(self):
         cfg = table_config()
-        a = mc_ergodic_rates(cfg, GROUP_ONE, trials=30_000, seed=7)
-        b = mc_ergodic_rates(cfg, GROUP_ONE, trials=30_000, seed=7)
+        a = mc_ergodic_rates(cfg, GROUP_ONE, "ipSIC", trials=30_000, seed=7)
+        b = mc_ergodic_rates(cfg, GROUP_ONE, "ipSIC", trials=30_000, seed=7)
         assert a == b
 
     @pytest.mark.parametrize("mode,roles", sorted(FROZEN_ERGODIC_RATES, key=str))
     def test_rates_frozen(self, mode, roles):
-        cfg = table_config(rho_db=20.0, sic_mode=mode)
-        estimate = mc_ergodic_rates(cfg, roles, trials=THREE_CHUNK_TRIALS, seed=1)
+        cfg = table_config(rho_db=20.0)
+        estimate = mc_ergodic_rates(cfg, roles, mode, trials=THREE_CHUNK_TRIALS, seed=1)
         assert estimate.rates == FROZEN_ERGODIC_RATES[(mode, roles)]

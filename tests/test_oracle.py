@@ -6,16 +6,14 @@ import numpy as np
 import pytest
 
 from twrnoma import oracle
-from twrnoma.analysis import HypoexpBatch, HypoexpSpec, hypoexp_pdf, outage_xl, outage_xt
+from twrnoma.analysis import HypoexpBatch, HypoexpSpec, closed_outage, hypoexp_pdf
 from twrnoma.errors import ConfigError, OracleError
 from twrnoma.experiments import oracle_agreement, random_valid_config
-from twrnoma.model import GROUP_ONE, GROUP_TWO, SystemConfig, build_derived_constants
+from twrnoma.model import GROUP_ONE, SystemConfig, build_derived_constants
 from twrnoma.oracle import (
     QuadSpec,
     integrate_batch,
     integrate_semi_infinite,
-    quad_outage_xl,
-    quad_outage_xt,
     quad_outages,
 )
 
@@ -30,6 +28,11 @@ from test_analysis import (
 def table_config(**overrides):
     overrides.setdefault("rho_db", 30.0)
     return SystemConfig(**overrides)
+
+
+def quad(config, signal, mode="ipSIC", spec=QuadSpec()):
+    """Quadrature outage of one (config, signal, mode) case."""
+    return quad_outages([(config, signal, mode)], spec)[0]
 
 
 class TestGaussKronrodRule:
@@ -110,9 +113,9 @@ class TestIntegrator:
         with pytest.raises(OracleError, match=r"subdivision budget of 32 panels \(lower=0, scale=1, worst open panel z in \["):
             integrate_semi_infinite(lambda z: np.exp(-z), 0.0, 1.0, starved)
         with pytest.raises(OracleError, match=r"^quadrature of the relay integral did not converge"):
-            quad_outage_xl(table_config(), GROUP_ONE, starved)
+            quad(table_config(), "x1", "ipSIC", starved)
         with pytest.raises(OracleError, match=r"^quadrature of the relay pair integral did not converge"):
-            quad_outage_xt(table_config(), GROUP_ONE, starved)
+            quad(table_config(), "x2", "ipSIC", starved)
 
     def test_bad_tolerances_rejected(self):
         with pytest.raises(ConfigError):
@@ -124,18 +127,18 @@ class TestIntegrator:
 class TestOutageQuadrature:
     @pytest.mark.parametrize("mode", ["ipSIC", "pSIC"])
     def test_zero_rates(self, mode):
-        cfg = table_config(rates=(0.0, 0.0, 0.0, 0.0), sic_mode=mode)
-        assert quad_outage_xl(cfg, GROUP_ONE) == 0.0
-        assert quad_outage_xt(cfg, GROUP_ONE) == 0.0
+        cfg = table_config(rates=(0.0, 0.0, 0.0, 0.0))
+        assert quad(cfg, "x1", mode) == 0.0
+        assert quad(cfg, "x2", mode) == 0.0
 
     def test_infeasible_split_gives_certain_outage(self):
         cfg = table_config(b=(0.001, 0.999, 0.001, 0.999), varpi2=0.5)
-        assert quad_outage_xl(cfg, GROUP_ONE) == 1.0
+        assert quad(cfg, "x1") == 1.0
 
     def test_single_term_case_matches_analytic_form(self):
         # without cross-pair leakage and with perfect cancellation the relay
         # stage has the analytic value e^(-beta/om_l) * lam*om_l/(lam*om_l + beta)
-        cfg = table_config(varpi1=0.0, sic_mode="pSIC")
+        cfg = table_config(varpi1=0.0)
         rho = cfg.rho
         beta = (2 ** (2 * 0.1) - 1) / (rho * 0.8)
         lam = 1.0 / (rho * 0.2 * 0.01)
@@ -147,24 +150,20 @@ class TestOutageQuadrature:
         user = math.exp(-max(tau, xi) / om_k)
         expected = 1.0 - relay * user
         cfg0 = replace(cfg, varpi2=0.0)
-        assert quad_outage_xl(cfg0, GROUP_ONE) == pytest.approx(expected, abs=1e-10)
+        assert quad(cfg0, "x1", "pSIC") == pytest.approx(expected, abs=1e-10)
 
     def test_weak_signal_user_stages_are_exact_exponentials(self):
         # zero weak-signal rate collapses both user stages to probability one
         cfg = table_config(rates=(0.1, 0.0, 0.1, 0.0))
-        closed = outage_xt(cfg, GROUP_ONE).probability
-        assert quad_outage_xt(cfg, GROUP_ONE) == pytest.approx(closed, rel=1e-8)
+        closed = closed_outage(cfg, "x2", "ipSIC")
+        assert quad(cfg, "x2") == pytest.approx(closed, rel=1e-8)
 
     @pytest.mark.parametrize("mode", ["ipSIC", "pSIC"])
     @pytest.mark.parametrize("rho_db", [0.0, 10.0, 30.0, 50.0])
     def test_agreement_with_closed_forms(self, mode, rho_db):
-        cfg = table_config(rho_db=rho_db, sic_mode=mode)
-        assert quad_outage_xl(cfg, GROUP_ONE) == pytest.approx(
-            outage_xl(cfg, GROUP_ONE).probability, rel=1e-6
-        )
-        assert quad_outage_xt(cfg, GROUP_ONE) == pytest.approx(
-            outage_xt(cfg, GROUP_ONE).probability, rel=1e-6
-        )
+        cfg = table_config(rho_db=rho_db)
+        assert quad(cfg, "x1", mode) == pytest.approx(closed_outage(cfg, "x1", mode), rel=1e-6)
+        assert quad(cfg, "x2", mode) == pytest.approx(closed_outage(cfg, "x2", mode), rel=1e-6)
 
     @pytest.mark.parametrize(
         "mode, golden_xl, golden_xt",
@@ -175,9 +174,9 @@ class TestOutageQuadrature:
         ids=["ipSIC", "pSIC"],
     )
     def test_matches_frozen_golden_values(self, mode, golden_xl, golden_xt):
-        cfg = table_config(sic_mode=mode)
-        assert quad_outage_xl(cfg, GROUP_ONE) == pytest.approx(golden_xl, rel=1e-12)
-        assert quad_outage_xt(cfg, GROUP_ONE) == pytest.approx(golden_xt, rel=1e-12)
+        cfg = table_config()
+        assert quad(cfg, "x1", mode) == pytest.approx(golden_xl, rel=1e-12)
+        assert quad(cfg, "x2", mode) == pytest.approx(golden_xt, rel=1e-12)
 
     def test_no_panel_accepted_before_depth_two(self):
         # a depth-0 panel of the relay integral agreed with its refinement to
@@ -191,10 +190,9 @@ class TestOutageQuadrature:
             varpi1=0.005502782871112188,
             varpi2=0.1431061821441499,
             rates=(0.05452492497850011, 0.08848393555505639, 0.06844679052228167, 0.08727767690196436),
-            sic_mode="pSIC",
         )
-        quad = quad_outage_xl(cfg, GROUP_ONE, QuadSpec(abs_tol=1e-13, rel_tol=1e-11))
-        assert quad == pytest.approx(outage_xl(cfg, GROUP_ONE).probability, rel=1e-9)
+        value = quad(cfg, "x1", "pSIC", QuadSpec(abs_tol=1e-13, rel_tol=1e-11))
+        assert value == pytest.approx(closed_outage(cfg, "x1", "pSIC"), rel=1e-9)
 
     def test_out_of_range_value_raises(self, monkeypatch):
         assert oracle._finish(-1e-13) == 0.0
@@ -203,12 +201,12 @@ class TestOutageQuadrature:
         true_integrals = oracle.integrate_batch
         monkeypatch.setattr(oracle, "integrate_batch", lambda *args: 3.0 * true_integrals(*args))
         with pytest.raises(OracleError, match="clamp gate"):
-            quad_outage_xl(table_config(), GROUP_ONE)
+            quad(table_config(), "x1")
 
     def test_degenerate_rate_continuity(self):
-        base = quad_outage_xl(table_config(varpi1=0.01), GROUP_ONE)
+        base = quad(table_config(varpi1=0.01), "x1")
         for nudge in (1 - 1e-6, 1 + 1e-6):
-            moved = quad_outage_xl(table_config(varpi1=0.01 * nudge), GROUP_ONE)
+            moved = quad(table_config(varpi1=0.01 * nudge), "x1")
             assert abs(moved - base) < 1e-6
 
 
@@ -294,8 +292,8 @@ def mixed_cases():
         table_config(),
     ]
     return [
-        (replace(config, sic_mode=mode), roles, kind)
-        for config in configs for mode in ("ipSIC", "pSIC") for roles in (GROUP_ONE, GROUP_TWO) for kind in ("l", "t")
+        (config, signal, mode)
+        for config in configs for mode in ("ipSIC", "pSIC") for signal in ("x1", "x2", "x3", "x4")
     ]
 
 
@@ -307,22 +305,19 @@ class TestBatchedOutages:
         batched = quad_outages(cases, spec)
         alone = [quad_outages([case], spec)[0] for case in cases]
         assert batched == alone
-        for (config, roles, kind), value in zip(cases, batched):
-            single = quad_outage_xl if kind == "l" else quad_outage_xt
-            assert single(config, roles, spec) == value
         assert {1.0, 0.0} <= set(batched)
 
     def test_errors_name_the_failing_member(self):
         # at this tolerance a 56-panel budget suffices for the relay integral
         # at varpi1 = 0.1 or 0.5 but not at 0.01
         starved = QuadSpec(abs_tol=1e-15, rel_tol=1e-13, max_subdivisions=56)
-        configs = [table_config(varpi1=v, sic_mode="pSIC") for v in (0.1, 0.01, 0.5)]
-        passing = [(configs[0], GROUP_ONE, "l"), (configs[2], GROUP_ONE, "l")]
-        assert quad_outages(passing, starved) == [quad_outage_xl(c, GROUP_ONE, starved) for c, _, _ in passing]
+        configs = [table_config(varpi1=v) for v in (0.1, 0.01, 0.5)]
+        passing = [(configs[0], "x1", "pSIC"), (configs[2], "x1", "pSIC")]
+        assert quad_outages(passing, starved) == [quad(c, "x1", "pSIC", starved) for c, _, _ in passing]
         dc = build_derived_constants(configs[1], GROUP_ONE)
         scale = oracle._decay_scale(dc.lam, dc.beta_l / configs[1].omega[0])
         with pytest.raises(OracleError, match=rf"^quadrature of the relay integral .* \(lower=0, scale={scale:.6g},"):
-            quad_outages([(c, GROUP_ONE, "l") for c in configs], starved)
+            quad_outages([(c, "x1", "pSIC") for c in configs], starved)
 
     def test_integrals_per_call_never_exceed_the_group(self, monkeypatch):
         widths = []
@@ -340,6 +335,6 @@ class TestBatchedOutages:
         assert 1 < max(widths) <= oracle._GROUP
         widths.clear()
         rng = np.random.default_rng(9)
-        cases = [(random_valid_config(rng), GROUP_ONE, "l") for _ in range(3 * oracle._GROUP)]
+        cases = [(random_valid_config(rng), "x1", "ipSIC") for _ in range(3 * oracle._GROUP)]
         quad_outages(cases)
         assert max(widths) == oracle._GROUP

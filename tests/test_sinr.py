@@ -22,10 +22,10 @@ def config(**overrides):
     return SystemConfig(rho_db=10.0, **overrides)
 
 
-def both_stages(cfg, roles, sample):
-    """The five SINRs of both stages on one sample under the config's SIC mode, by name."""
-    strong, weak = relay_sinrs(cfg, roles, sample, (cfg.sic_mode,))
-    values = (strong, weak[cfg.sic_mode]) + user_sinrs(cfg, roles, sample, cfg.sic_mode)
+def both_stages(cfg, roles, sample, mode="ipSIC"):
+    """The five SINRs of both stages on one sample under SIC ``mode``, by name."""
+    strong, weak = relay_sinrs(cfg, roles, sample, (mode,))
+    values = (strong, weak[mode]) + user_sinrs(cfg, roles, sample, mode)
     return dict(zip(NAMES, values))
 
 
@@ -50,9 +50,9 @@ class TestHandWorkedPoints:
         assert out["user_cross"] == pytest.approx(2.58065, abs=1e-5)
 
     def test_perfect_cancellation_removes_residual(self):
-        cfg = config(sic_mode="pSIC", varpi2=0.0)
+        cfg = config(varpi2=0.0)
         sample = ChannelSample(1.0, 1.0, 1.0, 1.0, 123.0)
-        out = both_stages(cfg, GROUP_ONE, sample)
+        out = both_stages(cfg, GROUP_ONE, sample, "pSIC")
         assert out["user_own"] == pytest.approx(2.0, rel=1e-12)  # 10*0.2/1
 
     def test_role_symmetry_under_symmetric_pairs(self):
@@ -95,13 +95,13 @@ class TestProperties:
 
     def test_residual_only_hurts(self):
         sample = ChannelSample(0.5, 0.2, 0.3, 0.05, 0.7)
-        ip = both_stages(config(sic_mode="ipSIC"), GROUP_ONE, sample)
-        p = both_stages(config(sic_mode="pSIC"), GROUP_ONE, sample)
+        ip = both_stages(config(), GROUP_ONE, sample, "ipSIC")
+        p = both_stages(config(), GROUP_ONE, sample, "pSIC")
         assert ip["relay_weak"] < p["relay_weak"]
         assert ip["user_own"] < p["user_own"]
         clean = ChannelSample(0.5, 0.2, 0.3, 0.05, 0.0)
-        ip0 = both_stages(config(sic_mode="ipSIC"), GROUP_ONE, clean)
-        p0 = both_stages(config(sic_mode="pSIC"), GROUP_ONE, clean)
+        ip0 = both_stages(config(), GROUP_ONE, clean, "ipSIC")
+        p0 = both_stages(config(), GROUP_ONE, clean, "pSIC")
         assert ip0 == p0
 
     def test_batch_matches_scalar(self):
