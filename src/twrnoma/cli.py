@@ -23,18 +23,29 @@ _SIC_CHOICES = {"ip": SIC_MODES[:1], "p": SIC_MODES[1:], "both": SIC_MODES}
 
 
 class _Parser(argparse.ArgumentParser):
+    # Flags match whole names only: validate's --configs must not take --config.
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     # usage errors must exit with the config-error code, not argparse's default
     def error(self, message):
         raise ConfigError(message)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_scenario(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key=value scenario file")
     parser.add_argument("--varpi1", type=float, help="relay-side interference level override")
     parser.add_argument("--varpi2", type=float, help="user-side interference level override")
     parser.add_argument("--omega-i-db", type=float, help="residual-interference variance override (dB)")
+
+
+def _add_seed(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--seed", type=int, help="random seed")
+
+
+def _add_run(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--trials", type=int, help="Monte Carlo trials")
-    parser.add_argument("--seed", type=int, help="Monte Carlo seed")
+    _add_seed(parser)
     parser.add_argument("--out", help="output file path")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
 
@@ -49,67 +60,64 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="twrnoma", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_outage = sub.add_parser("outage", parents=[], help="outage at one operating point")
+    p_outage = sub.add_parser("outage", help="outage at one operating point")
     p_outage.add_argument("--rho-db", type=float, help="transmit SNR in dB (default: config value)")
     p_outage.add_argument("--sic", choices=sorted(_SIC_CHOICES), default="both")
     p_outage.add_argument("--signals", default="x1,x2,x3,x4")
     p_outage.add_argument("--methods", default="closed")
-    _add_common(p_outage)
+    _add_scenario(p_outage)
+    _add_run(p_outage)
 
     p_sweep = sub.add_parser("sweep", help="outage curves over an SNR grid")
     _add_grid(p_sweep)
     p_sweep.add_argument("--sic", choices=sorted(_SIC_CHOICES), default="both")
     p_sweep.add_argument("--signals", default="x1,x2")
     p_sweep.add_argument("--methods", default="closed")
-    _add_common(p_sweep)
+    _add_scenario(p_sweep)
+    _add_run(p_sweep)
 
     p_tp = sub.add_parser("throughput", help="delay-limited throughput over an SNR grid")
     _add_grid(p_tp)
     p_tp.add_argument("--sic", choices=sorted(_SIC_CHOICES), default="both")
     p_tp.add_argument("--methods", default="closed")
-    _add_common(p_tp)
+    _add_scenario(p_tp)
+    _add_run(p_tp)
 
     p_div = sub.add_parser("diversity", help="high-SNR outage slope")
     p_div.add_argument("--signal", choices=experiments.SIGNALS, default="x1")
     p_div.add_argument("--sic", choices=("ip", "p"), default="ip")
     p_div.add_argument("--rho-lo-db", type=float, default=50.0)
     p_div.add_argument("--rho-hi-db", type=float, default=60.0)
-    _add_common(p_div)
+    _add_scenario(p_div)
 
     p_val = sub.add_parser("validate", help="closed-form vs quadrature agreement suite")
     p_val.add_argument("--configs", type=int, default=200)
     p_val.add_argument("--rel-tol", type=float, default=1e-6)
     p_val.add_argument("--rel-tol-degenerate", type=float, default=1e-5)
-    _add_common(p_val)
+    _add_seed(p_val)
 
     p_fig = sub.add_parser("figure", help="reference-scenario presets (ids 1-4)")
     p_fig.add_argument("--id", type=int, required=True, choices=(1, 2, 3, 4))
-    _add_common(p_fig)
+    _add_run(p_fig)
 
     return parser
 
 
-def _load_scenario(args: argparse.Namespace) -> tuple[SystemConfig, RunSettings]:
-    if getattr(args, "config", None):
-        config, settings = load_config_file(args.config)
-    else:
-        config, settings = SystemConfig(), RunSettings()
-    overrides = {}
-    if getattr(args, "varpi1", None) is not None:
-        overrides["varpi1"] = args.varpi1
-    if getattr(args, "varpi2", None) is not None:
-        overrides["varpi2"] = args.varpi2
-    if getattr(args, "omega_i_db", None) is not None:
-        overrides["omega_i_db"] = args.omega_i_db
-    if getattr(args, "rho_db", None) is not None:
-        overrides["rho_db"] = args.rho_db
-    if overrides:
-        config = replace(config, **overrides)
-    if getattr(args, "trials", None) is not None:
-        settings = replace(settings, trials=args.trials)
-    if getattr(args, "seed", None) is not None:
-        settings = replace(settings, seed=args.seed)
-    return config, settings
+def _given(**flags) -> dict:
+    """The flags that were given on the command line: those not left at ``None``."""
+    return {name: value for name, value in flags.items() if value is not None}
+
+
+def _load_scenario(args: argparse.Namespace, rho_db: float | None = None) -> tuple[SystemConfig, RunSettings]:
+    """The ``--config`` file, or the defaults, with the scenario flags and ``rho_db`` over it."""
+    config, settings = load_config_file(args.config) if args.config else (SystemConfig(), RunSettings())
+    overrides = _given(varpi1=args.varpi1, varpi2=args.varpi2, omega_i_db=args.omega_i_db, rho_db=rho_db)
+    return replace(config, **overrides), settings
+
+
+def _run_settings(args: argparse.Namespace, settings: RunSettings = RunSettings()) -> RunSettings:
+    """``settings`` with ``--trials`` and ``--seed`` over them."""
+    return replace(settings, **_given(trials=args.trials, seed=args.seed))
 
 
 def _split(csv_list: str, allowed: tuple[str, ...], what: str) -> tuple[str, ...]:
@@ -131,42 +139,30 @@ def _emit(rows, args) -> None:
         sys.stdout.write(text)
 
 
-def _cmd_outage(args) -> int:
-    config, settings = _load_scenario(args)
-    signals = _split(args.signals, experiments.SIGNALS, "signal")
-    methods = _split(args.methods, experiments.METHODS, "method")
-    spec = experiments.SweepSpec(
-        config=config, rho_min_db=config.rho_db, rho_max_db=config.rho_db, rho_step_db=1.0,
-        methods=methods, signals=signals, sic_modes=_SIC_CHOICES[args.sic],
-        trials=settings.trials, seed=settings.seed,
+def _sweep_spec(args, methods: tuple[str, ...], **selection) -> experiments.SweepSpec:
+    """The spec of ``outage``, ``sweep`` and ``throughput``: scenario, run flags, ``--sic`` and ``--methods``.
+
+    ``outage`` evaluates the one point at the scenario's SNR, the others their grid.
+    """
+    one_point = args.command == "outage"
+    config, settings = _load_scenario(args, args.rho_db if one_point else None)
+    settings = _run_settings(args, settings)
+    grid = (config.rho_db, config.rho_db, 1.0) if one_point else (args.rho_min_db, args.rho_max_db, args.rho_step_db)
+    return experiments.SweepSpec(
+        config, *grid, methods=_split(args.methods, methods, "method"), sic_modes=_SIC_CHOICES[args.sic],
+        trials=settings.trials, seed=settings.seed, **selection,
     )
-    _emit(experiments.run_sweep(spec), args)
-    return 0
 
 
 def _cmd_sweep(args) -> int:
-    config, settings = _load_scenario(args)
-    spec = experiments.SweepSpec(
-        config=config, rho_min_db=args.rho_min_db, rho_max_db=args.rho_max_db,
-        rho_step_db=args.rho_step_db,
-        methods=_split(args.methods, experiments.METHODS, "method"),
-        signals=_split(args.signals, experiments.SIGNALS, "signal"),
-        sic_modes=_SIC_CHOICES[args.sic],
-        trials=settings.trials, seed=settings.seed,
-    )
-    _emit(experiments.run_sweep(spec), args)
+    # also ``outage``: a sweep of one point
+    signals = _split(args.signals, experiments.SIGNALS, "signal")
+    _emit(experiments.run_sweep(_sweep_spec(args, experiments.METHODS, signals=signals)), args)
     return 0
 
 
 def _cmd_throughput(args) -> int:
-    config, settings = _load_scenario(args)
-    spec = experiments.SweepSpec(
-        config=config, rho_min_db=args.rho_min_db, rho_max_db=args.rho_max_db,
-        rho_step_db=args.rho_step_db, sic_modes=_SIC_CHOICES[args.sic],
-        trials=settings.trials, seed=settings.seed,
-    )
-    methods = _split(args.methods, experiments.THROUGHPUT_METHODS, "method")
-    _emit(experiments.throughput_rows(spec, methods), args)
+    _emit(experiments.throughput_rows(_sweep_spec(args, experiments.THROUGHPUT_METHODS)), args)
     return 0
 
 
@@ -187,8 +183,8 @@ def _cmd_validate(args) -> int:
     for flag, tol in (("--rel-tol", args.rel_tol), ("--rel-tol-degenerate", args.rel_tol_degenerate)):
         if not (tol > 0.0 and math.isfinite(tol)):
             raise ConfigError(f"{flag} must be positive and finite, got {tol!r}")
-    _, settings = _load_scenario(args)
-    report = experiments.oracle_agreement(n_configs=args.configs, seed=settings.seed)
+    seed = RunSettings(**_given(seed=args.seed)).seed  # RunSettings rejects a negative seed
+    report = experiments.oracle_agreement(n_configs=args.configs, seed=seed)
     print(f"checked {report.checked} random scenarios (both signals, both SIC modes)")
     print(f"max relative error, distinct rates:        {report.max_rel_err_distinct:.3e} "
           f"(tolerance {args.rel_tol:.1e})")
@@ -203,7 +199,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_figure(args) -> int:
-    _, settings = _load_scenario(args)
+    settings = _run_settings(args)
     variants = experiments.figure_preset(args.id, trials=settings.trials, seed=settings.seed)
     for label, rows in variants.items():
         if args.out:
@@ -226,7 +222,7 @@ def _cmd_figure(args) -> int:
 
 
 _COMMANDS = {
-    "outage": _cmd_outage,
+    "outage": _cmd_sweep,
     "sweep": _cmd_sweep,
     "throughput": _cmd_throughput,
     "diversity": _cmd_diversity,

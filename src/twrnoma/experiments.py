@@ -48,6 +48,12 @@ MAX_GRID_POINTS = 100_000
 # signals and both SIC modes, 32 oracle cases, so memory does not grow with
 # the number of scenarios.
 _AGREEMENT_GROUP = 8
+# Quadrature tolerances of oracle_agreement, tight enough that the oracle's
+# own error stays far below the agreement tolerances of validate.
+_AGREEMENT_SPEC = QuadSpec(abs_tol=1e-13, rel_tol=1e-11)
+# Share of oracle_agreement's scenarios drawn with two nearly coincident
+# relay-side interference rates; they come first.
+_DEGENERATE_FRACTION = 0.2
 
 CURVE_FIELDS = ("rho_db", "signal", "sic_mode", "method", "value", "ci_low", "ci_high", "trials", "seed")
 
@@ -153,8 +159,9 @@ class _GridPoint:
     mode) from one batched oracle call.
     """
 
-    def __init__(self, spec: SweepSpec, rho_db: float, methods: tuple[str, ...], signals: tuple[str, ...]):
+    def __init__(self, spec: SweepSpec, rho_db: float, signals: tuple[str, ...]):
         self.config = config = replace(spec.config, rho_db=rho_db)
+        methods = spec.methods
         self.constants = {}
         if "closed" in methods or "asymptotic" in methods:
             groups = dict.fromkeys(SIGNAL_ROLES[signal][0] for signal in signals)
@@ -198,7 +205,7 @@ def run_sweep(spec: SweepSpec) -> list[CurveRow]:
     """
     rows: list[CurveRow] = []
     for rho_db in _evaluated_grid_db(spec):
-        point = _GridPoint(spec, rho_db, spec.methods, spec.signals)
+        point = _GridPoint(spec, rho_db, spec.signals)
         for signal in spec.signals:
             for mode in spec.sic_modes:
                 for method in spec.methods:
@@ -211,22 +218,22 @@ def run_sweep(spec: SweepSpec) -> list[CurveRow]:
     return rows
 
 
-def throughput_rows(
-    spec: SweepSpec, methods: tuple[str, ...] = ("closed",)
-) -> list[CurveRow]:
+def throughput_rows(spec: SweepSpec) -> list[CurveRow]:
     """Delay-limited throughput over the grid, composed from the four outage curves.
 
-    Rows carry signal tag ``"sum"``; MC rows use the spec's trial count and
-    seed, with one engine call per SNR point.
+    One row per (SNR point, SIC mode, method of ``spec.methods``), which
+    must be among ``THROUGHPUT_METHODS``; the spec's signals do not enter,
+    since every row sums all four. Rows carry signal tag ``"sum"``; MC rows
+    use the spec's trial count and seed, with one engine call per SNR point.
     """
-    for method in methods:
+    for method in spec.methods:
         if method not in THROUGHPUT_METHODS:
             raise ConfigError(f"throughput supports closed, mc or oma, not {method!r}")
     rows: list[CurveRow] = []
     for rho_db in _evaluated_grid_db(spec):
-        point = _GridPoint(spec, rho_db, methods, SIGNALS)
+        point = _GridPoint(spec, rho_db, SIGNALS)
         for mode in spec.sic_modes:
-            for method in methods:
+            for method in spec.methods:
                 outages = [point.row(signal, mode, method).value for signal in SIGNALS]
                 value = analysis.throughput_delay_limited(point.config, outages)
                 rows.append(CurveRow(rho_db, "sum", mode, method, value,
@@ -325,9 +332,9 @@ def figure_preset(
             cfg = replace(base, omega_i_db=omega_i_db)
             spec = SweepSpec(
                 config=cfg, rho_min_db=0.0, rho_max_db=45.0, rho_step_db=2.5,
-                trials=trials, seed=seed,
+                methods=methods or ("closed", "oma"), trials=trials, seed=seed,
             )
-            out[f"omega_i_{omega_i_db:g}dB"] = throughput_rows(spec, methods or ("closed", "oma"))
+            out[f"omega_i_{omega_i_db:g}dB"] = throughput_rows(spec)
         return out
     raise ConfigError(f"unknown figure id {fig_id}; expected 1-4")
 
@@ -428,12 +435,7 @@ class AgreementReport:
     max_rel_err_degenerate: float
 
 
-def oracle_agreement(
-    n_configs: int = 200,
-    seed: int = 20240,
-    spec: QuadSpec = QuadSpec(abs_tol=1e-13, rel_tol=1e-11),
-    degenerate_fraction: float = 0.2,
-) -> AgreementReport:
+def oracle_agreement(n_configs: int = 200, seed: int = 20240) -> AgreementReport:
     """Compare closed forms against the quadrature oracle on random scenarios.
 
     Every config is evaluated for both signals and both cancellation modes.
@@ -443,7 +445,7 @@ def oracle_agreement(
     if n_configs < 1:
         raise ConfigError(f"at least one random scenario is required, got {n_configs}")
     rng = np.random.default_rng(seed)
-    n_degenerate = int(n_configs * degenerate_fraction)
+    n_degenerate = int(n_configs * _DEGENERATE_FRACTION)
     worst_distinct = 0.0
     worst_degenerate = 0.0
     for first in range(0, n_configs, _AGREEMENT_GROUP):
@@ -452,7 +454,7 @@ def oracle_agreement(
             for i in range(first, min(first + _AGREEMENT_GROUP, n_configs))
         ]
         cases = [(config, signal, mode) for config in configs for mode in SIC_MODES for signal in ("x1", "x2")]
-        for i, (case, quad) in enumerate(zip(cases, quad_outages(cases, spec))):
+        for i, (case, quad) in enumerate(zip(cases, quad_outages(cases, _AGREEMENT_SPEC))):
             rel = abs(analysis.closed_outage(*case) - quad) / max(quad, 1e-300)
             if first + i // (2 * len(SIC_MODES)) < n_degenerate:
                 worst_degenerate = max(worst_degenerate, rel)

@@ -154,6 +154,18 @@ class SystemConfig:
             # the closed forms and the Monte Carlo events divide by these values
             if linear < sys.float_info.min:
                 raise ConfigError(f"{name} = {value_db:g} dB underflows in linear units")
+        # and the closed forms and the oracle divide by the exponential means
+        # rho*a_i*omega_i, rho*varpi1*a_i*omega_i and rho*omega_i, formed as they form them
+        rho = self.rho
+        means = [rho * a * om for a, om in zip(self.a, self.omega)]
+        if self.varpi1 > 0.0:
+            means += [rho * self.varpi1 * a * om for a, om in zip(self.a, self.omega)]
+        smallest = min(min(means), rho * self.omega_i)
+        if smallest < sys.float_info.min:
+            raise ConfigError(
+                f"the smallest exponential mean (of rho*a_i*omega_i, rho*varpi1*a_i*omega_i and "
+                f"rho*omega_i) is {smallest:g}, which underflows"
+            )
 
     @property
     def rho(self) -> float:

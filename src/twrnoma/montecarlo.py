@@ -35,7 +35,6 @@ import numpy as np
 from .errors import ConfigError
 from .model import (
     DOWNLINK,
-    SIGNAL_ROLES,
     UNIT_ROWS,
     UPLINK,
     PairRoles,
@@ -58,8 +57,9 @@ _BLOCK = 1 << 12
 _WILSON_Z = 1.959963984540054  # 95% two-sided normal quantile
 
 
-def wilson_interval(successes: int, trials: int, z: float = _WILSON_Z) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion; valid near 0 and 1."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion; valid near 0 and 1."""
+    z = _WILSON_Z
     if trials <= 0:
         return (0.0, 1.0)
     p_hat = successes / trials
@@ -81,9 +81,6 @@ class OutageEstimate:
     ci_low: float
     ci_high: float
     seed: int
-    signal: str
-    mode: str
-    roles: PairRoles
 
 
 @dataclass(frozen=True)
@@ -171,9 +168,7 @@ def mc_outage(
         for mode in sic_modes:
             n = sum(c[(signal, mode)] for c in counts)
             lo, hi = wilson_interval(n, trials)
-            estimates[(signal, mode)] = OutageEstimate(
-                n / trials, trials, lo, hi, seed, signal, mode, SIGNAL_ROLES[signal][0]
-            )
+            estimates[(signal, mode)] = OutageEstimate(n / trials, trials, lo, hi, seed)
     return estimates
 
 

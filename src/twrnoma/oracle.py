@@ -3,9 +3,17 @@
 Arbiter between the closed forms and the underlying probability integrals:
 the survival stages that the closed forms express through Laplace-transform
 products are recomputed here by adaptive Gauss-Kronrod quadrature of the
-integral representations, sharing only the hypoexponential density (which
-is unit-tested against analytic cases on its own). Semi-infinite domains are
-mapped to (0, 1] via ``z = scale * (1 - u) / u``.
+integral representations. Semi-infinite domains are mapped to (0, 1] via
+``z = scale * (1 - u) / u``.
+
+What is integrated is the oracle's own: the hypoexponential density
+(:func:`~twrnoma.analysis.hypoexp_pdf`, unit-tested against analytic cases on
+its own), which the closed forms never call; they use the Laplace transform
+:func:`~twrnoma.analysis.interference_laplace`. What feeds the integrals is
+shared: both paths read every threshold, interference rate and feasibility
+flag from :func:`~twrnoma.model.build_derived_constants`, and the weaker
+signal's relay prefactor and user-stage tails are the closed forms'
+expressions, so a wrong derived constant passes their agreement.
 
 Each panel is integrated by the 15-point Kronrod rule and its embedded
 7-point Gauss rule (QUADPACK's ``qk15``, Piessens et al., 1983). The panel's

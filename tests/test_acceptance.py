@@ -157,8 +157,8 @@ def test_criterion_5_low_snr_crossover():
 
 def _closed_throughput(config, mode="ipSIC"):
     spec = SweepSpec(config=config, rho_min_db=config.rho_db, rho_max_db=config.rho_db,
-                     rho_step_db=1.0, sic_modes=(mode,))
-    return throughput_rows(spec, methods=("closed",))[0].value
+                     rho_step_db=1.0, methods=("closed",), sic_modes=(mode,))
+    return throughput_rows(spec)[0].value
 
 
 def test_criterion_6_throughput_ceiling():

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 from dataclasses import replace
@@ -261,9 +262,9 @@ class TestThroughputRows:
     def test_composition_matches_direct_formula(self):
         spec = SweepSpec(
             config=table_config(), rho_min_db=30.0, rho_max_db=30.0, rho_step_db=5.0,
-            sic_modes=("ipSIC",),
+            methods=("closed",), sic_modes=("ipSIC",),
         )
-        row = throughput_rows(spec, methods=("closed",))[0]
+        row = throughput_rows(spec)[0]
         cfg = table_config()
         outages = [analysis.closed_outage(cfg, signal, "ipSIC") for signal in ("x1", "x2", "x3", "x4")]
         assert row.value == pytest.approx(analysis.throughput_delay_limited(table_config(), outages))
@@ -273,16 +274,18 @@ class TestThroughputRows:
         calls = count_engine_calls(monkeypatch)
         spec = SweepSpec(
             config=table_config(), rho_min_db=0.0, rho_max_db=10.0, rho_step_db=5.0,
-            trials=2000, seed=3,
+            methods=("mc",), trials=2000, seed=3,
         )
-        rows = throughput_rows(spec, methods=("mc",))
+        rows = throughput_rows(spec)
         assert len(rows) == 3 * 2
         assert calls == [(db, ("x1", "x2", "x3", "x4"), ("ipSIC", "pSIC")) for db in (0.0, 5.0, 10.0)]
 
     def test_one_constant_build_per_point_and_group(self, monkeypatch):
         calls = count_constant_builds(monkeypatch)
-        spec = SweepSpec(config=table_config(), rho_min_db=0.0, rho_max_db=10.0, rho_step_db=5.0)
-        rows = throughput_rows(spec, methods=("closed", "oma"))
+        spec = SweepSpec(
+            config=table_config(), rho_min_db=0.0, rho_max_db=10.0, rho_step_db=5.0, methods=("closed", "oma"),
+        )
+        rows = throughput_rows(spec)
         assert len(rows) == 3 * 2 * 2
         assert calls == [(db, roles) for db in (0.0, 5.0, 10.0) for roles in (GROUP_ONE, GROUP_TWO)]
 
@@ -293,17 +296,17 @@ class TestThroughputRows:
         calls = count_engine_calls(monkeypatch)
         spec = SweepSpec(
             config=table_config(), rho_min_db=0.0, rho_max_db=10.0, rho_step_db=5.0,
-            trials=2000, seed=3,
+            methods=("mc", "quad"), trials=2000, seed=3,
         )
         with pytest.raises(ConfigError, match="quad"):
-            throughput_rows(spec, methods=("mc", "quad"))
+            throughput_rows(spec)
         assert calls == []
 
     def test_bounded_by_rate_sum(self):
         spec = SweepSpec(
-            config=table_config(), rho_min_db=0.0, rho_max_db=45.0, rho_step_db=5.0,
+            config=table_config(), rho_min_db=0.0, rho_max_db=45.0, rho_step_db=5.0, methods=("closed", "oma"),
         )
-        for row in throughput_rows(spec, methods=("closed", "oma")):
+        for row in throughput_rows(spec):
             assert 0.0 <= row.value <= 0.22 + 1e-12
 
 
@@ -364,6 +367,70 @@ class TestOracleAgreementSuite:
         report = oracle_agreement(n_configs=20, seed=7)
         assert report.max_rel_err_distinct <= 1e-6
         assert report.max_rel_err_degenerate <= 1e-5
+
+
+SCENARIO_FLAGS = {"--config", "--varpi1", "--varpi2", "--omega-i-db"}
+RUN_FLAGS = {"--trials", "--seed", "--out", "--format"}
+GRID_FLAGS = {"--rho-min-db", "--rho-max-db", "--rho-step-db"}
+# Each subcommand's option strings: only the flags it reads.
+SUBCOMMAND_FLAGS = {
+    "outage": {"--rho-db", "--sic", "--signals", "--methods"} | SCENARIO_FLAGS | RUN_FLAGS,
+    "sweep": GRID_FLAGS | {"--sic", "--signals", "--methods"} | SCENARIO_FLAGS | RUN_FLAGS,
+    "throughput": GRID_FLAGS | {"--sic", "--methods"} | SCENARIO_FLAGS | RUN_FLAGS,
+    "diversity": {"--signal", "--sic", "--rho-lo-db", "--rho-hi-db"} | SCENARIO_FLAGS,
+    "validate": {"--configs", "--rel-tol", "--rel-tol-degenerate", "--seed"},
+    "figure": {"--id"} | RUN_FLAGS,
+}
+# Flags these subcommands once accepted and ignored, each with a value; the
+# path placeholders become a scenario file and an output file.
+REMOVED_FLAGS = [
+    (["diversity", "--signal", "x1"], flag, value)
+    for flag, value in (("--trials", "2000"), ("--seed", "3"), ("--out", "OUT"), ("--format", "json"))
+] + [
+    (["validate", "--configs", "2"], flag, value)
+    for flag, value in (("--config", "CONFIG"), ("--varpi1", "0.9"), ("--varpi2", "0.5"), ("--omega-i-db", "3"),
+                        ("--trials", "7"), ("--out", "OUT"), ("--format", "json"))
+] + [
+    (["figure", "--id", "4"], flag, value)
+    for flag, value in (("--config", "CONFIG"), ("--varpi1", "0.5"), ("--varpi2", "0.5"), ("--omega-i-db", "3"))
+]
+
+
+def subcommand_flags() -> dict[str, set[str]]:
+    (sub,) = [action for action in cli.build_parser()._actions if isinstance(action, argparse._SubParsersAction)]
+    return {
+        name: {flag for action in parser._actions for flag in action.option_strings} - {"-h", "--help"}
+        for name, parser in sub.choices.items()
+    }
+
+
+class TestCliFlags:
+    def test_each_subcommand_has_only_the_flags_it_reads(self):
+        flags = subcommand_flags()
+        assert flags == SUBCOMMAND_FLAGS
+        assert {name: len(f) for name, f in flags.items()} == {
+            "outage": 12, "sweep": 14, "throughput": 13, "diversity": 8, "validate": 4, "figure": 5,
+        }
+
+    @pytest.mark.parametrize("base, flag, value", REMOVED_FLAGS,
+                             ids=[f"{base[0]} {flag}" for base, flag, _ in REMOVED_FLAGS])
+    def test_removed_flag_exits_one(self, base, flag, value, tmp_path, capsys):
+        scenario, out = tmp_path / "s.cfg", tmp_path / "out.csv"
+        scenario.write_text("varpi1 = 0.5\n", encoding="utf-8")
+        value = {"CONFIG": str(scenario), "OUT": str(out)}.get(value, value)
+        assert cli.main([*base, flag, value]) == 1
+        captured = capsys.readouterr()
+        assert f"configuration error: unrecognized arguments: {flag} {value}" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["validate", "--config", "3"], ["outage", "--rho", "30"]])
+    def test_flags_match_whole_names(self, argv, capsys):
+        # a prefix of a flag is not that flag: --config must not run validate --configs 3
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert f"configuration error: unrecognized arguments: {argv[1]} {argv[2]}" in captured.err
+        assert captured.out == ""
 
 
 class TestCli:
@@ -476,6 +543,24 @@ class TestCli:
         assert cli.main(argv) == 1
         captured = capsys.readouterr()
         assert "configuration error: " in captured.err and "underflows in linear units" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["outage", "--rho-db", "-3070", "--methods", "closed"],
+        ["outage", "--rho-db", "-3070", "--methods", "quad"],
+        ["outage", "--rho-db", "-3070", "--methods", "mc", "--trials", "2000"],
+        ["outage", "--varpi1", "1e-310", "--methods", "closed"],
+        ["outage", "--rho-db", "-2000", "--omega-i-db", "-2000", "--methods", "closed"],
+        ["sweep", "--rho-min-db", "-3070", "--rho-max-db", "-3070", "--methods", "closed,oma"],
+        ["throughput", "--rho-min-db", "-3070", "--rho-max-db", "-3070"],
+        ["diversity", "--varpi1", "1e-310"],
+    ])
+    def test_underflowing_exponential_mean_exits_one(self, argv, capsys):
+        # every method, mc included, refuses the scenario before any row is written
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert "configuration error: the smallest exponential mean" in captured.err
+        assert "underflows" in captured.err
         assert captured.out == ""
 
     @pytest.mark.parametrize("text, methods", [

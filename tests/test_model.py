@@ -1,9 +1,11 @@
 import math
+import sys
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from twrnoma.analysis import closed_outage
 from twrnoma.errors import ConfigError
 from twrnoma.model import (
     GROUP_ONE,
@@ -25,6 +27,11 @@ from twrnoma.model import (
 
 def table_config(**overrides):
     return SystemConfig(**overrides)
+
+
+# Channel variances, no cross-pair leakage and a residual variance of 0 dB:
+# every exponential mean stays a normal float down to rho_db = -3070 dB.
+MEANS_STAY_NORMAL = {"omega": (10.0, 10.0, 10.0, 10.0), "varpi1": 0.0, "omega_i_db": 0.0}
 
 
 def single_draw(stream, config, mode="ipSIC"):
@@ -57,7 +64,30 @@ class TestSystemConfig:
     def test_underflowing_linear_value(self, name, value_db):
         with pytest.raises(ConfigError, match=f"{name} = {value_db:g} dB underflows in linear units"):
             table_config(**{name: value_db})
-        assert table_config(**{name: -3070.0})  # 1e-307 is a normal float
+        # 1e-307 is a normal float; the scenario keeps every exponential mean normal with it
+        assert table_config(**{**MEANS_STAY_NORMAL, name: -3070.0})
+
+    @pytest.mark.parametrize("overrides", [
+        {"rho_db": -3070.0},  # rho*a_i*omega_i
+        {"varpi1": 1e-310},  # rho*varpi1*a_i*omega_i
+        {"rho_db": -2000.0, "omega_i_db": -2000.0},  # rho*omega_i is 0
+        {**MEANS_STAY_NORMAL, "rho_db": -3070.0, "varpi1": 0.01},
+        {**MEANS_STAY_NORMAL, "rho_db": -3070.0, "omega_i_db": -10.0},
+    ])
+    def test_underflowing_exponential_mean(self, overrides):
+        with pytest.raises(ConfigError, match="smallest exponential mean .* underflows"):
+            table_config(**overrides)
+
+    def test_exponential_means_at_the_smallest_normal_float(self):
+        # a scenario whose smallest mean is within 0.1 % of the smallest normal
+        # float is accepted, and the closed forms evaluate it: certain outage
+        rho_db = -10.0 * math.log10(1.0 / sys.float_info.min) + 1e-9
+        for varpi1 in (0.0, 1.0):
+            cfg = table_config(rho_db=rho_db, a=(0.5,) * 4, omega=(2.0,) * 4, omega_i_db=0.0, varpi1=varpi1)
+            assert sys.float_info.min <= cfg.rho * 0.5 * 2.0 < 1.001 * sys.float_info.min
+            for signal in ("x1", "x2", "x3", "x4"):
+                for mode in ("ipSIC", "pSIC"):
+                    assert closed_outage(cfg, signal, mode) == 1.0
 
     def test_no_sic_mode_field(self):
         assert len(fields(SystemConfig)) == 8
