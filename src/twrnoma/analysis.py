@@ -10,7 +10,10 @@ by rate differences. For well-separated rates this product agrees with the
 textbook partial-fraction expansion to machine precision.
 
 :func:`closed_outage` and :func:`asymptotic_outage` evaluate one signal
-under one SIC mode; the mode is an argument, not part of the config.
+under one SIC mode; the mode is an argument, not part of the config. They
+check the signal and the mode and then call the evaluator that
+:data:`EVALUATORS` names for the method and the signal's kind; a sweep,
+which has checked both already, calls it directly.
 """
 
 from __future__ import annotations
@@ -290,32 +293,33 @@ def _asymptotic_xt(config: SystemConfig, roles: PairRoles, dc: DerivedConstants,
     return _finish_probability(1.0 - bracket)
 
 
-def _evaluate(stronger, weaker, config, signal, mode, dc):
+# (method, signal kind) -> evaluator(config, roles, dc, mode); kind "l" is the
+# pair's stronger-decoded signal, "t" its weaker one (``model.SIGNAL_ROLES``).
+EVALUATORS = {
+    ("closed", "l"): _closed_xl,
+    ("closed", "t"): _closed_xt,
+    ("asymptotic", "l"): _asymptotic_xl,
+    ("asymptotic", "t"): _asymptotic_xt,
+}
+
+
+def _evaluate(method: str, config: SystemConfig, signal: str, mode: str) -> float:
     roles, kind = signal_roles(signal)
     check_sic_mode(mode)
-    if dc is None:
-        dc = build_derived_constants(config, roles)
-    return (stronger if kind == "l" else weaker)(config, roles, dc, mode)
+    return EVALUATORS[method, kind](config, roles, build_derived_constants(config, roles), mode)
 
 
-def closed_outage(
-    config: SystemConfig, signal: str, mode: str, dc: DerivedConstants | None = None
-) -> float:
+def closed_outage(config: SystemConfig, signal: str, mode: str) -> float:
     """Exact outage probability of ``signal`` (``"x1"``..``"x4"``) under SIC ``mode``.
 
-    ``dc`` may pass in the derived constants of ``config`` and the signal's
-    role group, which a caller evaluating several signals or modes at one
-    point builds once: they do not depend on the SIC mode. Unknown signals
-    and modes raise ``ConfigError``.
+    Unknown signals and modes raise ``ConfigError``.
     """
-    return _evaluate(_closed_xl, _closed_xt, config, signal, mode, dc)
+    return _evaluate("closed", config, signal, mode)
 
 
-def asymptotic_outage(
-    config: SystemConfig, signal: str, mode: str, dc: DerivedConstants | None = None
-) -> float:
+def asymptotic_outage(config: SystemConfig, signal: str, mode: str) -> float:
     """High-SNR outage (error floor) of ``signal`` under SIC ``mode``; arguments as :func:`closed_outage`."""
-    return _evaluate(_asymptotic_xl, _asymptotic_xt, config, signal, mode, dc)
+    return _evaluate("asymptotic", config, signal, mode)
 
 
 def diversity_order_estimate(

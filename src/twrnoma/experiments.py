@@ -17,6 +17,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,11 +56,7 @@ _AGREEMENT_SPEC = QuadSpec(abs_tol=1e-13, rel_tol=1e-11)
 # relay-side interference rates; they come first.
 _DEGENERATE_FRACTION = 0.2
 
-CURVE_FIELDS = ("rho_db", "signal", "sic_mode", "method", "value", "ci_low", "ci_high", "trials", "seed")
-
-
-@dataclass(frozen=True)
-class CurveRow:
+class CurveRow(NamedTuple):
     """One evaluated point of a sweep; CI and trial fields apply to MC rows only."""
 
     rho_db: float
@@ -71,6 +68,9 @@ class CurveRow:
     ci_high: float | None = None
     trials: int | None = None
     seed: int | None = None
+
+
+CURVE_FIELDS = CurveRow._fields
 
 
 @dataclass(frozen=True)
@@ -161,6 +161,8 @@ class _GridPoint:
 
     def __init__(self, spec: SweepSpec, rho_db: float, signals: tuple[str, ...]):
         self.config = config = replace(spec.config, rho_db=rho_db)
+        self.signals, self.modes = signals, spec.sic_modes
+        self.keys = [(signal, mode) for signal in signals for mode in spec.sic_modes]
         methods = spec.methods
         self.constants = {}
         if "closed" in methods or "asymptotic" in methods:
@@ -173,48 +175,54 @@ class _GridPoint:
         self.mc: dict[tuple[str, str], OutageEstimate] = {}
         if "mc" in methods:
             self.mc = mc_outage(config, signals, spec.sic_modes, trials=spec.trials, seed=spec.seed)
-        self.quad: dict[tuple[str, str], float] = {}
+        self.quad: list[float] = []
         if "quad" in methods:
-            keys = [(signal, mode) for signal in signals for mode in spec.sic_modes]
-            self.quad = dict(zip(keys, quad_outages([(config, signal, mode) for signal, mode in keys])))
+            self.quad = quad_outages([(config, signal, mode) for signal, mode in self.keys])
 
-    def row(self, signal: str, mode: str, method: str) -> CurveRow:
-        config = self.config
-        if method == "closed":
-            value = analysis.closed_outage(config, signal, mode, self.constants[signal])
-        elif method == "asymptotic":
-            value = analysis.asymptotic_outage(config, signal, mode, self.constants[signal])
-        elif method == "oma":
-            value = self.oma[signal]
+    def column(self, method: str) -> list[CurveRow]:
+        """The point's rows of ``method``, one per (signal, mode) of ``keys``, in that order.
+
+        Closed and asymptotic values come straight from their evaluator in
+        ``analysis.EVALUATORS``: the spec has already checked every signal
+        and mode.
+        """
+        config, keys = self.config, self.keys
+        rho_db = config.rho_db
+        if method == "mc":
+            estimates = [self.mc[key] for key in keys]
+            return [
+                CurveRow(rho_db, signal, mode, method, est.p_hat, est.ci_low, est.ci_high, est.trials, est.seed)
+                for (signal, mode), est in zip(keys, estimates)
+            ]
+        if method == "oma":
+            values = [self.oma[signal] for signal, _ in keys]
         elif method == "quad":
-            value = self.quad[(signal, mode)]
-        elif method == "mc":
-            est = self.mc[(signal, mode)]
-            return CurveRow(config.rho_db, signal, mode, method, est.p_hat,
-                            est.ci_low, est.ci_high, est.trials, est.seed)
-        else:  # pragma: no cover - guarded by SweepSpec validation
-            raise ConfigError(f"unknown method {method!r}")
-        return CurveRow(config.rho_db, signal, mode, method, value)
+            values = self.quad
+        else:
+            values = []
+            for signal in self.signals:
+                roles, kind = SIGNAL_ROLES[signal]
+                evaluate, dc = analysis.EVALUATORS[method, kind], self.constants[signal]
+                values += [evaluate(config, roles, dc, mode) for mode in self.modes]
+        return [CurveRow(rho_db, signal, mode, method, value) for (signal, mode), value in zip(keys, values)]
 
 
 def run_sweep(spec: SweepSpec) -> list[CurveRow]:
     """Evaluate the grid; one row per (SNR point, signal, mode, method).
 
     Rows are produced in deterministic grid order, and every outage value is
-    range-checked before emission.
+    range-checked, one SNR point at a time, before emission.
     """
     rows: list[CurveRow] = []
     for rho_db in _evaluated_grid_db(spec):
         point = _GridPoint(spec, rho_db, spec.signals)
-        for signal in spec.signals:
-            for mode in spec.sic_modes:
-                for method in spec.methods:
-                    row = point.row(signal, mode, method)
-                    if not (0.0 <= row.value <= 1.0) or not math.isfinite(row.value):
-                        raise NumericError(
-                            f"outage row out of range: {row.signal} {row.method} at {rho_db} dB -> {row.value!r}"
-                        )
-                    rows.append(row)
+        point_rows = [row for cells in zip(*map(point.column, spec.methods)) for row in cells]
+        for row in point_rows:
+            if not 0.0 <= row.value <= 1.0:  # NaN fails too
+                raise NumericError(
+                    f"outage row out of range: {row.signal} {row.method} at {rho_db} dB -> {row.value!r}"
+                )
+        rows += point_rows
     return rows
 
 
@@ -232,9 +240,10 @@ def throughput_rows(spec: SweepSpec) -> list[CurveRow]:
     rows: list[CurveRow] = []
     for rho_db in _evaluated_grid_db(spec):
         point = _GridPoint(spec, rho_db, SIGNALS)
+        columns = {method: point.column(method) for method in spec.methods}
         for mode in spec.sic_modes:
             for method in spec.methods:
-                outages = [point.row(signal, mode, method).value for signal in SIGNALS]
+                outages = [row.value for row in columns[method] if row.sic_mode == mode]
                 value = analysis.throughput_delay_limited(point.config, outages)
                 rows.append(CurveRow(rho_db, "sum", mode, method, value,
                                      trials=spec.trials if method == "mc" else None,
@@ -339,42 +348,50 @@ def figure_preset(
     raise ConfigError(f"unknown figure id {fig_id}; expected 1-4")
 
 
-def rows_to_csv(rows: list[CurveRow]) -> str:
-    """Fixed-schema CSV: header row, '.' decimals, LF line endings."""
+def _csv_text(fields) -> str:
+    """``fields`` as ``csv.writer(lineterminator="\\n")`` writes them, without the line end."""
     buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(CURVE_FIELDS)
-    for row in rows:
-        writer.writerow([
-            repr(float(row.rho_db)),
-            row.signal,
-            row.sic_mode,
-            row.method,
-            repr(float(row.value)),
-            "" if row.ci_low is None else repr(float(row.ci_low)),
-            "" if row.ci_high is None else repr(float(row.ci_high)),
-            "" if row.trials is None else row.trials,
-            "" if row.seed is None else row.seed,
-        ])
-    return buffer.getvalue()
+    csv.writer(buffer, lineterminator="\n").writerow(fields)
+    return buffer.getvalue()[:-1]
+
+
+def _field_text(value) -> str:
+    return "" if value is None else str(value)
+
+
+def _float_text(value) -> str:
+    return "" if value is None else repr(float(value))
+
+
+def rows_to_csv(rows: list[CurveRow]) -> str:
+    """Fixed-schema CSV: header row, '.' decimals, LF line endings.
+
+    The bytes are those of ``csv.writer(lineterminator="\\n")`` writing each
+    row with its floats as ``repr(float(...))``. Each row is formatted as one
+    line: numbers need no quoting, the rows of one SNR point share the text
+    of their ``rho_db``, and the text of each distinct (signal, sic_mode,
+    method) is formatted once, by ``csv.writer``.
+    """
+    lines = [_csv_text(CURVE_FIELDS)]
+    labels: dict[tuple, str] = {}
+    last_db = rho_text = object()
+    for rho_db, signal, mode, method, value, ci_low, ci_high, trials, seed in rows:
+        if rho_db is not last_db:
+            last_db, rho_text = rho_db, repr(float(rho_db))
+        label = labels.get((signal, mode, method))
+        if label is None:
+            label = labels[signal, mode, method] = _csv_text((signal, mode, method))
+        if ci_low is None and ci_high is None and trials is None and seed is None:
+            lines.append(f"{rho_text},{label},{float(value)!r},,,,")
+        else:
+            lines.append(f"{rho_text},{label},{float(value)!r},{_float_text(ci_low)},{_float_text(ci_high)},"
+                         f"{_field_text(trials)},{_field_text(seed)}")
+    lines.append("")
+    return "\n".join(lines)
 
 
 def rows_to_json(rows: list[CurveRow]) -> str:
-    payload = [
-        {
-            "rho_db": row.rho_db,
-            "signal": row.signal,
-            "sic_mode": row.sic_mode,
-            "method": row.method,
-            "value": row.value,
-            "ci_low": row.ci_low,
-            "ci_high": row.ci_high,
-            "trials": row.trials,
-            "seed": row.seed,
-        }
-        for row in rows
-    ]
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps([row._asdict() for row in rows], indent=2) + "\n"
 
 
 def write_rows(rows: list[CurveRow], path: str, fmt: str = "csv") -> None:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Union
 
@@ -147,8 +148,9 @@ class SystemConfig:
             )
         if not (math.isfinite(self.rho_db) and math.isfinite(self.omega_i_db)):
             raise ConfigError("rho_db and omega_i_db must be finite")
-        for name, value_db in (("rho_db", self.rho_db), ("omega_i_db", self.omega_i_db)):
-            linear = db_to_linear(value_db)
+        for name, value_db, linear in (
+            ("rho_db", self.rho_db, self.rho), ("omega_i_db", self.omega_i_db, self.omega_i)
+        ):
             if not math.isfinite(linear):
                 raise ConfigError(f"{name} = {value_db:g} dB overflows in linear units")
             # the closed forms and the Monte Carlo events divide by these values
@@ -167,12 +169,15 @@ class SystemConfig:
                 f"rho*omega_i) is {smallest:g}, which underflows"
             )
 
-    @property
+    # Converted once per config, on first read (``__post_init__`` reads both);
+    # the cached values sit outside the fields, so ``==``, ``hash`` and
+    # ``replace`` see the dB values only.
+    @cached_property
     def rho(self) -> float:
         """Transmit SNR in linear units."""
         return db_to_linear(self.rho_db)
 
-    @property
+    @cached_property
     def omega_i(self) -> float:
         """Residual-cancellation variance in linear units."""
         return db_to_linear(self.omega_i_db)

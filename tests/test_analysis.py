@@ -156,7 +156,7 @@ class TestClosedForms:
 
     def test_tags(self):
         # the signal tag picks the role group and the stronger or weaker
-        # evaluator, the mode tag the cancellation; a shared dc changes nothing
+        # evaluator, the mode tag the cancellation
         cfg = table_config(varpi1=0.03, rates=(0.1, 0.02, 0.15, 0.05))
         for signal, roles, evaluator in (
             ("x1", GROUP_ONE, analysis._closed_xl), ("x2", GROUP_ONE, analysis._closed_xt),
@@ -166,7 +166,6 @@ class TestClosedForms:
             for mode in ("ipSIC", "pSIC"):
                 expected = evaluator(cfg, roles, dc, mode)
                 assert closed_outage(cfg, signal, mode) == expected
-                assert closed_outage(cfg, signal, mode, dc) == expected
             assert closed_outage(cfg, signal, "pSIC") < closed_outage(cfg, signal, "ipSIC")
         with pytest.raises(ConfigError, match="unknown signal"):
             closed_outage(cfg, "x5", "ipSIC")

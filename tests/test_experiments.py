@@ -1,24 +1,31 @@
 import argparse
+import csv
 import hashlib
+import io
 import json
+import math
+import re
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from twrnoma import analysis, cli, experiments, model, montecarlo, oracle
-from twrnoma.errors import ConfigError
+from twrnoma.errors import ConfigError, NumericError
 from twrnoma.experiments import (
+    CurveRow,
     SweepSpec,
     crossover_snr_db,
     figure_preset,
     oma_outage,
     oracle_agreement,
+    random_valid_config,
     rows_to_csv,
     run_sweep,
     throughput_rows,
     write_rows,
 )
-from twrnoma.model import GROUP_ONE, GROUP_TWO, SystemConfig
+from twrnoma.model import GROUP_ONE, GROUP_TWO, SIC_MODES, SystemConfig
 
 
 def table_config(**overrides):
@@ -51,6 +58,22 @@ def count_constant_builds(monkeypatch):
     for module in (model, analysis, experiments, oracle):
         monkeypatch.setattr(module, "build_derived_constants", counted)
     return calls
+
+
+def reference_csv(rows):
+    """The CSV of ``rows`` as ``csv.writer`` writes it, floats as ``repr(float(...))``."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(experiments.CURVE_FIELDS)
+    for row in rows:
+        writer.writerow([
+            repr(float(row.rho_db)), row.signal, row.sic_mode, row.method, repr(float(row.value)),
+            "" if row.ci_low is None else repr(float(row.ci_low)),
+            "" if row.ci_high is None else repr(float(row.ci_high)),
+            "" if row.trials is None else row.trials,
+            "" if row.seed is None else row.seed,
+        ])
+    return buffer.getvalue()
 
 
 def cli_sha256(capsys, argv):
@@ -181,6 +204,49 @@ class TestSweep:
             cfg = replace(table_config(), rho_db=row.rho_db)
             assert row.value == analysis.closed_outage(cfg, row.signal, row.sic_mode)
 
+    def test_rows_match_fresh_evaluations_on_random_scenarios(self):
+        # every signal, both modes and every non-MC method, on grids off the default's
+        rng = np.random.default_rng(2024)
+        scenarios = [random_valid_config(rng, force_degenerate=k == 0) for k in range(3)]
+        scenarios.append(replace(scenarios[-1], varpi1=0.0))  # no cross-pair interference terms
+        fresh = {"closed": analysis.closed_outage, "asymptotic": analysis.asymptotic_outage,
+                 "oma": lambda config, signal, mode: oma_outage(config, signal)}
+        for config in scenarios:
+            spec = SweepSpec(config=config, rho_min_db=float(rng.uniform(0.0, 3.0)), rho_max_db=45.0,
+                             rho_step_db=float(rng.uniform(4.0, 6.0)), methods=("closed", "asymptotic", "oma"),
+                             signals=experiments.SIGNALS, sic_modes=SIC_MODES)
+            rows = run_sweep(spec)
+            assert len(rows) == len(spec.rho_grid_db()) * 4 * 2 * 3
+            for row in rows:
+                at = replace(config, rho_db=row.rho_db)
+                assert repr(row.value) == repr(fresh[row.method](at, row.signal, row.sic_mode))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 1.5])
+    @pytest.mark.parametrize("method", ["closed", "oma"])
+    def test_out_of_range_row_raises(self, monkeypatch, method, bad):
+        if method == "oma":
+            monkeypatch.setattr(experiments, "oma_outage", lambda config, signal: bad)
+        else:
+            monkeypatch.setitem(analysis.EVALUATORS, ("closed", "l"), lambda config, roles, dc, mode: bad)
+        message = f"outage row out of range: x1 {method} at 0.0 dB -> {bad!r}"
+        with pytest.raises(NumericError, match=re.escape(message)):
+            run_sweep(self.spec(methods=(method,)))
+
+    def test_csv_bytes_match_csv_writer(self):
+        # int grid bounds through the library API give int rho_db values, written as floats
+        spec = self.spec(rho_min_db=0, rho_max_db=10, rho_step_db=5, methods=("closed", "mc", "oma"), trials=2000)
+        rows = run_sweep(spec) + throughput_rows(replace(spec, methods=("closed", "mc")))
+        rows += [CurveRow(7.5, "x2", "pSIC", "closed", value) for value in (0.0, 1.0, 5e-324)]
+        rows.append(CurveRow(-0.0, 'x"1', "ip,SIC", "quad", 0.5))  # labels that need quoting
+        assert type(rows[0].rho_db) is int and rows[0].ci_low is None
+        mc = [row for row in rows if row.method == "mc"]
+        assert {type(row.trials) for row in mc} == {type(row.seed) for row in mc} == {int}
+        assert any(row.signal == "sum" and row.ci_low is None for row in mc)
+        text = rows_to_csv(rows)
+        assert text == reference_csv(rows)
+        assert text.splitlines()[1].startswith("0.0,x1,ipSIC,closed,")
+        assert text.endswith('-0.0,"x""1","ip,SIC",quad,0.5,,,,\n')
+
     def test_deterministic_csv_bytes(self):
         spec = self.spec(methods=("closed", "mc"), trials=2000)
         first = rows_to_csv(run_sweep(spec))
@@ -194,6 +260,7 @@ class TestSweep:
         json_path = tmp_path / "rows.json"
         write_rows(rows, str(csv_path), "csv")
         write_rows(rows, str(json_path), "json")
+        assert csv_path.read_text(encoding="utf-8") == rows_to_csv(rows)
         assert csv_path.read_text(encoding="utf-8").count("\n") == len(rows) + 1
         payload = json.loads(json_path.read_text(encoding="utf-8"))
         assert payload[0]["signal"] == "x1" and payload[0]["ci_low"] is None

@@ -1,10 +1,11 @@
 import math
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+from twrnoma import model
 from twrnoma.analysis import closed_outage
 from twrnoma.errors import ConfigError
 from twrnoma.model import (
@@ -52,6 +53,23 @@ class TestSystemConfig:
         assert cfg.rho == pytest.approx(1000.0)
         assert cfg.omega_i == pytest.approx(0.01)
         assert db_to_linear(0.0) == 1.0
+
+    def test_linear_values_converted_once_per_config(self, monkeypatch):
+        converted = []
+
+        def counted(value_db):
+            converted.append(value_db)
+            return db_to_linear(value_db)
+
+        monkeypatch.setattr(model, "db_to_linear", counted)
+        cfg = table_config(rho_db=17.3, omega_i_db=-13.0)
+        for _ in range(3):
+            assert (cfg.rho, cfg.omega_i) == (10.0 ** (17.3 / 10.0), 10.0 ** (-13.0 / 10.0))
+        assert converted == [17.3, -13.0]
+        # the cached values are no fields: equality, hash and replace see the dB values only
+        twin = table_config(rho_db=17.3, omega_i_db=-13.0)
+        assert twin == cfg and hash(twin) == hash(cfg)
+        assert replace(cfg, rho_db=20.0).rho == 100.0
 
     def test_overflowing_linear_value(self):
         assert db_to_linear(3090.0) == math.inf
