@@ -12,8 +12,11 @@ textbook partial-fraction expansion to machine precision.
 :func:`closed_outage` and :func:`asymptotic_outage` evaluate one signal
 under one SIC mode; the mode is an argument, not part of the config. They
 check the signal and the mode and then call the evaluator that
-:data:`EVALUATORS` names for the method and the signal's kind; a sweep,
-which has checked both already, calls it directly.
+:data:`EVALUATORS` names for the method and the signal's kind, on plain
+floats. A sweep, which has checked both already, calls the evaluator
+directly with derived constants built over its whole SNR grid: the same
+code then runs on arrays, each entry bit for bit the float result at its
+point.
 """
 
 from __future__ import annotations
@@ -27,11 +30,13 @@ import numpy as np
 from .errors import ConfigError, NumericError
 from .model import (
     DerivedConstants,
+    Grid,
     PairRoles,
     SystemConfig,
     build_derived_constants,
     check_sic_mode,
     db_to_linear,
+    exact_exp,
     signal_roles,
 )
 
@@ -172,7 +177,7 @@ def hypoexp_pdf(
     return float(value[0]) if np.ndim(z) == 0 else value
 
 
-def interference_laplace(rates: Sequence[float], s: float) -> float:
+def interference_laplace(rates: Sequence[Grid], s: Grid) -> Grid:
     """Laplace transform at ``s >= 0`` of the sum of exponentials with ``rates``.
 
     Empty rate set means the sum is identically zero (transform 1). This is
@@ -185,7 +190,25 @@ def interference_laplace(rates: Sequence[float], s: float) -> float:
     return value
 
 
-def _finish_probability(raw: float) -> float:
+def _finish_probability(raw: Grid) -> Grid:
+    """``raw`` clamped into [0, 1], entry by entry for a grid.
+
+    A value that is not finite or that strays further than ``CLAMP_GATE``
+    raises ``NumericError``. For a grid, the first such entry raises what it
+    raises as a float, with its grid index as ``point``.
+    """
+    if isinstance(raw, np.ndarray):
+        bad = ~((raw >= -CLAMP_GATE) & (raw <= 1.0 + CLAMP_GATE))  # NaN fails too
+        if bad.any():
+            point = int(bad.argmax())
+            try:
+                _finish_probability(float(raw[point]))
+            except NumericError as exc:
+                exc.point = point
+                raise
+        # clamped as min(max(raw, 0.0), 1.0) clamps a float
+        raw = np.where(0.0 > raw, 0.0, raw)
+        return np.where(1.0 < raw, 1.0, raw)
     if not math.isfinite(raw):
         raise NumericError(f"outage evaluation produced a non-finite value: {raw!r}")
     if raw < -CLAMP_GATE or raw > 1.0 + CLAMP_GATE:
@@ -193,27 +216,36 @@ def _finish_probability(raw: float) -> float:
     return min(max(raw, 0.0), 1.0)
 
 
-def _relay_stage_survival(config: SystemConfig, roles: PairRoles, dc: DerivedConstants) -> float:
+def _ratio_or_one(num: Grid, den: Grid) -> Grid:
+    """``num / den``, and 1 where ``den`` is 0, entry by entry for a grid."""
+    if isinstance(den, np.ndarray):
+        return np.divide(num, den, out=np.ones_like(den), where=den != 0.0)
+    return num / den if den != 0.0 else 1.0
+
+
+def _relay_stage_survival(config: SystemConfig, roles: PairRoles, dc: DerivedConstants) -> Grid:
     """Probability the relay decodes the stronger uplink signal."""
     om_l = config.omega[roles.l - 1]
-    return math.exp(-dc.beta_l / om_l) * interference_laplace(dc.lam, dc.beta_l / om_l)
+    return exact_exp(-dc.beta_l / om_l) * interference_laplace(dc.lam, dc.beta_l / om_l)
 
 
-def _near_user_survival(config: SystemConfig, roles: PairRoles, dc: DerivedConstants, mode: str) -> float:
+def _near_user_survival(config: SystemConfig, roles: PairRoles, dc: DerivedConstants, mode: str) -> Grid:
     """Probability the near receiver decodes the far signal and then its own."""
     om_k = config.omega[roles.k - 1]
     theta = dc.theta_l
     tau = dc.tau_l
-    base = math.exp(-theta / om_k)
-    if mode == "pSIC" or tau == 0.0:
+    base = exact_exp(-theta / om_k)
+    if mode == "pSIC":
         return base
-    scaled = tau * config.rho * config.omega_i
-    # exponent written without the cancelling large terms: theta >= tau keeps it <= 0
-    extra = -(theta / tau - 1.0) / (config.rho * config.omega_i)
-    return base * (1.0 - scaled / (om_k + scaled) * math.exp(extra))
+    scaled = tau * dc.rho * config.omega_i
+    # exponent written without the cancelling large terms: theta >= tau keeps
+    # it <= 0. Where tau is 0 the ratio is taken as 1, so the exponent is 0,
+    # ``scaled`` is 0 and the result is ``base`` exactly.
+    extra = -(_ratio_or_one(theta, tau) - 1.0) / (dc.rho * config.omega_i)
+    return base * (1.0 - scaled / (om_k + scaled) * exact_exp(extra))
 
 
-def _closed_xl(config: SystemConfig, roles: PairRoles, dc: DerivedConstants, mode: str) -> float:
+def _closed_xl(config: SystemConfig, roles: PairRoles, dc: DerivedConstants, mode: str) -> Grid:
     """Exact outage probability of the stronger signal of the transmitting pair.
 
     Success requires the relay to decode it on the uplink and the near
@@ -227,22 +259,22 @@ def _closed_xl(config: SystemConfig, roles: PairRoles, dc: DerivedConstants, mod
     return _finish_probability(raw)
 
 
-def _residual_relay_factor(config: SystemConfig, dc: DerivedConstants, mode: str) -> float:
+def _residual_relay_factor(config: SystemConfig, dc: DerivedConstants, mode: str) -> Grid:
     """The relay's residual-interference factor in the weaker signal's decode; 1 under pSIC."""
-    return 1.0 + config.rho * dc.beta_t * dc.varphi_t * config.omega_i if mode == "ipSIC" else 1.0
+    return 1.0 + dc.rho * dc.beta_t * dc.varphi_t * config.omega_i if mode == "ipSIC" else 1.0
 
 
-def _relay_pair_survival(config: SystemConfig, roles: PairRoles, dc: DerivedConstants, mode: str) -> float:
+def _relay_pair_survival(config: SystemConfig, roles: PairRoles, dc: DerivedConstants, mode: str) -> Grid:
     """Probability the relay decodes both uplink signals of the pair."""
     om_l, om_t = config.omega[roles.l - 1], config.omega[roles.t - 1]
     s = dc.beta_l / om_l + dc.beta_t * dc.varphi_t
-    prefactor = math.exp(-dc.beta_l / om_l - dc.beta_t * dc.varphi_t) / (
+    prefactor = exact_exp(-dc.beta_l / om_l - dc.beta_t * dc.varphi_t) / (
         dc.varphi_t * om_t * _residual_relay_factor(config, dc, mode)
     )
     return prefactor * interference_laplace(dc.lam_p, s)
 
 
-def _closed_xt(config: SystemConfig, roles: PairRoles, dc: DerivedConstants, mode: str) -> float:
+def _closed_xt(config: SystemConfig, roles: PairRoles, dc: DerivedConstants, mode: str) -> Grid:
     """Exact outage probability of the weaker signal of the transmitting pair.
 
     Success requires the relay to decode both uplink signals (the weaker one
@@ -254,13 +286,13 @@ def _closed_xt(config: SystemConfig, roles: PairRoles, dc: DerivedConstants, mod
     om_k, om_r = config.omega[roles.k - 1], config.omega[roles.r - 1]
     survival = (
         _relay_pair_survival(config, roles, dc, mode)
-        * math.exp(-dc.xi_t / om_k)
-        * math.exp(-dc.xi_t / om_r)
+        * exact_exp(-dc.xi_t / om_k)
+        * exact_exp(-dc.xi_t / om_r)
     )
     return _finish_probability(1.0 - survival)
 
 
-def _asymptotic_xl(config: SystemConfig, roles: PairRoles, dc: DerivedConstants, mode: str) -> float:
+def _asymptotic_xl(config: SystemConfig, roles: PairRoles, dc: DerivedConstants, mode: str) -> Grid:
     """High-SNR outage of the stronger signal (its error floor).
 
     The survival factors that persist at high SNR are invariant in the
@@ -274,12 +306,12 @@ def _asymptotic_xl(config: SystemConfig, roles: PairRoles, dc: DerivedConstants,
         return 1.0
     om_l, om_k = config.omega[roles.l - 1], config.omega[roles.k - 1]
     bracket = interference_laplace(dc.lam, dc.beta_l / om_l)
-    residual_stage = om_k / (om_k + dc.tau_l * config.rho * config.omega_i) if mode == "ipSIC" else 1.0
+    residual_stage = om_k / (om_k + dc.tau_l * dc.rho * config.omega_i) if mode == "ipSIC" else 1.0
     raw = 1.0 - bracket * residual_stage
     return _finish_probability(raw)
 
 
-def _asymptotic_xt(config: SystemConfig, roles: PairRoles, dc: DerivedConstants, mode: str) -> float:
+def _asymptotic_xt(config: SystemConfig, roles: PairRoles, dc: DerivedConstants, mode: str) -> Grid:
     """High-SNR outage of the weaker signal (its error floor).
 
     As with the stronger signal, the evaluated expression carries no residual
@@ -295,6 +327,9 @@ def _asymptotic_xt(config: SystemConfig, roles: PairRoles, dc: DerivedConstants,
 
 # (method, signal kind) -> evaluator(config, roles, dc, mode); kind "l" is the
 # pair's stronger-decoded signal, "t" its weaker one (``model.SIGNAL_ROLES``).
+# The outage is at the SNR ``dc.rho``: a float, or an array over a grid, each
+# entry bit for bit the value of its point alone; an infeasible split gives
+# the float 1.0 at every SNR.
 EVALUATORS = {
     ("closed", "l"): _closed_xl,
     ("closed", "t"): _closed_xt,

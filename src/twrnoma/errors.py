@@ -10,7 +10,13 @@ class ConfigError(ValueError):
 
 
 class NumericError(ArithmeticError):
-    """A computed quantity left its admissible range (NaN, overflow, bad probability)."""
+    """A computed quantity left its admissible range (NaN, overflow, bad probability).
+
+    ``point`` is the grid index of the offending value when the quantity was
+    evaluated over a whole SNR grid at once, and ``None`` otherwise.
+    """
+
+    point: int | None = None
 
 
 class OracleError(NumericError):

@@ -27,10 +27,12 @@ from .model import (
     OMA_PHASES,
     SIC_MODES,
     SIGNAL_ROLES,
+    Grid,
     SystemConfig,
     build_derived_constants,
     check_sic_mode,
     db_to_linear,
+    exact_exp,
     signal_roles,
 )
 from .montecarlo import DEFAULT_TRIALS, OutageEstimate, mc_outage
@@ -40,6 +42,9 @@ METHODS = ("closed", "asymptotic", "mc", "quad", "oma")
 SIGNALS = ("x1", "x2", "x3", "x4")
 
 THROUGHPUT_METHODS = ("closed", "mc", "oma")
+# Methods a sweep evaluates over its whole grid at once; MC and quadrature
+# run one SNR point at a time.
+_GRID_METHODS = ("closed", "asymptotic", "oma")
 
 # Largest SNR grid a sweep accepts; a fine grid such as 0-45 dB in 0.05 dB
 # steps has about 900 points, a figure curve 19.
@@ -120,19 +125,29 @@ class SweepSpec:
 
 
 def _evaluated_grid_db(spec: SweepSpec) -> list[float]:
-    """The spec's SNR grid, checked before any point is evaluated: its end must not overflow in linear units."""
+    """The spec's SNR grid, checked before any point is evaluated.
+
+    Its end must not overflow in linear units, and its first and last points
+    must give valid configs. The checks that read the SNR are monotone in it,
+    so these two raise what the first failing point would raise.
+    """
     grid = spec.rho_grid_db()
     if not math.isfinite(db_to_linear(grid[-1])):
         raise ConfigError(f"the SNR grid ends at {grid[-1]:g} dB, which overflows in linear units")
+    replace(spec.config, rho_db=grid[0])
+    replace(spec.config, rho_db=grid[-1])
     return grid
 
 
-def oma_outage(config: SystemConfig, signal: str) -> float:
+def oma_outage(config: SystemConfig, signal: str, rho: Grid | None = None) -> Grid:
     """Outage of one signal under the eight-phase TDMA relaying reference.
 
     The per-hop SINR target compresses the message rate into its single
     phase of the eight-phase round; source and destination hops use the
     full transmit power and fail independently. No SIC mode enters.
+    ``rho`` is the linear transmit SNR, ``config.rho`` when omitted; an array
+    of them gives the outage at every point of an SNR grid, each entry bit
+    for bit the outage at that point alone.
     """
     view, kind = signal_roles(signal)
     if kind == "l":
@@ -142,36 +157,110 @@ def oma_outage(config: SystemConfig, signal: str) -> float:
         src, dst = view.t, view.r
         rate = config.rates[view.t - 1]
     gamma = 2.0 ** (OMA_PHASES * rate) - 1.0
-    rho = config.rho
-    hop_src = math.exp(-gamma / (rho * config.omega[src - 1]))
-    hop_dst = math.exp(-gamma / (rho * config.omega[dst - 1]))
+    if rho is None:
+        rho = config.rho
+    hop_src = exact_exp(-gamma / (rho * config.omega[src - 1]))
+    hop_dst = exact_exp(-gamma / (rho * config.omega[dst - 1]))
     return 1.0 - hop_src * hop_dst
 
 
-class _GridPoint:
-    """What the rows of one SNR point share.
+def _linear_grid(grid_db: list[float]) -> np.ndarray:
+    """The linear transmit SNR at each grid point, converted as its config converts it."""
+    return np.array([db_to_linear(rho_db) for rho_db in grid_db])
 
-    One config, and one set of derived constants per role group: the
-    constants do not read the SIC mode, so both signals, both modes and the
-    closed and asymptotic rows share them. The TDMA outage does not depend
-    on the SIC mode either and is computed once per signal. The MC estimates
-    come from one engine call, and the quadrature values of every (signal,
-    mode) from one batched oracle call.
+
+class _GridColumns:
+    """The closed, asymptotic and TDMA outage of each (signal, mode) over a whole SNR grid.
+
+    One set of derived constants per role group and one evaluator call per
+    (method, signal, mode) serve every point, and each value is bit for bit
+    the one its point gives alone. The TDMA outage does not read the SIC
+    mode and is computed once per signal. ``values[method, signal, mode]``
+    lists a column as Python floats.
+
+    A closed or asymptotic column whose evaluation fails at grid index ``q``
+    lists only the points before it. ``failures[q]`` holds the error that
+    point raises alone, of the first such column in (method, signal, mode)
+    order; a sweep raises it when it reaches the point, after the work that
+    comes first there. ``stop`` is the first index at which any column fails
+    or leaves [0, 1], the grid's length if none does.
+    """
+
+    def __init__(self, config: SystemConfig, rho: np.ndarray, signals, modes, methods):
+        self.values: dict[tuple[str, str, str], list[float]] = {}
+        self.failures: dict[int, Exception] = {}
+        self.stop = len(rho)
+        try:
+            # inf and NaN arise silently, as on Python floats. A nonzero value
+            # divided by 0 raises, as there: every such divisor is free of the
+            # SNR or the SNR times a constant, so if any point meets one, the
+            # first point does, where a sweep point by point raised it first.
+            with np.errstate(all="ignore", divide="raise"):
+                self._evaluate(config, rho, signals, modes, [m for m in methods if m in _GRID_METHODS])
+        except FloatingPointError:
+            raise ZeroDivisionError("float division by zero") from None
+
+    def _evaluate(self, config, rho, signals, modes, methods) -> None:
+        constants = {}
+        if "closed" in methods or "asymptotic" in methods:
+            groups = dict.fromkeys(SIGNAL_ROLES[signal][0] for signal in signals)
+            constants = {roles: build_derived_constants(config, roles, rho) for roles in groups}
+        for method in methods:
+            for signal in signals:
+                if method == "oma":
+                    column = self._listed(oma_outage(config, signal, rho), rho)
+                    self.values.update(((method, signal, mode), column) for mode in modes)
+                    continue
+                roles, kind = SIGNAL_ROLES[signal]
+                evaluator = analysis.EVALUATORS[method, kind]
+                for mode in modes:
+                    try:
+                        column = self._listed(evaluator(config, roles, constants[roles], mode), rho)
+                    except NumericError as exc:
+                        column = self._failed(exc, rho, lambda at: evaluator(
+                            config, roles, build_derived_constants(config, roles, at), mode))
+                    self.values[method, signal, mode] = column
+
+    def _failed(self, exc: NumericError, rho: np.ndarray, evaluate) -> list[float]:
+        """The column before the point where ``exc`` arose; ``failures`` gets that point's own error.
+
+        ``evaluate(rho)`` evaluates the column at a float or an array ``rho``.
+        """
+        point = exc.point
+        try:
+            # a 0/0 gives NaN on the grid, but ZeroDivisionError at the point alone
+            evaluate(float(rho[point]))
+        except (NumericError, ZeroDivisionError) as alone:
+            exc = alone
+        self.failures.setdefault(point, exc)
+        self.stop = min(self.stop, point)
+        return self._listed(evaluate(rho[:point]), rho[:point])
+
+    def _listed(self, column, rho: np.ndarray) -> list[float]:
+        """``column``, a float or an array over ``rho``, as a list; an entry outside [0, 1] moves ``stop``."""
+        column = np.broadcast_to(column, rho.shape)
+        outside = ~((0.0 <= column) & (column <= 1.0))  # NaN is outside too
+        if outside.any():
+            self.stop = min(self.stop, int(outside.argmax()))
+        return column.tolist()
+
+    def raise_failure(self, point: int) -> None:
+        """Raise the error of the first column that fails at ``point``, if any."""
+        if point in self.failures:
+            raise self.failures[point]
+
+
+class _GridPoint:
+    """The work a sweep does one SNR point at a time.
+
+    One validated config; the MC estimates of every (signal, mode) come from
+    one engine call, and the quadrature values from one batched oracle call.
     """
 
     def __init__(self, spec: SweepSpec, rho_db: float, signals: tuple[str, ...]):
         self.config = config = replace(spec.config, rho_db=rho_db)
-        self.signals, self.modes = signals, spec.sic_modes
         self.keys = [(signal, mode) for signal in signals for mode in spec.sic_modes]
         methods = spec.methods
-        self.constants = {}
-        if "closed" in methods or "asymptotic" in methods:
-            groups = dict.fromkeys(SIGNAL_ROLES[signal][0] for signal in signals)
-            built = {roles: build_derived_constants(config, roles) for roles in groups}
-            self.constants = {signal: built[SIGNAL_ROLES[signal][0]] for signal in signals}
-        self.oma = {}
-        if "oma" in methods:
-            self.oma = {signal: oma_outage(config, signal) for signal in signals}
         self.mc: dict[tuple[str, str], OutageEstimate] = {}
         if "mc" in methods:
             self.mc = mc_outage(config, signals, spec.sic_modes, trials=spec.trials, seed=spec.seed)
@@ -180,44 +269,52 @@ class _GridPoint:
             self.quad = quad_outages([(config, signal, mode) for signal, mode in self.keys])
 
     def column(self, method: str) -> list[CurveRow]:
-        """The point's rows of ``method``, one per (signal, mode) of ``keys``, in that order.
-
-        Closed and asymptotic values come straight from their evaluator in
-        ``analysis.EVALUATORS``: the spec has already checked every signal
-        and mode.
-        """
-        config, keys = self.config, self.keys
-        rho_db = config.rho_db
+        """The point's rows of ``method``, ``"mc"`` or ``"quad"``, one per (signal, mode) of ``keys``, in that order."""
+        rho_db = self.config.rho_db
         if method == "mc":
-            estimates = [self.mc[key] for key in keys]
+            estimates = [self.mc[key] for key in self.keys]
             return [
                 CurveRow(rho_db, signal, mode, method, est.p_hat, est.ci_low, est.ci_high, est.trials, est.seed)
-                for (signal, mode), est in zip(keys, estimates)
+                for (signal, mode), est in zip(self.keys, estimates)
             ]
-        if method == "oma":
-            values = [self.oma[signal] for signal, _ in keys]
-        elif method == "quad":
-            values = self.quad
-        else:
-            values = []
-            for signal in self.signals:
-                roles, kind = SIGNAL_ROLES[signal]
-                evaluate, dc = analysis.EVALUATORS[method, kind], self.constants[signal]
-                values += [evaluate(config, roles, dc, mode) for mode in self.modes]
-        return [CurveRow(rho_db, signal, mode, method, value) for (signal, mode), value in zip(keys, values)]
+        return [CurveRow(rho_db, signal, mode, method, value) for (signal, mode), value in zip(self.keys, self.quad)]
+
+
+def _grid_rows(grid: list[float], columns: _GridColumns, method: str, keys) -> list[list[CurveRow]]:
+    """For each (signal, mode) of ``keys``, the rows of ``method``'s column at the points the column lists."""
+    # the tuple CurveRow's own __new__ builds, without its argument parsing
+    row = tuple.__new__
+    return [
+        [row(CurveRow, (rho_db, signal, mode, method, value, None, None, None, None))
+         for rho_db, value in zip(grid, columns.values[method, signal, mode])]
+        for signal, mode in keys
+    ]
 
 
 def run_sweep(spec: SweepSpec) -> list[CurveRow]:
     """Evaluate the grid; one row per (SNR point, signal, mode, method).
 
-    Rows are produced in deterministic grid order, and every outage value is
-    range-checked, one SNR point at a time, before emission.
+    Closed, asymptotic and TDMA columns are evaluated over the whole grid at
+    once, MC and quadrature one SNR point at a time. Rows come in grid order,
+    and every outage value is range-checked; the first error is the one an
+    evaluation point by point would meet first.
     """
+    grid = _evaluated_grid_db(spec)
+    columns = _GridColumns(spec.config, _linear_grid(grid), spec.signals, spec.sic_modes, spec.methods)
+    keys = [(signal, mode) for signal in spec.signals for mode in spec.sic_modes]
+    per_point = [method for method in spec.methods if method not in _GRID_METHODS]
+    # per method, the rows of each key at every point its column lists
+    listed = {method: _grid_rows(grid, columns, method, keys) for method in spec.methods if method in _GRID_METHODS}
     rows: list[CurveRow] = []
-    for rho_db in _evaluated_grid_db(spec):
-        point = _GridPoint(spec, rho_db, spec.signals)
-        point_rows = [row for cells in zip(*map(point.column, spec.methods)) for row in cells]
-        for row in point_rows:
+    for i, rho_db in enumerate(grid):
+        point = _GridPoint(spec, rho_db, spec.signals) if per_point else None
+        if i == columns.stop:
+            columns.raise_failure(i)
+        cells = [point.column(method) if method in per_point else [rows_of_key[i] for rows_of_key in listed[method]]
+                 for method in spec.methods]
+        point_rows = [row for cells_of_key in zip(*cells) for row in cells_of_key]
+        # before ``stop`` the whole-grid columns are in range, and only MC and quadrature rows need the check
+        for row in point_rows if per_point or i == columns.stop else ():
             if not 0.0 <= row.value <= 1.0:  # NaN fails too
                 raise NumericError(
                     f"outage row out of range: {row.signal} {row.method} at {rho_db} dB -> {row.value!r}"
@@ -233,18 +330,25 @@ def throughput_rows(spec: SweepSpec) -> list[CurveRow]:
     must be among ``THROUGHPUT_METHODS``; the spec's signals do not enter,
     since every row sums all four. Rows carry signal tag ``"sum"``; MC rows
     use the spec's trial count and seed, with one engine call per SNR point.
+    The closed and TDMA outage curves are evaluated over the whole grid at once.
     """
     for method in spec.methods:
         if method not in THROUGHPUT_METHODS:
             raise ConfigError(f"throughput supports closed, mc or oma, not {method!r}")
+    grid = _evaluated_grid_db(spec)
+    columns = _GridColumns(spec.config, _linear_grid(grid), SIGNALS, spec.sic_modes, spec.methods)
     rows: list[CurveRow] = []
-    for rho_db in _evaluated_grid_db(spec):
-        point = _GridPoint(spec, rho_db, SIGNALS)
-        columns = {method: point.column(method) for method in spec.methods}
+    for i, rho_db in enumerate(grid):
+        point = _GridPoint(spec, rho_db, SIGNALS) if "mc" in spec.methods else None
+        if i == columns.stop:
+            columns.raise_failure(i)
         for mode in spec.sic_modes:
             for method in spec.methods:
-                outages = [row.value for row in columns[method] if row.sic_mode == mode]
-                value = analysis.throughput_delay_limited(point.config, outages)
+                if method == "mc":
+                    outages = [point.mc[signal, mode].p_hat for signal in SIGNALS]
+                else:
+                    outages = [columns.values[method, signal, mode][i] for signal in SIGNALS]
+                value = analysis.throughput_delay_limited(spec.config, outages)
                 rows.append(CurveRow(rho_db, "sum", mode, method, value,
                                      trials=spec.trials if method == "mc" else None,
                                      seed=spec.seed if method == "mc" else None))
@@ -275,13 +379,24 @@ def crossover_snr_db(
     grid = [rho_min_db + i * scan_step_db for i in range(steps)]
     if grid[-1] < rho_max_db:
         grid.append(rho_max_db)
-    previous = diff(grid[0])
+    previous = diff(grid[0])  # checks the signal, the mode and the config at the first point
     if previous > 0.0:
         return None  # already above the baseline at the low end
-    for x in grid[1:]:
-        current = diff(x)
+    # The scan takes whole-grid columns. The config checks that read the SNR
+    # are monotone in it: past the first point, only an SNR that overflows
+    # fails them, so the columns stop short of the first such point.
+    rho = _linear_grid(grid)
+    finite = np.isfinite(rho)
+    valid = len(grid) if finite.all() else int(finite.argmin())
+    columns = _GridColumns(config, rho[:valid], (signal,), (mode,), ("closed", "oma"))
+    closed, oma = columns.values["closed", signal, mode], columns.values["oma", signal, mode]
+    for i in range(1, len(grid)):
+        if i == valid:
+            replace(config, rho_db=grid[i])  # raises what the scan would meet there
+        columns.raise_failure(i)
+        current = closed[i] - oma[i]
         if previous <= 0.0 < current:
-            lo, hi = x - scan_step_db, x
+            lo, hi = grid[i] - scan_step_db, grid[i]
             while hi - lo > tol_db:
                 mid = 0.5 * (lo + hi)
                 if diff(mid) > 0.0:

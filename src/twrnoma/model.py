@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -184,6 +184,19 @@ class SystemConfig:
 
 
 Gain = Union[float, np.ndarray]
+# A value at one SNR point (a float) or at every point of an SNR grid (an array).
+Grid = Union[float, np.ndarray]
+
+
+def exact_exp(x: Grid) -> Grid:
+    """``math.exp`` of a float, or of every entry of an array.
+
+    ``np.exp`` rounds differently from ``math.exp`` on some inputs, so a grid
+    evaluated through it would not match its points evaluated one at a time.
+    """
+    if isinstance(x, np.ndarray):
+        return np.array([math.exp(v) for v in x.tolist()])
+    return math.exp(x)
 
 
 @dataclass(frozen=True)
@@ -204,9 +217,13 @@ class ChannelSample:
         return (self.g1, self.g2, self.g3, self.g4)[user - 1]
 
 
-@dataclass(frozen=True)
-class DerivedConstants:
-    """Scalar constants feeding the outage evaluators, with feasibility flags.
+class DerivedConstants(NamedTuple):
+    """Constants feeding the outage evaluators, with feasibility flags.
+
+    ``rho`` is the linear transmit SNR they were built for: a float, or an
+    array over an SNR grid. Every constant that reads it has its shape; the
+    thresholds ``gamma_th`` and the feasibility flags do not read it and
+    stay plain values.
 
     ``lam`` holds the exponential rates of the active relay-side interference
     terms (the in-pair term always, the two cross-pair terms only when
@@ -215,17 +232,21 @@ class DerivedConstants:
     When a power split cannot support its target rate the corresponding
     feasibility flag is ``False`` and the dependent thresholds (``tau_l``,
     ``xi_t``, ``theta_l``) are ``None`` instead of negative numbers.
+
+    A named tuple builds in about a third of the time of a frozen dataclass
+    of as many fields, and every per-point evaluation builds one.
     """
 
+    rho: Grid
     gamma_th: tuple[float, float, float, float]
-    lam: tuple[float, ...]
-    lam_p: tuple[float, ...]
-    beta_l: float
-    beta_t: float
-    tau_l: float | None
-    xi_t: float | None
-    theta_l: float | None
-    varphi_t: float
+    lam: tuple[Grid, ...]
+    lam_p: tuple[Grid, ...]
+    beta_l: Grid
+    beta_t: Grid
+    tau_l: Grid | None
+    xi_t: Grid | None
+    theta_l: Grid | None
+    varphi_t: Grid
     feasible_l: bool
     feasible_t: bool
 
@@ -235,20 +256,26 @@ def sinr_threshold(rate: float) -> float:
     return 2.0 ** (2.0 * rate) - 1.0
 
 
-def build_derived_constants(config: SystemConfig, roles: PairRoles) -> DerivedConstants:
-    """Assemble every outage-evaluator constant in linear units."""
-    rho = config.rho
+def build_derived_constants(config: SystemConfig, roles: PairRoles, rho: Grid | None = None) -> DerivedConstants:
+    """Assemble every outage-evaluator constant in linear units.
+
+    ``rho`` is the linear transmit SNR, ``config.rho`` when omitted; an array
+    of them gives every point of an SNR grid at once, each entry bit for bit
+    the constant built for that point alone.
+    """
+    if rho is None:
+        rho = config.rho
     a_l, a_t = config.a[roles.l - 1], config.a[roles.t - 1]
     a_k, a_r = config.a[roles.k - 1], config.a[roles.r - 1]
     b_l, b_t = config.b[roles.l - 1], config.b[roles.t - 1]
     om_t, om_k, om_r = config.omega[roles.t - 1], config.omega[roles.k - 1], config.omega[roles.r - 1]
     om_l = config.omega[roles.l - 1]
 
-    gamma_th = tuple(sinr_threshold(r) for r in config.rates)
+    gamma_th = tuple(map(sinr_threshold, config.rates))
     g_l, g_t = gamma_th[roles.l - 1], gamma_th[roles.t - 1]
 
-    lam: tuple[float, ...] = (1.0 / (rho * a_t * om_t),)
-    lam_p: tuple[float, ...] = ()
+    lam: tuple[Grid, ...] = (1.0 / (rho * a_t * om_t),)
+    lam_p: tuple[Grid, ...] = ()
     if config.varpi1 > 0.0:
         cross = (1.0 / (rho * config.varpi1 * a_k * om_k), 1.0 / (rho * config.varpi1 * a_r * om_r))
         lam = lam + cross
@@ -261,11 +288,15 @@ def build_derived_constants(config: SystemConfig, roles: PairRoles) -> DerivedCo
     feasible_t = b_t > (b_l + config.varpi2) * g_t
     tau_l = g_l / (rho * (b_l - config.varpi2 * g_l)) if feasible_l else None
     xi_t = g_t / (rho * (b_t - (b_l + config.varpi2) * g_t)) if feasible_t else None
-    theta_l = max(tau_l, xi_t) if (feasible_l and feasible_t) else None
+    theta_l = None
+    if feasible_l and feasible_t:
+        # the larger threshold, chosen as max() chooses, entry by entry for a grid
+        theta_l = np.where(xi_t > tau_l, xi_t, tau_l) if isinstance(rho, np.ndarray) else max(tau_l, xi_t)
 
     varphi_t = (om_l + rho * beta_l * a_t * om_t) / (om_l * om_t)
 
     return DerivedConstants(
+        rho=rho,
         gamma_th=gamma_th,
         lam=lam,
         lam_p=lam_p,

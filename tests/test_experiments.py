@@ -47,17 +47,34 @@ def count_engine_calls(monkeypatch):
 
 
 def count_constant_builds(monkeypatch):
-    """Record (rho_db, roles) of every derived-constants build, whichever module makes it."""
+    """Record (roles, rho) of every derived-constants build, whichever module makes it.
+
+    ``rho`` is the linear SNR passed in, ``None`` when the build reads the config's own.
+    """
     calls = []
     build = model.build_derived_constants
 
-    def counted(config, roles):
-        calls.append((config.rho_db, roles))
-        return build(config, roles)
+    def counted(config, roles, rho=None):
+        calls.append((roles, rho))
+        return build(config, roles, rho)
 
     for module in (model, analysis, experiments, oracle):
         monkeypatch.setattr(module, "build_derived_constants", counted)
     return calls
+
+
+def bad_at(point, bad=1.5):
+    """Outage 0.5 at each SNR of the 0, 5, 10 dB grid but its ``point``-th, where it is ``bad``.
+
+    ``rho`` is a float or an array, as the sweep's evaluators take it.
+    """
+    at = replace(table_config(), rho_db=5.0 * point).rho
+
+    def evaluate(rho):
+        values = np.where(np.asarray(rho) == at, bad, 0.5)
+        return values if isinstance(rho, np.ndarray) else float(values)
+
+    return evaluate
 
 
 def reference_csv(rows):
@@ -224,8 +241,9 @@ class TestSweep:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, 1.5])
     @pytest.mark.parametrize("method", ["closed", "oma"])
     def test_out_of_range_row_raises(self, monkeypatch, method, bad):
+        # a float stands for the same value at every grid point
         if method == "oma":
-            monkeypatch.setattr(experiments, "oma_outage", lambda config, signal: bad)
+            monkeypatch.setattr(experiments, "oma_outage", lambda config, signal, rho: bad)
         else:
             monkeypatch.setitem(analysis.EVALUATORS, ("closed", "l"), lambda config, roles, dc, mode: bad)
         message = f"outage row out of range: x1 {method} at 0.0 dB -> {bad!r}"
@@ -296,12 +314,51 @@ class TestSweep:
             case = (replace(table_config(), rho_db=row.rho_db), row.signal, row.sic_mode)
             assert row.value == oracle.quad_outages([case])[0]
 
-    def test_one_constant_build_per_point_and_group(self, monkeypatch):
+    def test_one_constant_build_per_role_group_per_sweep(self, monkeypatch):
         calls = count_constant_builds(monkeypatch)
         spec = self.spec(methods=("closed", "asymptotic", "oma"), signals=("x1", "x2", "x3", "x4"), rho_max_db=10.0)
         rows = run_sweep(spec)
         assert len(rows) == 3 * 4 * 2 * 3
-        assert calls == [(db, roles) for db in (0.0, 5.0, 10.0) for roles in (GROUP_ONE, GROUP_TWO)]
+        assert [roles for roles, _ in calls] == [GROUP_ONE, GROUP_TWO]
+        grid_rho = [replace(table_config(), rho_db=db).rho for db in (0.0, 5.0, 10.0)]
+        assert all(rho.tolist() == grid_rho for _, rho in calls)
+        calls.clear()
+        run_sweep(replace(spec, signals=("x4", "x2")))
+        assert [roles for roles, _ in calls] == [GROUP_TWO, GROUP_ONE]
+        calls.clear()
+        run_sweep(replace(spec, methods=("oma",)))
+        assert calls == []
+
+    @pytest.mark.parametrize("closed_at, oma_at, message", [
+        (2, 1, "outage row out of range: x2 oma at 5.0 dB -> 1.5"),
+        (1, 2, "outage row out of range: x1 closed at 5.0 dB -> 1.5"),
+        # the rows of one point come key by key, each key's in method order
+        (1, 1, "outage row out of range: x1 closed at 5.0 dB -> 1.5"),
+    ])
+    def test_earlier_point_raises_first(self, monkeypatch, closed_at, oma_at, message):
+        closed = bad_at(closed_at)
+        monkeypatch.setitem(analysis.EVALUATORS, ("closed", "l"), lambda config, roles, dc, mode: closed(dc.rho))
+        oma_x2 = bad_at(oma_at)
+        monkeypatch.setattr(experiments, "oma_outage",
+                            lambda config, signal, rho: oma_x2(rho) if signal == "x2" else 0.5)
+        with pytest.raises(NumericError, match=re.escape(message)):
+            run_sweep(self.spec(methods=("oma", "closed"), rho_max_db=10.0))
+
+    @pytest.mark.parametrize("finished_at, oma_at, message", [
+        (2, 1, "outage row out of range: x1 oma at 5.0 dB -> 1.5"),
+        (1, 2, "outage evaluation left [0, 1] by more than the clamp gate: 1.25"),
+        # at one point every evaluator runs before any row is range-checked
+        (1, 1, "outage evaluation left [0, 1] by more than the clamp gate: 1.25"),
+    ])
+    def test_evaluator_error_waits_for_its_point(self, monkeypatch, finished_at, oma_at, message):
+        finished = bad_at(finished_at, 1.25)
+        monkeypatch.setitem(analysis.EVALUATORS, ("asymptotic", "t"),
+                            lambda config, roles, dc, mode: analysis._finish_probability(finished(dc.rho)))
+        oma = bad_at(oma_at)
+        monkeypatch.setattr(experiments, "oma_outage", lambda config, signal, rho: oma(rho))
+        for methods in (("oma", "asymptotic"), ("asymptotic", "oma")):
+            with pytest.raises(NumericError, match=re.escape(message)):
+                run_sweep(self.spec(methods=methods, rho_max_db=10.0))
 
     def test_frozen_output_bytes(self, capsys):
         assert cli_sha256(capsys, FROZEN_SWEEP_ARGV) == FROZEN_SWEEP_SHA256
@@ -323,6 +380,119 @@ class TestSweep:
         for (db, signal, mode), value in by_key.items():
             mirror = {"x1": "x3", "x2": "x4", "x3": "x1", "x4": "x2"}[signal]
             assert value == pytest.approx(by_key[(db, mirror, mode)], rel=1e-14)
+
+
+def edge_scenarios():
+    """Scenarios at the edges of the closed forms, each named after what it exercises."""
+    base = SystemConfig(rho_db=0.0)
+    return {
+        "no cross-pair leakage": replace(base, varpi1=0.0),
+        "no downlink leakage": replace(base, varpi2=0.0),
+        "zero rates": replace(base, rates=(0.0, 0.0, 0.0, 0.0)),
+        # tau_l = 0 at every point: the near-user stage's residual term drops out
+        "zero stronger-signal rates": replace(base, rates=(0.0, 0.01, 0.0, 0.01)),
+        # x1 and x2 cannot meet their targets: outage exactly 1 at every point
+        "infeasible split": replace(base, rates=(1.0, 2.0, 0.1, 0.01)),
+        # the smallest nonzero threshold 2^-52, so tau_l turns subnormal at the top of a grid to 3080 dB
+        "subnormal tau_l": replace(base, rates=(1e-16, 0.01, 1e-16, 0.01)),
+    }
+
+
+class TestWholeGridColumns:
+    """The closed, asymptotic and TDMA columns of a sweep against the per-point evaluators, by repr."""
+
+    # odd offsets and steps from -60 to about 200 dB, and int bounds, whose rows keep int rho_db
+    GRIDS = [(-60.0, 200.0, 4.7), (-59.3, 201.1, 6.13), (-60, 200, 13)]
+
+    @staticmethod
+    def scenarios():
+        rng = np.random.default_rng(4242)
+        randoms = {f"random {k}": random_valid_config(rng, force_degenerate=k == 0) for k in range(3)}
+        return {**randoms, **edge_scenarios()}
+
+    @staticmethod
+    def scalar(method, config, signal, mode):
+        """The per-point evaluator's value."""
+        if method == "oma":
+            return oma_outage(config, signal)
+        evaluate = analysis.closed_outage if method == "closed" else analysis.asymptotic_outage
+        return evaluate(config, signal, mode)
+
+    def check_rows(self, config, grid):
+        spec = SweepSpec(config=config, rho_min_db=grid[0], rho_max_db=grid[1], rho_step_db=grid[2],
+                         methods=("closed", "asymptotic", "oma"), signals=experiments.SIGNALS, sic_modes=SIC_MODES)
+        rows = run_sweep(spec)
+        points = spec.rho_grid_db()
+        assert len(rows) == len(points) * 4 * 2 * 3
+        assert [row.rho_db for row in rows[::24]] == points
+        assert {type(row.rho_db) for row in rows} == {type(points[0])}
+        for row in rows:
+            at = replace(config, rho_db=row.rho_db)
+            assert repr(row.value) == repr(self.scalar(row.method, at, row.signal, row.sic_mode)), row
+        tp_rows = throughput_rows(replace(spec, methods=("closed", "oma")))
+        assert len(tp_rows) == len(points) * 2 * 2
+        for row in tp_rows:
+            at = replace(config, rho_db=row.rho_db)
+            outages = [self.scalar(row.method, at, signal, row.sic_mode) for signal in experiments.SIGNALS]
+            assert repr(row.value) == repr(analysis.throughput_delay_limited(at, outages)), row
+        return rows
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=lambda grid: "{}..{} by {}".format(*grid))
+    def test_every_row_matches_its_point(self, grid):
+        for name, config in self.scenarios().items():
+            rows = self.check_rows(config, grid)
+            if name == "infeasible split":
+                assert {row.value for row in rows if row.signal in ("x1", "x2") and row.method != "oma"} == {1.0}
+
+    def test_int_bounds_keep_int_rho_db(self):
+        rows = self.check_rows(SystemConfig(), (-60, 200, 13))
+        assert {type(row.rho_db) for row in rows} == {int}
+
+    def test_subnormal_tau_at_the_top_of_the_grid(self):
+        config = edge_scenarios()["subnormal tau_l"]
+        top = replace(config, rho_db=3080.0)
+        assert 0.0 < model.build_derived_constants(top, GROUP_ONE).tau_l < 1e-308
+        self.check_rows(config, (2000.0, 3080.0, 7.3))
+
+    @pytest.mark.parametrize("name", list(edge_scenarios()) + ["random 0", "random 1"])
+    def test_evaluators_take_a_grid_without_warnings(self, name):
+        # RuntimeWarning is an error in this suite, and no floating-point state is
+        # relaxed here: masked branches must not divide by zero or overflow
+        config = self.scenarios()[name]
+        grid = [-60.0 + 2.9 * i for i in range(90)]
+        rho = np.array([replace(config, rho_db=db).rho for db in grid])
+        for signal in experiments.SIGNALS:
+            roles, kind = model.signal_roles(signal)
+            dc = model.build_derived_constants(config, roles, rho)
+            for mode in SIC_MODES:
+                for method in ("closed", "asymptotic"):
+                    column = np.broadcast_to(analysis.EVALUATORS[method, kind](config, roles, dc, mode), rho.shape)
+                    for db, value in zip(grid, column.tolist()):
+                        at = replace(config, rho_db=db)
+                        assert repr(value) == repr(self.scalar(method, at, signal, mode))
+            oma = np.broadcast_to(oma_outage(config, signal, rho), rho.shape)
+            for db, value in zip(grid, oma.tolist()):
+                assert repr(value) == repr(oma_outage(replace(config, rho_db=db), signal))
+
+    def test_zero_over_zero_raises_at_its_point(self, monkeypatch):
+        # From 1090 dB rho*a_2*omega_2 overflows, so x1's in-pair interference rate is 0, and with a zero
+        # rate the Laplace argument is 0 too: 0/0, which is NaN on a grid but ZeroDivisionError on floats.
+        config = SystemConfig(omega=(0.25, 1e200, 0.25, 1e200), rates=(0.0, 0.01, 0.0, 0.01))
+        assert analysis.closed_outage(replace(config, rho_db=1080.0), "x1", "ipSIC") == 0.0
+        with pytest.raises(ZeroDivisionError):
+            analysis.closed_outage(replace(config, rho_db=1090.0), "x1", "ipSIC")
+        calls = count_engine_calls(monkeypatch)
+        spec = SweepSpec(config=config, rho_min_db=1000.0, rho_max_db=1200.0, rho_step_db=10.0,
+                         methods=("mc", "closed"), signals=("x1",), sic_modes=("ipSIC",), trials=2000)
+        with pytest.raises(ZeroDivisionError, match="float division by zero"):
+            run_sweep(spec)
+        # every point up to the failing one did its MC work first, as a sweep point by point does
+        assert [rho_db for rho_db, _, _ in calls] == [1000.0 + 10.0 * i for i in range(10)]
+
+    def test_exact_exp_follows_math_exp(self):
+        x = -np.geomspace(1e-300, 700.0, 2001)
+        assert model.exact_exp(x).tolist() == [math.exp(v) for v in x.tolist()]
+        assert model.exact_exp(-1.5) == math.exp(-1.5) and type(model.exact_exp(-1.5)) is float
 
 
 class TestThroughputRows:
@@ -347,17 +517,36 @@ class TestThroughputRows:
         assert len(rows) == 3 * 2
         assert calls == [(db, ("x1", "x2", "x3", "x4"), ("ipSIC", "pSIC")) for db in (0.0, 5.0, 10.0)]
 
-    def test_one_constant_build_per_point_and_group(self, monkeypatch):
+    def test_one_constant_build_per_role_group_per_sweep(self, monkeypatch):
         calls = count_constant_builds(monkeypatch)
         spec = SweepSpec(
             config=table_config(), rho_min_db=0.0, rho_max_db=10.0, rho_step_db=5.0, methods=("closed", "oma"),
         )
         rows = throughput_rows(spec)
         assert len(rows) == 3 * 2 * 2
-        assert calls == [(db, roles) for db in (0.0, 5.0, 10.0) for roles in (GROUP_ONE, GROUP_TWO)]
+        assert [roles for roles, _ in calls] == [GROUP_ONE, GROUP_TWO]
+        grid_rho = [replace(table_config(), rho_db=db).rho for db in (0.0, 5.0, 10.0)]
+        assert all(rho.tolist() == grid_rho for _, rho in calls)
 
     def test_frozen_output_bytes(self, capsys):
         assert cli_sha256(capsys, FROZEN_THROUGHPUT_ARGV) == FROZEN_THROUGHPUT_SHA256
+
+    @pytest.mark.parametrize("finished_at, oma_at, error, message", [
+        (2, 1, ConfigError, "outage probabilities must lie in [0, 1]"),
+        (1, 2, NumericError, "outage evaluation left [0, 1] by more than the clamp gate: 1.25"),
+        (1, 1, NumericError, "outage evaluation left [0, 1] by more than the clamp gate: 1.25"),
+    ])
+    def test_earlier_point_raises_first(self, monkeypatch, finished_at, oma_at, error, message):
+        finished = bad_at(finished_at, 1.25)
+        monkeypatch.setitem(analysis.EVALUATORS, ("closed", "t"),
+                            lambda config, roles, dc, mode: analysis._finish_probability(finished(dc.rho)))
+        oma = bad_at(oma_at)
+        monkeypatch.setattr(experiments, "oma_outage", lambda config, signal, rho: oma(rho))
+        spec = SweepSpec(
+            config=table_config(), rho_min_db=0.0, rho_max_db=10.0, rho_step_db=5.0, methods=("oma", "closed"),
+        )
+        with pytest.raises(error, match=re.escape(message)):
+            throughput_rows(spec)
 
     def test_bad_method_rejected_before_any_work(self, monkeypatch):
         calls = count_engine_calls(monkeypatch)
