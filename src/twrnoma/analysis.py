@@ -16,7 +16,9 @@ check the signal and the mode and then call the evaluator that
 floats. A sweep, which has checked both already, calls the evaluator
 directly with derived constants built over its whole SNR grid: the same
 code then runs on arrays, each entry bit for bit the float result at its
-point.
+point. On a grid, an entry outside [0, 1] by more than the clamp gate
+raises ``NumericError`` for the whole column; which point fails, and how,
+is what the float evaluation at that point says.
 """
 
 from __future__ import annotations
@@ -194,18 +196,11 @@ def _finish_probability(raw: Grid) -> Grid:
     """``raw`` clamped into [0, 1], entry by entry for a grid.
 
     A value that is not finite or that strays further than ``CLAMP_GATE``
-    raises ``NumericError``. For a grid, the first such entry raises what it
-    raises as a float, with its grid index as ``point``.
+    raises ``NumericError``; for a grid, any such entry does.
     """
     if isinstance(raw, np.ndarray):
-        bad = ~((raw >= -CLAMP_GATE) & (raw <= 1.0 + CLAMP_GATE))  # NaN fails too
-        if bad.any():
-            point = int(bad.argmax())
-            try:
-                _finish_probability(float(raw[point]))
-            except NumericError as exc:
-                exc.point = point
-                raise
+        if not ((raw >= -CLAMP_GATE) & (raw <= 1.0 + CLAMP_GATE)).all():  # NaN fails too
+            raise NumericError("outage evaluation left [0, 1] by more than the clamp gate on an SNR grid")
         # clamped as min(max(raw, 0.0), 1.0) clamps a float
         raw = np.where(0.0 > raw, 0.0, raw)
         return np.where(1.0 < raw, 1.0, raw)

@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
 Two failure families map onto the CLI exit codes: configuration problems
-(exit 1) and numeric/oracle problems (exit 2).
+(exit 1) and numeric/oracle problems (exit 2). The CLI also reports a
+``ZeroDivisionError`` of the evaluators as a numeric problem (exit 2).
 """
 
 
@@ -10,13 +11,7 @@ class ConfigError(ValueError):
 
 
 class NumericError(ArithmeticError):
-    """A computed quantity left its admissible range (NaN, overflow, bad probability).
-
-    ``point`` is the grid index of the offending value when the quantity was
-    evaluated over a whole SNR grid at once, and ``None`` otherwise.
-    """
-
-    point: int | None = None
+    """A computed quantity left its admissible range (NaN, overflow, bad probability)."""
 
 
 class OracleError(NumericError):

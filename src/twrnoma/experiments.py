@@ -164,90 +164,62 @@ def oma_outage(config: SystemConfig, signal: str, rho: Grid | None = None) -> Gr
     return 1.0 - hop_src * hop_dst
 
 
-def _linear_grid(grid_db: list[float]) -> np.ndarray:
-    """The linear transmit SNR at each grid point, converted as its config converts it."""
-    return np.array([db_to_linear(rho_db) for rho_db in grid_db])
+def _columns(config: SystemConfig, rho: Grid, signals, modes, methods, finish=lambda column: column) -> dict:
+    """The closed, asymptotic and TDMA outage of each (signal, mode) at the linear SNR ``rho``.
+
+    ``rho`` is a float, or an array over an SNR grid, each entry bit for bit
+    the value of its point alone. The derived constants of every role group
+    are built first, then each (method, signal, mode) is evaluated in that
+    order, so an error is the first one met in that order. The TDMA outage
+    does not read the SIC mode and is evaluated once per signal.
+    ``finish`` maps each evaluated value to the one listed under
+    ``(method, signal, mode)``.
+    """
+    methods = [method for method in methods if method in _GRID_METHODS]
+    constants = {}
+    if "closed" in methods or "asymptotic" in methods:
+        groups = dict.fromkeys(SIGNAL_ROLES[signal][0] for signal in signals)
+        constants = {roles: build_derived_constants(config, roles, rho) for roles in groups}
+    values = {}
+    for method in methods:
+        for signal in signals:
+            if method == "oma":
+                column = finish(oma_outage(config, signal, rho))
+                values.update(((method, signal, mode), column) for mode in modes)
+                continue
+            roles, kind = SIGNAL_ROLES[signal]
+            evaluator = analysis.EVALUATORS[method, kind]
+            for mode in modes:
+                values[method, signal, mode] = finish(evaluator(config, roles, constants[roles], mode))
+    return values
 
 
-class _GridColumns:
-    """The closed, asymptotic and TDMA outage of each (signal, mode) over a whole SNR grid.
+def _grid_columns(config: SystemConfig, grid_db: list[float], signals, modes, methods) -> dict | None:
+    """The closed, asymptotic and TDMA columns over the whole SNR grid ``grid_db``, as lists of floats.
 
     One set of derived constants per role group and one evaluator call per
-    (method, signal, mode) serve every point, and each value is bit for bit
-    the one its point gives alone. The TDMA outage does not read the SIC
-    mode and is computed once per signal. ``values[method, signal, mode]``
-    lists a column as Python floats.
-
-    A closed or asymptotic column whose evaluation fails at grid index ``q``
-    lists only the points before it. ``failures[q]`` holds the error that
-    point raises alone, of the first such column in (method, signal, mode)
-    order; a sweep raises it when it reaches the point, after the work that
-    comes first there. ``stop`` is the first index at which any column fails
-    or leaves [0, 1], the grid's length if none does.
+    (method, signal, mode) serve every point. ``None`` when any entry does
+    not evaluate cleanly: an SNR that overflows, an ``ArithmeticError`` or a
+    value outside [0, 1]. The caller then evaluates the points one by one,
+    which meets the error, if any, where the point alone meets it.
     """
+    rho = np.array([db_to_linear(rho_db) for rho_db in grid_db])  # converted as each point's config converts it
+    if not np.isfinite(rho).all():
+        return None
 
-    def __init__(self, config: SystemConfig, rho: np.ndarray, signals, modes, methods):
-        self.values: dict[tuple[str, str, str], list[float]] = {}
-        self.failures: dict[int, Exception] = {}
-        self.stop = len(rho)
-        try:
-            # inf and NaN arise silently, as on Python floats. A nonzero value
-            # divided by 0 raises, as there: every such divisor is free of the
-            # SNR or the SNR times a constant, so if any point meets one, the
-            # first point does, where a sweep point by point raised it first.
-            with np.errstate(all="ignore", divide="raise"):
-                self._evaluate(config, rho, signals, modes, [m for m in methods if m in _GRID_METHODS])
-        except FloatingPointError:
-            raise ZeroDivisionError("float division by zero") from None
-
-    def _evaluate(self, config, rho, signals, modes, methods) -> None:
-        constants = {}
-        if "closed" in methods or "asymptotic" in methods:
-            groups = dict.fromkeys(SIGNAL_ROLES[signal][0] for signal in signals)
-            constants = {roles: build_derived_constants(config, roles, rho) for roles in groups}
-        for method in methods:
-            for signal in signals:
-                if method == "oma":
-                    column = self._listed(oma_outage(config, signal, rho), rho)
-                    self.values.update(((method, signal, mode), column) for mode in modes)
-                    continue
-                roles, kind = SIGNAL_ROLES[signal]
-                evaluator = analysis.EVALUATORS[method, kind]
-                for mode in modes:
-                    try:
-                        column = self._listed(evaluator(config, roles, constants[roles], mode), rho)
-                    except NumericError as exc:
-                        column = self._failed(exc, rho, lambda at: evaluator(
-                            config, roles, build_derived_constants(config, roles, at), mode))
-                    self.values[method, signal, mode] = column
-
-    def _failed(self, exc: NumericError, rho: np.ndarray, evaluate) -> list[float]:
-        """The column before the point where ``exc`` arose; ``failures`` gets that point's own error.
-
-        ``evaluate(rho)`` evaluates the column at a float or an array ``rho``.
-        """
-        point = exc.point
-        try:
-            # a 0/0 gives NaN on the grid, but ZeroDivisionError at the point alone
-            evaluate(float(rho[point]))
-        except (NumericError, ZeroDivisionError) as alone:
-            exc = alone
-        self.failures.setdefault(point, exc)
-        self.stop = min(self.stop, point)
-        return self._listed(evaluate(rho[:point]), rho[:point])
-
-    def _listed(self, column, rho: np.ndarray) -> list[float]:
-        """``column``, a float or an array over ``rho``, as a list; an entry outside [0, 1] moves ``stop``."""
+    def listed(column) -> list[float]:
         column = np.broadcast_to(column, rho.shape)
-        outside = ~((0.0 <= column) & (column <= 1.0))  # NaN is outside too
-        if outside.any():
-            self.stop = min(self.stop, int(outside.argmax()))
+        if not ((0.0 <= column) & (column <= 1.0)).all():  # NaN fails too
+            raise NumericError("outage column out of range")
         return column.tolist()
 
-    def raise_failure(self, point: int) -> None:
-        """Raise the error of the first column that fails at ``point``, if any."""
-        if point in self.failures:
-            raise self.failures[point]
+    try:
+        # inf and NaN arise silently, as on Python floats. x/0 raises: on the
+        # grid it could turn into a valid-looking exp(-inf).
+        with np.errstate(all="ignore", divide="raise"):
+            return _columns(config, rho, signals, modes, methods, listed)
+    except ArithmeticError:
+        return None
 
 
 class _GridPoint:
@@ -255,9 +227,12 @@ class _GridPoint:
 
     One validated config; the MC estimates of every (signal, mode) come from
     one engine call, and the quadrature values from one batched oracle call.
+    When the sweep has no whole-grid ``columns`` (``None``), the point also
+    evaluates its closed, asymptotic and TDMA ``values`` alone, after its MC
+    and quadrature work, as :func:`_columns` does at a float SNR.
     """
 
-    def __init__(self, spec: SweepSpec, rho_db: float, signals: tuple[str, ...]):
+    def __init__(self, spec: SweepSpec, rho_db: float, signals: tuple[str, ...], columns: dict | None):
         self.config = config = replace(spec.config, rho_db=rho_db)
         self.keys = [(signal, mode) for signal in signals for mode in spec.sic_modes]
         methods = spec.methods
@@ -267,9 +242,10 @@ class _GridPoint:
         self.quad: list[float] = []
         if "quad" in methods:
             self.quad = quad_outages([(config, signal, mode) for signal, mode in self.keys])
+        self.values = {} if columns is not None else _columns(config, config.rho, signals, spec.sic_modes, methods)
 
     def column(self, method: str) -> list[CurveRow]:
-        """The point's rows of ``method``, ``"mc"`` or ``"quad"``, one per (signal, mode) of ``keys``, in that order."""
+        """The point's rows of ``method``, one per (signal, mode) of ``keys``, in that order."""
         rho_db = self.config.rho_db
         if method == "mc":
             estimates = [self.mc[key] for key in self.keys]
@@ -277,16 +253,17 @@ class _GridPoint:
                 CurveRow(rho_db, signal, mode, method, est.p_hat, est.ci_low, est.ci_high, est.trials, est.seed)
                 for (signal, mode), est in zip(self.keys, estimates)
             ]
-        return [CurveRow(rho_db, signal, mode, method, value) for (signal, mode), value in zip(self.keys, self.quad)]
+        values = self.quad if method == "quad" else [self.values[method, signal, mode] for signal, mode in self.keys]
+        return [CurveRow(rho_db, signal, mode, method, value) for (signal, mode), value in zip(self.keys, values)]
 
 
-def _grid_rows(grid: list[float], columns: _GridColumns, method: str, keys) -> list[list[CurveRow]]:
-    """For each (signal, mode) of ``keys``, the rows of ``method``'s column at the points the column lists."""
+def _grid_rows(grid: list[float], columns: dict, method: str, keys) -> list[list[CurveRow]]:
+    """For each (signal, mode) of ``keys``, the rows of ``method``'s whole-grid column."""
     # the tuple CurveRow's own __new__ builds, without its argument parsing
     row = tuple.__new__
     return [
         [row(CurveRow, (rho_db, signal, mode, method, value, None, None, None, None))
-         for rho_db, value in zip(grid, columns.values[method, signal, mode])]
+         for rho_db, value in zip(grid, columns[method, signal, mode])]
         for signal, mode in keys
     ]
 
@@ -295,26 +272,26 @@ def run_sweep(spec: SweepSpec) -> list[CurveRow]:
     """Evaluate the grid; one row per (SNR point, signal, mode, method).
 
     Closed, asymptotic and TDMA columns are evaluated over the whole grid at
-    once, MC and quadrature one SNR point at a time. Rows come in grid order,
-    and every outage value is range-checked; the first error is the one an
-    evaluation point by point would meet first.
+    once when all of them evaluate cleanly there, and point by point
+    otherwise; MC and quadrature run one SNR point at a time. Rows come in
+    grid order, and every outage value is range-checked.
     """
     grid = _evaluated_grid_db(spec)
-    columns = _GridColumns(spec.config, _linear_grid(grid), spec.signals, spec.sic_modes, spec.methods)
+    columns = _grid_columns(spec.config, grid, spec.signals, spec.sic_modes, spec.methods)
     keys = [(signal, mode) for signal in spec.signals for mode in spec.sic_modes]
-    per_point = [method for method in spec.methods if method not in _GRID_METHODS]
-    # per method, the rows of each key at every point its column lists
-    listed = {method: _grid_rows(grid, columns, method, keys) for method in spec.methods if method in _GRID_METHODS}
+    # per method, the rows of each key at every point
+    listed = {} if columns is None else {
+        method: _grid_rows(grid, columns, method, keys) for method in spec.methods if method in _GRID_METHODS
+    }
+    per_point = [method for method in spec.methods if method not in listed]
     rows: list[CurveRow] = []
     for i, rho_db in enumerate(grid):
-        point = _GridPoint(spec, rho_db, spec.signals) if per_point else None
-        if i == columns.stop:
-            columns.raise_failure(i)
-        cells = [point.column(method) if method in per_point else [rows_of_key[i] for rows_of_key in listed[method]]
+        point = _GridPoint(spec, rho_db, spec.signals, columns) if per_point else None
+        cells = [[rows_of_key[i] for rows_of_key in listed[method]] if method in listed else point.column(method)
                  for method in spec.methods]
         point_rows = [row for cells_of_key in zip(*cells) for row in cells_of_key]
-        # before ``stop`` the whole-grid columns are in range, and only MC and quadrature rows need the check
-        for row in point_rows if per_point or i == columns.stop else ():
+        # the whole-grid columns are in range; only rows evaluated at the point need the check
+        for row in point_rows if per_point else ():
             if not 0.0 <= row.value <= 1.0:  # NaN fails too
                 raise NumericError(
                     f"outage row out of range: {row.signal} {row.method} at {rho_db} dB -> {row.value!r}"
@@ -330,24 +307,24 @@ def throughput_rows(spec: SweepSpec) -> list[CurveRow]:
     must be among ``THROUGHPUT_METHODS``; the spec's signals do not enter,
     since every row sums all four. Rows carry signal tag ``"sum"``; MC rows
     use the spec's trial count and seed, with one engine call per SNR point.
-    The closed and TDMA outage curves are evaluated over the whole grid at once.
+    The closed and TDMA outage curves come as :func:`run_sweep` evaluates them.
     """
     for method in spec.methods:
         if method not in THROUGHPUT_METHODS:
             raise ConfigError(f"throughput supports closed, mc or oma, not {method!r}")
     grid = _evaluated_grid_db(spec)
-    columns = _GridColumns(spec.config, _linear_grid(grid), SIGNALS, spec.sic_modes, spec.methods)
+    columns = _grid_columns(spec.config, grid, SIGNALS, spec.sic_modes, spec.methods)
     rows: list[CurveRow] = []
     for i, rho_db in enumerate(grid):
-        point = _GridPoint(spec, rho_db, SIGNALS) if "mc" in spec.methods else None
-        if i == columns.stop:
-            columns.raise_failure(i)
+        point = _GridPoint(spec, rho_db, SIGNALS, columns) if "mc" in spec.methods or columns is None else None
         for mode in spec.sic_modes:
             for method in spec.methods:
                 if method == "mc":
                     outages = [point.mc[signal, mode].p_hat for signal in SIGNALS]
+                elif columns is None:
+                    outages = [point.values[method, signal, mode] for signal in SIGNALS]
                 else:
-                    outages = [columns.values[method, signal, mode][i] for signal in SIGNALS]
+                    outages = [columns[method, signal, mode][i] for signal in SIGNALS]
                 value = analysis.throughput_delay_limited(spec.config, outages)
                 rows.append(CurveRow(rho_db, "sum", mode, method, value,
                                      trials=spec.trials if method == "mc" else None,
@@ -368,8 +345,14 @@ def crossover_snr_db(
 
     Scans for the first sign change of (superposed - orthogonal) from below
     and refines it by bisection; returns ``None`` when the curves do not
-    cross on the window. Deterministic: no randomness is involved.
+    cross on the window. Deterministic: no randomness is involved. A window
+    that :class:`SweepSpec` rejects as a grid, with ``scan_step_db`` as its
+    step, or a ``tol_db`` that is not positive and finite raises
+    ``ConfigError`` before any evaluation.
     """
+    SweepSpec(config, rho_min_db, rho_max_db, scan_step_db)  # the window's grid checks and size cap
+    if not (tol_db > 0.0 and math.isfinite(tol_db)):
+        raise ConfigError(f"tol_db must be positive and finite, got {tol_db!r}")
 
     def diff(rho_db: float) -> float:
         at = replace(config, rho_db=rho_db)
@@ -382,23 +365,20 @@ def crossover_snr_db(
     previous = diff(grid[0])  # checks the signal, the mode and the config at the first point
     if previous > 0.0:
         return None  # already above the baseline at the low end
-    # The scan takes whole-grid columns. The config checks that read the SNR
-    # are monotone in it: past the first point, only an SNR that overflows
-    # fails them, so the columns stop short of the first such point.
-    rho = _linear_grid(grid)
-    finite = np.isfinite(rho)
-    valid = len(grid) if finite.all() else int(finite.argmin())
-    columns = _GridColumns(config, rho[:valid], (signal,), (mode,), ("closed", "oma"))
-    closed, oma = columns.values["closed", signal, mode], columns.values["oma", signal, mode]
+    # The config checks that read the SNR are monotone in it: past the first
+    # point only an SNR that overflows fails them, and the columns fall back there.
+    columns = _grid_columns(config, grid, (signal,), (mode,), ("closed", "oma"))
     for i in range(1, len(grid)):
-        if i == valid:
-            replace(config, rho_db=grid[i])  # raises what the scan would meet there
-        columns.raise_failure(i)
-        current = closed[i] - oma[i]
+        if columns is None:
+            current = diff(grid[i])
+        else:
+            current = columns["closed", signal, mode][i] - columns["oma", signal, mode][i]
         if previous <= 0.0 < current:
             lo, hi = grid[i] - scan_step_db, grid[i]
             while hi - lo > tol_db:
                 mid = 0.5 * (lo + hi)
+                if not lo < mid < hi:
+                    break  # lo and hi are adjacent floats: tol_db is below their spacing
                 if diff(mid) > 0.0:
                     hi = mid
                 else:

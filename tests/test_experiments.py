@@ -495,6 +495,104 @@ class TestWholeGridColumns:
         assert model.exact_exp(-1.5) == math.exp(-1.5) and type(model.exact_exp(-1.5)) is float
 
 
+def outcome(call):
+    """The repr of what ``call()`` returns, or the type and text of what it raises."""
+    try:
+        return repr(call())
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def extreme_scenarios(count, seed):
+    """Random (config, (rho_min_db, rho_max_db, step_db)) at the float edges that SystemConfig accepts.
+
+    Variances reach 1e-150..1e250, rates 0 or 1e-16..30 BPCU, varpi 0 or down to
+    1e-8, and windows run from -1500 dB up to about 3200 dB, past the grid's
+    overflow. The first is the 0/0 scenario, which fails from 1090 dB on.
+    """
+    rng = np.random.default_rng(seed)
+    found = [(SystemConfig(omega=(0.25, 1e200, 0.25, 1e200), rates=(0.0, 0.01, 0.0, 0.01)), (1000.0, 1200.0, 10.0))]
+    while len(found) < count:
+        a1, a3 = (float(a) for a in rng.uniform(0.5, 0.999, 2))
+        b1, b3 = (float(b) for b in rng.uniform(0.001, 0.49, 2))
+        omega = tuple(float(10.0 ** (rng.uniform(-150, 250) if rng.uniform() < 0.5 else rng.uniform(-3, 1)))
+                      for _ in range(4))
+        rates = tuple(0.0 if rng.uniform() < 0.3 else float(10.0 ** rng.uniform(-16, 1.5)) for _ in range(4))
+        varpi1, varpi2 = (0.0 if rng.uniform() < 0.3 else float(10.0 ** rng.uniform(-8, 0)) for _ in range(2))
+        rho_min_db = float(rng.uniform(-1500, 2900))
+        window = (rho_min_db, rho_min_db + float(rng.uniform(0, 300)), float(rng.uniform(5, 40)))
+        try:
+            config = SystemConfig(a=(a1, 1 - a1, a3, 1 - a3), b=(b1, 1 - b1, b3, 1 - b3), omega=omega,
+                                  omega_i_db=float(rng.uniform(-300, 100)), varpi1=varpi1, varpi2=varpi2, rates=rates)
+        except ConfigError:
+            continue
+        found.append((config, window))
+    return found
+
+
+class TestPointByPointFallback:
+    """Point by point, sweeps, throughput and crossover scans give the whole-grid rows, or raise the same error."""
+
+    def check_same(self, monkeypatch, spec, crossings=()):
+        """The outcomes of ``spec``'s sweep and throughput and of each of ``crossings``, equal both ways."""
+        throughput = tuple(m for m in spec.methods if m in experiments.THROUGHPUT_METHODS) or ("closed",)
+        calls = [lambda: run_sweep(spec), lambda: throughput_rows(replace(spec, methods=throughput))]
+        calls += [lambda signal=signal, mode=mode, window=window: crossover_snr_db(spec.config, signal, mode, *window)
+                  for signal, mode, window in crossings]
+        grid = [outcome(call) for call in calls]
+        with monkeypatch.context() as patched:
+            # no whole-grid columns: every closed, asymptotic and TDMA value is evaluated at its point
+            patched.setattr(experiments, "_grid_columns", lambda *args: None)
+            assert [outcome(call) for call in calls] == grid
+        return grid
+
+    def test_frozen_sweep_with_mc_and_quad(self, monkeypatch):
+        # the FROZEN_SWEEP_ARGV scenario and grid, with MC and quadrature rows between the others
+        spec = SweepSpec(config=SystemConfig(varpi1=0.02, omega_i_db=-13.0), rho_min_db=1.23, rho_max_db=45.0,
+                         rho_step_db=0.35, methods=("closed", "mc", "asymptotic", "quad", "oma"),
+                         signals=experiments.SIGNALS, sic_modes=SIC_MODES, trials=1000, seed=7)
+        assert experiments._grid_columns(spec.config, spec.rho_grid_db(), spec.signals, spec.sic_modes,
+                                         spec.methods) is not None
+        crossings = [(signal, mode, (0.0, 45.0)) for signal in experiments.SIGNALS for mode in SIC_MODES]
+        sweep, tp, *crossed = self.check_same(monkeypatch, spec, crossings)
+        assert sweep.startswith("[CurveRow(rho_db=1.23, signal='x1', sic_mode='ipSIC', method='closed'")
+        assert tp.startswith("[CurveRow(rho_db=1.23, signal='sum'") and "method='mc'" in tp
+        assert any(crossing != "None" for crossing in crossed)
+
+    @pytest.mark.parametrize("name", list(edge_scenarios()))
+    def test_edge_scenarios(self, monkeypatch, name):
+        config = edge_scenarios()[name]
+        grid = (2000.0, 3080.0, 7.3) if name == "subnormal tau_l" else (-60.0, 200.0, 4.7)
+        spec = SweepSpec(config=config, rho_min_db=grid[0], rho_max_db=grid[1], rho_step_db=grid[2],
+                         methods=("closed", "asymptotic", "oma"), signals=experiments.SIGNALS, sic_modes=SIC_MODES)
+        crossings = [(signal, mode, (0.0, 45.0)) for signal in experiments.SIGNALS for mode in SIC_MODES]
+        sweep, tp, *_ = self.check_same(monkeypatch, spec, crossings)
+        assert sweep.startswith("[CurveRow(") and tp.startswith("[CurveRow(")
+
+    def test_extreme_scenarios(self, monkeypatch):
+        fallbacks = []
+        grid_columns = experiments._grid_columns
+
+        def counted(*args):
+            columns = grid_columns(*args)
+            fallbacks.append(columns is None)
+            return columns
+
+        monkeypatch.setattr(experiments, "_grid_columns", counted)
+        outcomes = []
+        for k, (config, window) in enumerate(extreme_scenarios(200, seed=1313)):
+            methods = ("closed", "asymptotic", "oma")[k % 3:] + (("mc",) if k % 30 == 0 else ())
+            spec = SweepSpec(config=config, rho_min_db=window[0], rho_max_db=window[1], rho_step_db=window[2],
+                             methods=methods, signals=experiments.SIGNALS, sic_modes=SIC_MODES, trials=1000)
+            crossing = (experiments.SIGNALS[k % 4], SIC_MODES[k % 2], window)
+            outcomes += self.check_same(monkeypatch, spec, [crossing])
+        assert outcomes[0] == "ZeroDivisionError: float division by zero"  # the 0/0 scenario's sweep
+        # both paths were taken, and calls both listed rows and raised
+        assert any(fallbacks) and not all(fallbacks)
+        assert sum(o.startswith("[CurveRow(") for o in outcomes) > 100
+        assert sum(o.startswith(("ZeroDivisionError", "NumericError")) for o in outcomes) > 10
+
+
 class TestThroughputRows:
     def test_composition_matches_direct_formula(self):
         spec = SweepSpec(
@@ -582,6 +680,41 @@ class TestCrossover:
         # superposed scheme stays below the baseline over the window
         cfg = table_config(varpi1=0.0, varpi2=0.0)
         assert crossover_snr_db(cfg, "x2", "pSIC", rho_max_db=30.0) is None
+
+    @pytest.mark.parametrize("window, message", [
+        (dict(tol_db=0.0), "tol_db must be positive and finite"),
+        (dict(tol_db=-1e-6), "tol_db must be positive and finite"),
+        (dict(tol_db=math.nan), "tol_db must be positive and finite"),
+        (dict(tol_db=math.inf), "tol_db must be positive and finite"),
+        (dict(scan_step_db=1e-300), "more than 100000 points"),
+        (dict(scan_step_db=0.0), "rho_step_db must be positive"),
+        (dict(scan_step_db=-0.25), "rho_step_db must be positive"),
+        (dict(rho_min_db=10.0, rho_max_db=5.0), "empty SNR grid"),
+        (dict(rho_min_db=math.nan), "must be finite"),
+        (dict(rho_max_db=math.nan), "must be finite"),
+        (dict(scan_step_db=math.inf), "must be finite"),
+    ], ids=lambda value: str(value))
+    def test_window_it_cannot_scan_rejected_before_any_evaluation(self, monkeypatch, window, message):
+        def forbidden(*args):
+            raise AssertionError("no outage may be evaluated")
+
+        monkeypatch.setattr(analysis, "closed_outage", forbidden)
+        monkeypatch.setattr(experiments, "oma_outage", forbidden)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            crossover_snr_db(table_config(), "x1", "ipSIC", **window)
+
+    def test_scan_raises_where_the_window_overflows(self):
+        # the TDMA outage at an infinite SNR is a valid-looking 0, so an overflowing
+        # window is scanned point by point, and the first overflowing point's config raises
+        assert experiments._grid_columns(SystemConfig(), [3000.0, 3090.0], ("x1",), ("ipSIC",), ("oma",)) is None
+        with pytest.raises(ConfigError, match="rho_db = 3090 dB overflows in linear units"):
+            crossover_snr_db(table_config(rates=(0.0, 0.0, 0.0, 0.0)), "x1", "ipSIC", 3000.0, 3100.0, 10.0)
+
+    def test_tolerance_below_the_float_spacing_ends(self):
+        # bisection stops at adjacent floats instead of looping on them
+        cfg = table_config()
+        fine = crossover_snr_db(cfg, "x1", "ipSIC", tol_db=1e-300)
+        assert fine == pytest.approx(crossover_snr_db(cfg, "x1", "ipSIC"), abs=1e-6)
 
 
 class TestFigurePresets:
@@ -837,6 +970,22 @@ class TestCli:
         assert cli.main(["outage", "--config", str(scenario), "--methods", "closed"]) == 1
         captured = capsys.readouterr()
         assert "configuration error: " in captured.err and "unknown key 'sic_mode'" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["outage", "--rho-db", "1090"],
+        ["sweep", "--rho-min-db", "1000", "--rho-max-db", "1200", "--rho-step-db", "10"],
+        ["throughput", "--rho-min-db", "1000", "--rho-max-db", "1200", "--rho-step-db", "10"],
+        ["diversity", "--rho-lo-db", "1085", "--rho-hi-db", "1095"],
+    ])
+    def test_zero_over_zero_exits_two(self, argv, tmp_path, capsys):
+        # from 1090 dB x1's in-pair interference rate and its Laplace argument are both 0
+        scenario = tmp_path / "s.cfg"
+        scenario.write_text("omega1 = 0.25\nomega2 = 1e200\nomega3 = 0.25\nomega4 = 1e200\n"
+                            "r1 = 0\nr2 = 0.01\nr3 = 0\nr4 = 0.01\n", encoding="utf-8")
+        assert cli.main([*argv, "--config", str(scenario)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "numeric error: float division by zero\n"
         assert captured.out == ""
 
     def test_unknown_method_exits_one(self, capsys):
