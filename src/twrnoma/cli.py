@@ -130,12 +130,13 @@ def _split(csv_list: str, allowed: tuple[str, ...], what: str) -> tuple[str, ...
     return items
 
 
-def _emit(rows, args) -> None:
-    if args.out:
-        experiments.write_rows(rows, args.out, args.format)
-        print(f"wrote {len(rows)} rows to {args.out}")
+def _emit(rows, out: str | None, fmt: str) -> None:
+    """``rows`` in format ``fmt`` to the file ``out``, or to stdout when it is ``None``."""
+    if out:
+        experiments.write_rows(rows, out, fmt)
+        print(f"wrote {len(rows)} rows to {out}")
     else:
-        text = experiments.rows_to_csv(rows) if args.format == "csv" else experiments.rows_to_json(rows)
+        text = experiments.rows_to_csv(rows) if fmt == "csv" else experiments.rows_to_json(rows)
         sys.stdout.write(text)
 
 
@@ -157,12 +158,12 @@ def _sweep_spec(args, methods: tuple[str, ...], **selection) -> experiments.Swee
 def _cmd_sweep(args) -> int:
     # also ``outage``: a sweep of one point
     signals = _split(args.signals, experiments.SIGNALS, "signal")
-    _emit(experiments.run_sweep(_sweep_spec(args, experiments.METHODS, signals=signals)), args)
+    _emit(experiments.run_sweep(_sweep_spec(args, experiments.METHODS, signals=signals)), args.out, args.format)
     return 0
 
 
 def _cmd_throughput(args) -> int:
-    _emit(experiments.throughput_rows(_sweep_spec(args, experiments.THROUGHPUT_METHODS)), args)
+    _emit(experiments.throughput_rows(_sweep_spec(args, experiments.THROUGHPUT_METHODS)), args.out, args.format)
     return 0
 
 
@@ -202,16 +203,13 @@ def _cmd_figure(args) -> int:
     settings = _run_settings(args)
     variants = experiments.figure_preset(args.id, trials=settings.trials, seed=settings.seed)
     for label, rows in variants.items():
+        target = None
         if args.out:
             path = Path(args.out)
-            target = path if not label else path.with_name(f"{path.stem}_{label}{path.suffix}")
-            experiments.write_rows(rows, str(target), args.format)
-            print(f"wrote {len(rows)} rows to {target}")
-        else:
-            if label:
-                print(f"# variant: {label}")
-            text = experiments.rows_to_csv(rows) if args.format == "csv" else experiments.rows_to_json(rows)
-            sys.stdout.write(text)
+            target = str(path if not label else path.with_name(f"{path.stem}_{label}{path.suffix}"))
+        elif label:
+            print(f"# variant: {label}")
+        _emit(rows, target, args.format)
     if args.id == 1:
         for signal in ("x1", "x2"):
             for mode in SIC_MODES:

@@ -35,7 +35,7 @@ from .model import (
     exact_exp,
     signal_roles,
 )
-from .montecarlo import DEFAULT_TRIALS, OutageEstimate, mc_outage
+from .montecarlo import DEFAULT_TRIALS, OutageEstimate, check_trials, mc_outage
 from .oracle import QuadSpec, quad_outages
 
 METHODS = ("closed", "asymptotic", "mc", "quad", "oma")
@@ -114,6 +114,8 @@ class SweepSpec:
             check_sic_mode(mode)
         if not self.methods or not self.signals or not self.sic_modes:
             raise ConfigError("methods, signals and sic_modes must be non-empty")
+        if "mc" in self.methods:
+            check_trials(self.trials)
 
     def _point_count(self) -> int | float:
         # infinite when the span overflows or the step underflows it
@@ -164,8 +166,8 @@ def oma_outage(config: SystemConfig, signal: str, rho: Grid | None = None) -> Gr
     return 1.0 - hop_src * hop_dst
 
 
-def _columns(config: SystemConfig, rho: Grid, signals, modes, methods, finish=lambda column: column) -> dict:
-    """The closed, asymptotic and TDMA outage of each (signal, mode) at the linear SNR ``rho``.
+def _columns(config: SystemConfig, rho: Grid, spec: SweepSpec, finish=lambda column: column) -> dict:
+    """The closed, asymptotic and TDMA outage of each (signal, mode) of ``spec`` at the linear SNR ``rho``.
 
     ``rho`` is a float, or an array over an SNR grid, each entry bit for bit
     the value of its point alone. The derived constants of every role group
@@ -175,27 +177,27 @@ def _columns(config: SystemConfig, rho: Grid, signals, modes, methods, finish=la
     ``finish`` maps each evaluated value to the one listed under
     ``(method, signal, mode)``.
     """
-    methods = [method for method in methods if method in _GRID_METHODS]
+    methods = [method for method in spec.methods if method in _GRID_METHODS]
     constants = {}
     if "closed" in methods or "asymptotic" in methods:
-        groups = dict.fromkeys(SIGNAL_ROLES[signal][0] for signal in signals)
+        groups = dict.fromkeys(SIGNAL_ROLES[signal][0] for signal in spec.signals)
         constants = {roles: build_derived_constants(config, roles, rho) for roles in groups}
     values = {}
     for method in methods:
-        for signal in signals:
+        for signal in spec.signals:
             if method == "oma":
                 column = finish(oma_outage(config, signal, rho))
-                values.update(((method, signal, mode), column) for mode in modes)
+                values.update(((method, signal, mode), column) for mode in spec.sic_modes)
                 continue
             roles, kind = SIGNAL_ROLES[signal]
             evaluator = analysis.EVALUATORS[method, kind]
-            for mode in modes:
+            for mode in spec.sic_modes:
                 values[method, signal, mode] = finish(evaluator(config, roles, constants[roles], mode))
     return values
 
 
-def _grid_columns(config: SystemConfig, grid_db: list[float], signals, modes, methods) -> dict | None:
-    """The closed, asymptotic and TDMA columns over the whole SNR grid ``grid_db``, as lists of floats.
+def _grid_columns(spec: SweepSpec, grid_db: list[float]) -> dict | None:
+    """``spec``'s closed, asymptotic and TDMA columns over the whole SNR grid ``grid_db``, as lists of floats.
 
     One set of derived constants per role group and one evaluator call per
     (method, signal, mode) serve every point. ``None`` when any entry does
@@ -217,7 +219,7 @@ def _grid_columns(config: SystemConfig, grid_db: list[float], signals, modes, me
         # inf and NaN arise silently, as on Python floats. x/0 raises: on the
         # grid it could turn into a valid-looking exp(-inf).
         with np.errstate(all="ignore", divide="raise"):
-            return _columns(config, rho, signals, modes, methods, listed)
+            return _columns(spec.config, rho, spec, listed)
     except ArithmeticError:
         return None
 
@@ -225,24 +227,24 @@ def _grid_columns(config: SystemConfig, grid_db: list[float], signals, modes, me
 class _GridPoint:
     """The work a sweep does one SNR point at a time.
 
-    One validated config; the MC estimates of every (signal, mode) come from
-    one engine call, and the quadrature values from one batched oracle call.
-    When the sweep has no whole-grid ``columns`` (``None``), the point also
-    evaluates its closed, asymptotic and TDMA ``values`` alone, after its MC
-    and quadrature work, as :func:`_columns` does at a float SNR.
+    One validated config at ``rho_db``, with the spec's signals, modes and
+    methods; the MC estimates of every (signal, mode) come from one engine
+    call, and the quadrature values from one batched oracle call. When the
+    sweep has no whole-grid ``columns`` (``None``), the point also evaluates
+    its closed, asymptotic and TDMA ``values`` alone, after its MC and
+    quadrature work, as :func:`_columns` does at a float SNR.
     """
 
-    def __init__(self, spec: SweepSpec, rho_db: float, signals: tuple[str, ...], columns: dict | None):
+    def __init__(self, spec: SweepSpec, rho_db: float, columns: dict | None):
         self.config = config = replace(spec.config, rho_db=rho_db)
-        self.keys = [(signal, mode) for signal in signals for mode in spec.sic_modes]
-        methods = spec.methods
+        self.keys = [(signal, mode) for signal in spec.signals for mode in spec.sic_modes]
         self.mc: dict[tuple[str, str], OutageEstimate] = {}
-        if "mc" in methods:
-            self.mc = mc_outage(config, signals, spec.sic_modes, trials=spec.trials, seed=spec.seed)
+        if "mc" in spec.methods:
+            self.mc = mc_outage(config, spec.signals, spec.sic_modes, trials=spec.trials, seed=spec.seed)
         self.quad: list[float] = []
-        if "quad" in methods:
+        if "quad" in spec.methods:
             self.quad = quad_outages([(config, signal, mode) for signal, mode in self.keys])
-        self.values = {} if columns is not None else _columns(config, config.rho, signals, spec.sic_modes, methods)
+        self.values = {} if columns is not None else _columns(config, config.rho, spec)
 
     def column(self, method: str) -> list[CurveRow]:
         """The point's rows of ``method``, one per (signal, mode) of ``keys``, in that order."""
@@ -277,7 +279,7 @@ def run_sweep(spec: SweepSpec) -> list[CurveRow]:
     grid order, and every outage value is range-checked.
     """
     grid = _evaluated_grid_db(spec)
-    columns = _grid_columns(spec.config, grid, spec.signals, spec.sic_modes, spec.methods)
+    columns = _grid_columns(spec, grid)
     keys = [(signal, mode) for signal in spec.signals for mode in spec.sic_modes]
     # per method, the rows of each key at every point
     listed = {} if columns is None else {
@@ -286,7 +288,7 @@ def run_sweep(spec: SweepSpec) -> list[CurveRow]:
     per_point = [method for method in spec.methods if method not in listed]
     rows: list[CurveRow] = []
     for i, rho_db in enumerate(grid):
-        point = _GridPoint(spec, rho_db, spec.signals, columns) if per_point else None
+        point = _GridPoint(spec, rho_db, columns) if per_point else None
         cells = [[rows_of_key[i] for rows_of_key in listed[method]] if method in listed else point.column(method)
                  for method in spec.methods]
         point_rows = [row for cells_of_key in zip(*cells) for row in cells_of_key]
@@ -301,34 +303,29 @@ def run_sweep(spec: SweepSpec) -> list[CurveRow]:
 
 
 def throughput_rows(spec: SweepSpec) -> list[CurveRow]:
-    """Delay-limited throughput over the grid, composed from the four outage curves.
+    """Delay-limited throughput over the grid, summed from :func:`run_sweep`'s rows of all four signals.
 
     One row per (SNR point, SIC mode, method of ``spec.methods``), which
     must be among ``THROUGHPUT_METHODS``; the spec's signals do not enter,
     since every row sums all four. Rows carry signal tag ``"sum"``; MC rows
-    use the spec's trial count and seed, with one engine call per SNR point.
-    The closed and TDMA outage curves come as :func:`run_sweep` evaluates them.
+    carry the trial count and seed of their outage rows.
     """
     for method in spec.methods:
         if method not in THROUGHPUT_METHODS:
             raise ConfigError(f"throughput supports closed, mc or oma, not {method!r}")
-    grid = _evaluated_grid_db(spec)
-    columns = _grid_columns(spec.config, grid, SIGNALS, spec.sic_modes, spec.methods)
+    outages = run_sweep(replace(spec, signals=SIGNALS))
+    pairs = [(mode, method) for mode in spec.sic_modes for method in spec.methods]
+    width = len(SIGNALS) * len(pairs)
     rows: list[CurveRow] = []
-    for i, rho_db in enumerate(grid):
-        point = _GridPoint(spec, rho_db, SIGNALS, columns) if "mc" in spec.methods or columns is None else None
-        for mode in spec.sic_modes:
-            for method in spec.methods:
-                if method == "mc":
-                    outages = [point.mc[signal, mode].p_hat for signal in SIGNALS]
-                elif columns is None:
-                    outages = [point.values[method, signal, mode] for signal in SIGNALS]
-                else:
-                    outages = [columns[method, signal, mode][i] for signal in SIGNALS]
-                value = analysis.throughput_delay_limited(spec.config, outages)
-                rows.append(CurveRow(rho_db, "sum", mode, method, value,
-                                     trials=spec.trials if method == "mc" else None,
-                                     seed=spec.seed if method == "mc" else None))
+    # A point's rows are the ``width`` rows at its position, in (signal, mode,
+    # method) order; positions, not SNR values, tell points apart, since a grid
+    # may repeat a value.
+    for first in range(0, len(outages), width):
+        for offset, (mode, method) in enumerate(pairs):
+            of_signals = outages[first + offset:first + width:len(pairs)]
+            value = analysis.throughput_delay_limited(spec.config, [row.value for row in of_signals])
+            head = of_signals[0]
+            rows.append(CurveRow(head.rho_db, "sum", mode, method, value, trials=head.trials, seed=head.seed))
     return rows
 
 
@@ -347,10 +344,13 @@ def crossover_snr_db(
     and refines it by bisection; returns ``None`` when the curves do not
     cross on the window. Deterministic: no randomness is involved. A window
     that :class:`SweepSpec` rejects as a grid, with ``scan_step_db`` as its
-    step, or a ``tol_db`` that is not positive and finite raises
-    ``ConfigError`` before any evaluation.
+    step, an unknown signal or mode, or a ``tol_db`` that is not positive and
+    finite raises ``ConfigError`` before any evaluation. The scan grid's
+    closed and TDMA columns come from the spec's whole-grid evaluation.
     """
-    SweepSpec(config, rho_min_db, rho_max_db, scan_step_db)  # the window's grid checks and size cap
+    # the window's grid checks and size cap, and the selection the scan evaluates
+    spec = SweepSpec(config, rho_min_db, rho_max_db, scan_step_db, methods=("closed", "oma"),
+                     signals=(signal,), sic_modes=(mode,))
     if not (tol_db > 0.0 and math.isfinite(tol_db)):
         raise ConfigError(f"tol_db must be positive and finite, got {tol_db!r}")
 
@@ -362,12 +362,12 @@ def crossover_snr_db(
     grid = [rho_min_db + i * scan_step_db for i in range(steps)]
     if grid[-1] < rho_max_db:
         grid.append(rho_max_db)
-    previous = diff(grid[0])  # checks the signal, the mode and the config at the first point
+    previous = diff(grid[0])  # checks the config at the first point
     if previous > 0.0:
         return None  # already above the baseline at the low end
     # The config checks that read the SNR are monotone in it: past the first
     # point only an SNR that overflows fails them, and the columns fall back there.
-    columns = _grid_columns(config, grid, (signal,), (mode,), ("closed", "oma"))
+    columns = _grid_columns(spec, grid)
     for i in range(1, len(grid)):
         if columns is None:
             current = diff(grid[i])
@@ -400,47 +400,25 @@ def figure_preset(
     single-variant figures) to its row table. Presets 1-3 emit outage curves,
     preset 4 delay-limited throughput.
     """
+    # figure id -> (default methods, evaluation, {variant label: scenario changes});
+    # built per call, so it holds the module's current run_sweep and throughput_rows
+    presets = {
+        1: (("closed", "asymptotic", "mc", "oma"), run_sweep, {"": {}}),
+        2: (("closed", "mc"), run_sweep,
+            {f"varpi_{level:g}": dict(varpi1=level, varpi2=level) for level in (0.0, 0.01, 0.1)}),
+        3: (("closed", "mc"), run_sweep,
+            {f"omega_i_{db:g}dB": dict(varpi1=0.0, varpi2=0.0, omega_i_db=db) for db in (-20.0, -10.0, 0.0)}),
+        4: (("closed", "oma"), throughput_rows, {f"omega_i_{db:g}dB": dict(omega_i_db=db) for db in (-20.0, -10.0)}),
+    }
+    if fig_id not in presets:
+        raise ConfigError(f"unknown figure id {fig_id}; expected 1-4")
+    defaults, evaluate, variants = presets[fig_id]
     base = SystemConfig(rho_db=0.0)
-    if fig_id == 1:
-        spec = SweepSpec(
-            config=base, rho_min_db=0.0, rho_max_db=45.0, rho_step_db=2.5,
-            methods=methods or ("closed", "asymptotic", "mc", "oma"),
-            signals=("x1", "x2"), trials=trials, seed=seed,
-        )
-        return {"": run_sweep(spec)}
-    if fig_id == 2:
-        out = {}
-        for level in (0.0, 0.01, 0.1):
-            cfg = replace(base, varpi1=level, varpi2=level)
-            spec = SweepSpec(
-                config=cfg, rho_min_db=0.0, rho_max_db=45.0, rho_step_db=2.5,
-                methods=methods or ("closed", "mc"),
-                signals=("x1", "x2"), trials=trials, seed=seed,
-            )
-            out[f"varpi_{level:g}"] = run_sweep(spec)
-        return out
-    if fig_id == 3:
-        out = {}
-        for omega_i_db in (-20.0, -10.0, 0.0):
-            cfg = replace(base, varpi1=0.0, varpi2=0.0, omega_i_db=omega_i_db)
-            spec = SweepSpec(
-                config=cfg, rho_min_db=0.0, rho_max_db=45.0, rho_step_db=2.5,
-                methods=methods or ("closed", "mc"),
-                signals=("x1", "x2"), trials=trials, seed=seed,
-            )
-            out[f"omega_i_{omega_i_db:g}dB"] = run_sweep(spec)
-        return out
-    if fig_id == 4:
-        out = {}
-        for omega_i_db in (-20.0, -10.0):
-            cfg = replace(base, omega_i_db=omega_i_db)
-            spec = SweepSpec(
-                config=cfg, rho_min_db=0.0, rho_max_db=45.0, rho_step_db=2.5,
-                methods=methods or ("closed", "oma"), trials=trials, seed=seed,
-            )
-            out[f"omega_i_{omega_i_db:g}dB"] = throughput_rows(spec)
-        return out
-    raise ConfigError(f"unknown figure id {fig_id}; expected 1-4")
+    return {
+        label: evaluate(SweepSpec(replace(base, **changes), 0.0, 45.0, 2.5, methods=methods or defaults,
+                                  trials=trials, seed=seed))
+        for label, changes in variants.items()
+    }
 
 
 def _csv_text(fields) -> str:

@@ -129,6 +129,13 @@ FROZEN_CLI_SHA256 = [
     (["diversity", "--signal", "x4", "--sic", "p"], "08ca5a0f0bef1b84bf6fd1a255df121a007c02335ac904eae30201530aa1a7c8"),
     (["figure", "--id", "1", "--trials", "2000", "--seed", "1"],
      "a18b1fe538c03f434bf3b1a536c1f7da28e10505f9bf934e70f3088755aae1fc"),
+    (["figure", "--id", "2", "--trials", "2000", "--seed", "1"],
+     "0ee27d1f0b9413acc1bb98f14fbe8744609f06c51f6fcec178a9b306c72dd6f3"),
+    (["figure", "--id", "3", "--trials", "2000", "--seed", "1"],
+     "1ded2e367073c260b272af29b781ccb2c8fa330d8bba3dfd798003f1e40a7891"),
+    (["figure", "--id", "4"], "301ac5f0a31bd5f8e77ea1cdf6a9a19b01630992a7a2493aff4aff070f662b82"),
+    (["throughput", "--methods", "mc,closed,oma", "--trials", "2000", "--seed", "3"],
+     "25f8ee7e1efb1f8a4676b9d6bdd06b7fcf03a19e0a00484f48c3960e5fcabeb0"),
 ]
 
 
@@ -193,6 +200,12 @@ class TestSweep:
             self.spec(methods=("magic",))
         with pytest.raises(ConfigError):
             self.spec(signals=())
+
+    def test_too_few_trials_rejected_when_mc_runs(self):
+        # at construction, before any point is evaluated; without MC the trial count is not read
+        with pytest.raises(ConfigError, match=re.escape("at least 1000 trials are required, got 500")):
+            self.spec(methods=("closed", "mc"), trials=500)
+        assert self.spec(methods=("closed", "asymptotic", "quad", "oma"), trials=500).trials == 500
 
     def test_grid_size_is_capped(self):
         cap = experiments.MAX_GRID_POINTS
@@ -551,8 +564,7 @@ class TestPointByPointFallback:
         spec = SweepSpec(config=SystemConfig(varpi1=0.02, omega_i_db=-13.0), rho_min_db=1.23, rho_max_db=45.0,
                          rho_step_db=0.35, methods=("closed", "mc", "asymptotic", "quad", "oma"),
                          signals=experiments.SIGNALS, sic_modes=SIC_MODES, trials=1000, seed=7)
-        assert experiments._grid_columns(spec.config, spec.rho_grid_db(), spec.signals, spec.sic_modes,
-                                         spec.methods) is not None
+        assert experiments._grid_columns(spec, spec.rho_grid_db()) is not None
         crossings = [(signal, mode, (0.0, 45.0)) for signal in experiments.SIGNALS for mode in SIC_MODES]
         sweep, tp, *crossed = self.check_same(monkeypatch, spec, crossings)
         assert sweep.startswith("[CurveRow(rho_db=1.23, signal='x1', sic_mode='ipSIC', method='closed'")
@@ -629,8 +641,19 @@ class TestThroughputRows:
     def test_frozen_output_bytes(self, capsys):
         assert cli_sha256(capsys, FROZEN_THROUGHPUT_ARGV) == FROZEN_THROUGHPUT_SHA256
 
+    def test_repeated_snr_values_keep_their_rows(self):
+        # 199 grid points carry only 29 distinct rho_db values: every point keeps its own rows
+        spec = SweepSpec(SystemConfig(), 45.0, 45.0 + 2e-13, 1e-15, methods=("closed", "mc", "oma"),
+                         trials=1000, seed=5)
+        assert len(spec.rho_grid_db()) == 199 and len(set(spec.rho_grid_db())) == 29
+        rows = throughput_rows(spec)
+        assert len(rows) == 199 * 2 * 3
+        # recorded when throughput evaluated its own grid columns and MC points
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+            "320f3e1303eb41dc4b67b7bba56479259c4d9365fe3ca9f9a5c478c343e061fb")
+
     @pytest.mark.parametrize("finished_at, oma_at, error, message", [
-        (2, 1, ConfigError, "outage probabilities must lie in [0, 1]"),
+        (2, 1, NumericError, "outage row out of range: x1 oma at 5.0 dB -> 1.5"),
         (1, 2, NumericError, "outage evaluation left [0, 1] by more than the clamp gate: 1.25"),
         (1, 1, NumericError, "outage evaluation left [0, 1] by more than the clamp gate: 1.25"),
     ])
@@ -706,7 +729,8 @@ class TestCrossover:
     def test_scan_raises_where_the_window_overflows(self):
         # the TDMA outage at an infinite SNR is a valid-looking 0, so an overflowing
         # window is scanned point by point, and the first overflowing point's config raises
-        assert experiments._grid_columns(SystemConfig(), [3000.0, 3090.0], ("x1",), ("ipSIC",), ("oma",)) is None
+        spec = SweepSpec(SystemConfig(), 3000.0, 3090.0, 90.0, methods=("oma",), signals=("x1",), sic_modes=("ipSIC",))
+        assert experiments._grid_columns(spec, [3000.0, 3090.0]) is None
         with pytest.raises(ConfigError, match="rho_db = 3090 dB overflows in linear units"):
             crossover_snr_db(table_config(rates=(0.0, 0.0, 0.0, 0.0)), "x1", "ipSIC", 3000.0, 3100.0, 10.0)
 
@@ -909,6 +933,14 @@ class TestCli:
         scenario.write_text("seed = -1\n", encoding="utf-8")
         assert cli.main(["outage", "--config", str(scenario), "--methods", "closed,mc", "--trials", "2000"]) == 1
         assert "configuration error: seed must be non-negative, got -1" in capsys.readouterr().err
+
+    def test_too_few_trials_exit_one_only_with_mc(self, capsys):
+        assert cli.main(["outage", "--methods", "closed", "--trials", "500"]) == 0
+        capsys.readouterr()
+        assert cli.main(["outage", "--methods", "closed,mc", "--trials", "500"]) == 1
+        captured = capsys.readouterr()
+        assert "configuration error: at least 1000 trials are required, got 500" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("argv", [
         ["outage", "--rho-db", "3090"],

@@ -182,6 +182,18 @@ def near_infeasible_config():
     return cfg
 
 
+def overflowing_bound_config():
+    # the relay-side interference times a cut of its bound overflows: the bound
+    # is inf, which no unit draw exceeds, so the decisions stay the SINR path's
+    return table_config(
+        a=(0.9168349950011633, 0.08316500499883672, 0.637966489169057, 0.36203351083094304),
+        b=(0.08602641823443918, 0.9139735817655608, 0.44203495297005246, 0.5579650470299475),
+        omega=(2.5625476214820794e-108, 7.38650109274556, 4.072359306011697e+216, 5.94340296589343),
+        omega_i_db=-96.44263489618311, varpi1=2.477783631121481e-07, varpi2=0.012476326218623995,
+        rates=(2.7787097509109568e-09, 7.212537519508192e-08, 0.00037442718152215065, 1.1265644571327126e-10),
+    )
+
+
 class TestGuardBand:
     """Draws near an event boundary are decided by the SINR path, so counts never depend on the band."""
 
@@ -195,7 +207,8 @@ class TestGuardBand:
         near_infeasible_config(),
         table_config(rho_db=20.0, rates=(0.0, 0.0, 0.0, 0.0)),
         table_config(rho_db=20.0, varpi1=0.0, varpi2=0.0),
-    ], ids=["0dB", "20dB", "40dB", "near_infeasible", "zero_rates", "no_leakage"])
+        overflowing_bound_config(),
+    ], ids=["0dB", "20dB", "40dB", "near_infeasible", "zero_rates", "no_leakage", "overflowing_bound"])
     def test_counts_equal_with_every_draw_redecided(self, cfg, monkeypatch):
         banded = failure_counts(cfg)
         monkeypatch.setattr(sinr, "_GUARD", math.inf)
