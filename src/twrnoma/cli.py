@@ -130,13 +130,13 @@ def _split(csv_list: str, allowed: tuple[str, ...], what: str) -> tuple[str, ...
     return items
 
 
-def _emit(rows, out: str | None, fmt: str) -> None:
-    """``rows`` in format ``fmt`` to the file ``out``, or to stdout when it is ``None``."""
+def _emit(table: experiments.CurveTable, out: str | None, fmt: str) -> None:
+    """``table`` in format ``fmt`` to the file ``out``, or to stdout when it is ``None``."""
     if out:
-        experiments.write_rows(rows, out, fmt)
-        print(f"wrote {len(rows)} rows to {out}")
+        experiments.write_rows(table, out, fmt)
+        print(f"wrote {len(table)} rows to {out}")
     else:
-        text = experiments.rows_to_csv(rows) if fmt == "csv" else experiments.rows_to_json(rows)
+        text = experiments.rows_to_csv(table) if fmt == "csv" else experiments.rows_to_json(table)
         sys.stdout.write(text)
 
 
@@ -202,14 +202,14 @@ def _cmd_validate(args) -> int:
 def _cmd_figure(args) -> int:
     settings = _run_settings(args)
     variants = experiments.figure_preset(args.id, trials=settings.trials, seed=settings.seed)
-    for label, rows in variants.items():
+    for label, table in variants.items():
         target = None
         if args.out:
             path = Path(args.out)
             target = str(path if not label else path.with_name(f"{path.stem}_{label}{path.suffix}"))
         elif label:
             print(f"# variant: {label}")
-        _emit(rows, target, args.format)
+        _emit(table, target, args.format)
     if args.id == 1:
         for signal in ("x1", "x2"):
             for mode in SIC_MODES:

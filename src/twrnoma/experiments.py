@@ -1,6 +1,12 @@
 """Parameter sweeps, figure-reproduction presets, the orthogonal baseline,
 and CSV/JSON emission.
 
+A sweep returns a :class:`CurveTable`: the SNR grid and one
+:class:`CurveColumn` per (signal, SIC mode, method), with a value at every
+point. ``rows_to_csv`` writes it column by column; ``CurveTable.rows()``
+lists the same rows as :class:`CurveRow` tuples, for JSON and library
+callers.
+
 The orthogonal baseline is a plain TDMA reference for the four-message
 exchange without any relay-side combining: every message occupies its own
 uplink phase and its own downlink phase (eight phases per round), each hop
@@ -14,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import io
+from itertools import repeat
 import json
 import math
 from dataclasses import dataclass, replace
@@ -35,7 +42,7 @@ from .model import (
     exact_exp,
     signal_roles,
 )
-from .montecarlo import DEFAULT_TRIALS, OutageEstimate, check_trials, mc_outage
+from .montecarlo import DEFAULT_TRIALS, check_trials, mc_outage
 from .oracle import QuadSpec, quad_outages
 
 METHODS = ("closed", "asymptotic", "mc", "quad", "oma")
@@ -78,6 +85,45 @@ class CurveRow(NamedTuple):
 CURVE_FIELDS = CurveRow._fields
 
 
+class CurveColumn(NamedTuple):
+    """One (signal, sic_mode, method) of a sweep, with its value at every SNR point of the grid.
+
+    MC columns carry a CI bound per point, and their trial count and seed.
+    """
+
+    signal: str
+    sic_mode: str
+    method: str
+    values: list[float]
+    ci_low: list[float] | None = None
+    ci_high: list[float] | None = None
+    trials: int | None = None
+    seed: int | None = None
+
+
+@dataclass(frozen=True)
+class CurveTable:
+    """A sweep's result: the SNR grid ``rho_db`` and its columns, in row order within a point."""
+
+    rho_db: list[float]
+    columns: list[CurveColumn]
+
+    def __len__(self) -> int:
+        """The number of rows: one per (SNR point, column)."""
+        return len(self.rho_db) * len(self.columns)
+
+    def rows(self) -> list[CurveRow]:
+        """One row per (SNR point, column), point by point, each point's in column order."""
+        return [
+            CurveRow(rho_db, column.signal, column.sic_mode, column.method, column.values[i],
+                     None if column.ci_low is None else column.ci_low[i],
+                     None if column.ci_high is None else column.ci_high[i],
+                     column.trials, column.seed)
+            for i, rho_db in enumerate(self.rho_db)
+            for column in self.columns
+        ]
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """Grid and method selection for one sweep over transmit SNR."""
@@ -112,6 +158,11 @@ class SweepSpec:
                 raise ConfigError(f"unknown signal {s!r}; expected one of {SIGNALS}")
         for mode in self.sic_modes:
             check_sic_mode(mode)
+        # a table keys its columns by (signal, mode, method), so no entry may repeat
+        for what, chosen in (("method", self.methods), ("signal", self.signals), ("SIC mode", self.sic_modes)):
+            for i, item in enumerate(chosen):
+                if item in chosen[:i]:
+                    raise ConfigError(f"{what} {item!r} is selected more than once")
         if not self.methods or not self.signals or not self.sic_modes:
             raise ConfigError("methods, signals and sic_modes must be non-empty")
         if "mc" in self.methods:
@@ -224,109 +275,91 @@ def _grid_columns(spec: SweepSpec, grid_db: list[float]) -> dict | None:
         return None
 
 
-class _GridPoint:
-    """The work a sweep does one SNR point at a time.
+def _point_cells(spec: SweepSpec, rho_db: float, columns: dict | None) -> dict:
+    """The work a sweep does one SNR point at a time, keyed by ``(method, signal, mode)``.
 
-    One validated config at ``rho_db``, with the spec's signals, modes and
-    methods; the MC estimates of every (signal, mode) come from one engine
-    call, and the quadrature values from one batched oracle call. When the
-    sweep has no whole-grid ``columns`` (``None``), the point also evaluates
-    its closed, asymptotic and TDMA ``values`` alone, after its MC and
-    quadrature work, as :func:`_columns` does at a float SNR.
+    One validated config at ``rho_db``; the MC estimates of every (signal,
+    mode) come from one engine call, and the quadrature values from one
+    batched oracle call. When the sweep has no whole-grid ``columns``
+    (``None``), the point also evaluates its closed, asymptotic and TDMA
+    values alone, after its MC and quadrature work, as :func:`_columns` does
+    at a float SNR.
     """
-
-    def __init__(self, spec: SweepSpec, rho_db: float, columns: dict | None):
-        self.config = config = replace(spec.config, rho_db=rho_db)
-        self.keys = [(signal, mode) for signal in spec.signals for mode in spec.sic_modes]
-        self.mc: dict[tuple[str, str], OutageEstimate] = {}
-        if "mc" in spec.methods:
-            self.mc = mc_outage(config, spec.signals, spec.sic_modes, trials=spec.trials, seed=spec.seed)
-        self.quad: list[float] = []
-        if "quad" in spec.methods:
-            self.quad = quad_outages([(config, signal, mode) for signal, mode in self.keys])
-        self.values = {} if columns is not None else _columns(config, config.rho, spec)
-
-    def column(self, method: str) -> list[CurveRow]:
-        """The point's rows of ``method``, one per (signal, mode) of ``keys``, in that order."""
-        rho_db = self.config.rho_db
-        if method == "mc":
-            estimates = [self.mc[key] for key in self.keys]
-            return [
-                CurveRow(rho_db, signal, mode, method, est.p_hat, est.ci_low, est.ci_high, est.trials, est.seed)
-                for (signal, mode), est in zip(self.keys, estimates)
-            ]
-        values = self.quad if method == "quad" else [self.values[method, signal, mode] for signal, mode in self.keys]
-        return [CurveRow(rho_db, signal, mode, method, value) for (signal, mode), value in zip(self.keys, values)]
+    config = replace(spec.config, rho_db=rho_db)
+    keys = [(signal, mode) for signal in spec.signals for mode in spec.sic_modes]
+    cells = {}
+    if "mc" in spec.methods:
+        estimates = mc_outage(config, spec.signals, spec.sic_modes, trials=spec.trials, seed=spec.seed)
+        cells.update((("mc", *key), estimates[key]) for key in keys)
+    if "quad" in spec.methods:
+        values = quad_outages([(config, signal, mode) for signal, mode in keys])
+        cells.update((("quad", *key), value) for key, value in zip(keys, values))
+    if columns is None:
+        cells.update(_columns(config, config.rho, spec))
+    return cells
 
 
-def _grid_rows(grid: list[float], columns: dict, method: str, keys) -> list[list[CurveRow]]:
-    """For each (signal, mode) of ``keys``, the rows of ``method``'s whole-grid column."""
-    # the tuple CurveRow's own __new__ builds, without its argument parsing
-    row = tuple.__new__
-    return [
-        [row(CurveRow, (rho_db, signal, mode, method, value, None, None, None, None))
-         for rho_db, value in zip(grid, columns[method, signal, mode])]
-        for signal, mode in keys
-    ]
-
-
-def run_sweep(spec: SweepSpec) -> list[CurveRow]:
-    """Evaluate the grid; one row per (SNR point, signal, mode, method).
+def run_sweep(spec: SweepSpec) -> CurveTable:
+    """Evaluate the grid; one column per (signal, mode, method), one row per (SNR point, column).
 
     Closed, asymptotic and TDMA columns are evaluated over the whole grid at
     once when all of them evaluate cleanly there, and point by point
-    otherwise; MC and quadrature run one SNR point at a time. Rows come in
-    grid order, and every outage value is range-checked.
+    otherwise; MC and quadrature run one SNR point at a time. Every outage
+    value is range-checked, point by point in row order.
     """
     grid = _evaluated_grid_db(spec)
     columns = _grid_columns(spec, grid)
     keys = [(signal, mode) for signal in spec.signals for mode in spec.sic_modes]
-    # per method, the rows of each key at every point
-    listed = {} if columns is None else {
-        method: _grid_rows(grid, columns, method, keys) for method in spec.methods if method in _GRID_METHODS
-    }
-    per_point = [method for method in spec.methods if method not in listed]
-    rows: list[CurveRow] = []
-    for i, rho_db in enumerate(grid):
-        point = _GridPoint(spec, rho_db, columns) if per_point else None
-        cells = [[rows_of_key[i] for rows_of_key in listed[method]] if method in listed else point.column(method)
-                 for method in spec.methods]
-        point_rows = [row for cells_of_key in zip(*cells) for row in cells_of_key]
-        # the whole-grid columns are in range; only rows evaluated at the point need the check
-        for row in point_rows if per_point else ():
-            if not 0.0 <= row.value <= 1.0:  # NaN fails too
-                raise NumericError(
-                    f"outage row out of range: {row.signal} {row.method} at {rho_db} dB -> {row.value!r}"
-                )
-        rows += point_rows
-    return rows
+    per_point = [method for method in spec.methods if columns is None or method not in _GRID_METHODS]
+    # each (method, signal, mode)'s cells: its whole-grid column, or a list the points fill in
+    cells = dict(columns or {})
+    cells.update(((method, *key), []) for method in per_point for key in keys)
+    for rho_db in grid if per_point else ():
+        at_point = _point_cells(spec, rho_db, columns)
+        # the whole-grid columns are in range; only values evaluated at the point need the check
+        for signal, mode in keys:
+            for method in per_point:
+                cell = at_point[method, signal, mode]
+                value = cell.p_hat if method == "mc" else cell
+                if not 0.0 <= value <= 1.0:  # NaN fails too
+                    raise NumericError(f"outage row out of range: {signal} {method} at {rho_db} dB -> {value!r}")
+                cells[method, signal, mode].append(cell)
+    table = []
+    for signal, mode in keys:
+        for method in spec.methods:
+            listed = cells[method, signal, mode]
+            if method == "mc":
+                table.append(CurveColumn(signal, mode, method, [est.p_hat for est in listed],
+                                         [est.ci_low for est in listed], [est.ci_high for est in listed],
+                                         spec.trials, spec.seed))
+            else:
+                table.append(CurveColumn(signal, mode, method, listed))
+    return CurveTable(grid, table)
 
 
-def throughput_rows(spec: SweepSpec) -> list[CurveRow]:
-    """Delay-limited throughput over the grid, summed from :func:`run_sweep`'s rows of all four signals.
+def throughput_rows(spec: SweepSpec) -> CurveTable:
+    """Delay-limited throughput over the grid, summed from :func:`run_sweep`'s columns of all four signals.
 
-    One row per (SNR point, SIC mode, method of ``spec.methods``), which
-    must be among ``THROUGHPUT_METHODS``; the spec's signals do not enter,
-    since every row sums all four. Rows carry signal tag ``"sum"``; MC rows
-    carry the trial count and seed of their outage rows.
+    One column per (SIC mode, method of ``spec.methods``), which must be
+    among ``THROUGHPUT_METHODS``; the spec's signals do not enter, since every
+    value sums all four. Columns carry signal tag ``"sum"``; MC columns carry
+    the trial count and seed of their outage columns.
     """
     for method in spec.methods:
         if method not in THROUGHPUT_METHODS:
             raise ConfigError(f"throughput supports closed, mc or oma, not {method!r}")
     outages = run_sweep(replace(spec, signals=SIGNALS))
-    pairs = [(mode, method) for mode in spec.sic_modes for method in spec.methods]
-    width = len(SIGNALS) * len(pairs)
-    rows: list[CurveRow] = []
-    # A point's rows are the ``width`` rows at its position, in (signal, mode,
-    # method) order; positions, not SNR values, tell points apart, since a grid
-    # may repeat a value.
-    for first in range(0, len(outages), width):
-        for offset, (mode, method) in enumerate(pairs):
-            of_signals = outages[first + offset:first + width:len(pairs)]
-            value = analysis.throughput_delay_limited(spec.config, [row.value for row in of_signals])
+    by_key = {(column.signal, column.sic_mode, column.method): column for column in outages.columns}
+    table = []
+    for mode in spec.sic_modes:
+        for method in spec.methods:
+            of_signals = [by_key[signal, mode, method] for signal in SIGNALS]
+            # point by point, the four outages in x1..x4 order
+            values = [analysis.throughput_delay_limited(spec.config, point)
+                      for point in zip(*(column.values for column in of_signals))]
             head = of_signals[0]
-            rows.append(CurveRow(head.rho_db, "sum", mode, method, value, trials=head.trials, seed=head.seed))
-    return rows
+            table.append(CurveColumn("sum", mode, method, values, trials=head.trials, seed=head.seed))
+    return CurveTable(outages.rho_db, table)
 
 
 def crossover_snr_db(
@@ -393,11 +426,11 @@ def figure_preset(
     trials: int = DEFAULT_TRIALS,
     seed: int = 1,
     methods: tuple[str, ...] | None = None,
-) -> dict[str, list[CurveRow]]:
+) -> dict[str, CurveTable]:
     """Reference-scenario sweeps behind the four numerical-result figures.
 
     Returns a mapping from variant label (one per parameter level, empty for
-    single-variant figures) to its row table. Presets 1-3 emit outage curves,
+    single-variant figures) to its table. Presets 1-3 emit outage curves,
     preset 4 delay-limited throughput.
     """
     # figure id -> (default methods, evaluation, {variant label: scenario changes});
@@ -428,47 +461,50 @@ def _csv_text(fields) -> str:
     return buffer.getvalue()[:-1]
 
 
-def _field_text(value) -> str:
-    return "" if value is None else str(value)
+def _float_texts(values: list[float]) -> list[str]:
+    return list(map(repr, map(float, values)))
 
 
-def _float_text(value) -> str:
-    return "" if value is None else repr(float(value))
+def _column_lines(column: CurveColumn, values: list[str]):
+    """The column's text at each point after its ``rho_db``, lazily; ``values`` is the text of its values."""
+    head = _csv_text((column.signal, column.sic_mode, column.method))
+    lows = repeat("") if column.ci_low is None else _float_texts(column.ci_low)
+    highs = repeat("") if column.ci_high is None else _float_texts(column.ci_high)
+    tail = ",".join("" if field is None else str(field) for field in (column.trials, column.seed))
+    return (f"{head},{value},{low},{high},{tail}" for value, low, high in zip(values, lows, highs))
 
 
-def rows_to_csv(rows: list[CurveRow]) -> str:
-    """Fixed-schema CSV: header row, '.' decimals, LF line endings.
+def rows_to_csv(table: CurveTable) -> str:
+    """Fixed-schema CSV of ``table.rows()``: header row, '.' decimals, LF line endings.
 
     The bytes are those of ``csv.writer(lineterminator="\\n")`` writing each
-    row with its floats as ``repr(float(...))``. Each row is formatted as one
-    line: numbers need no quoting, the rows of one SNR point share the text
-    of their ``rho_db``, and the text of each distinct (signal, sic_mode,
-    method) is formatted once, by ``csv.writer``.
+    row with its floats as ``repr(float(...))``. The writer works column by
+    column: numbers need no quoting, each distinct list of values is
+    formatted once (the TDMA column is one list for both SIC modes), each
+    column's (signal, sic_mode, method) label once, by ``csv.writer``, and
+    each point's ``rho_db`` once. The columns' lines are then interleaved
+    point by point, each built only when its point is written.
     """
+    texts: dict[int, list[str]] = {}  # id of a listed column -> its values' text; the table keeps them alive
+    cells = []
+    for column in table.columns:
+        if id(column.values) not in texts:
+            texts[id(column.values)] = _float_texts(column.values)
+        cells.append(_column_lines(column, texts[id(column.values)]))
     lines = [_csv_text(CURVE_FIELDS)]
-    labels: dict[tuple, str] = {}
-    last_db = rho_text = object()
-    for rho_db, signal, mode, method, value, ci_low, ci_high, trials, seed in rows:
-        if rho_db is not last_db:
-            last_db, rho_text = rho_db, repr(float(rho_db))
-        label = labels.get((signal, mode, method))
-        if label is None:
-            label = labels[signal, mode, method] = _csv_text((signal, mode, method))
-        if ci_low is None and ci_high is None and trials is None and seed is None:
-            lines.append(f"{rho_text},{label},{float(value)!r},,,,")
-        else:
-            lines.append(f"{rho_text},{label},{float(value)!r},{_float_text(ci_low)},{_float_text(ci_high)},"
-                         f"{_field_text(trials)},{_field_text(seed)}")
+    for rho_text, point in zip(_float_texts(table.rho_db), zip(*cells)):
+        start = rho_text + ","
+        lines.append(start + ("\n" + start).join(point))
     lines.append("")
     return "\n".join(lines)
 
 
-def rows_to_json(rows: list[CurveRow]) -> str:
-    return json.dumps([row._asdict() for row in rows], indent=2) + "\n"
+def rows_to_json(table: CurveTable) -> str:
+    return json.dumps([row._asdict() for row in table.rows()], indent=2) + "\n"
 
 
-def write_rows(rows: list[CurveRow], path: str, fmt: str = "csv") -> None:
-    text = rows_to_csv(rows) if fmt == "csv" else rows_to_json(rows)
+def write_rows(table: CurveTable, path: str, fmt: str = "csv") -> None:
+    text = rows_to_csv(table) if fmt == "csv" else rows_to_json(table)
     try:
         with open(path, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)

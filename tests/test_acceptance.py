@@ -137,7 +137,7 @@ def test_criterion_5_low_snr_crossover():
     try:
         spec = SweepSpec(config=cfg, rho_min_db=0.0, rho_max_db=45.0, rho_step_db=2.5,
                          methods=("closed", "oma"), signals=("x1",), sic_modes=("ipSIC", "pSIC"))
-        rows = run_sweep(spec)
+        rows = run_sweep(spec).rows()
         values = {(r.rho_db, r.sic_mode, r.method): r.value for r in rows}
         crossings = {}
         for mode in ("ipSIC", "pSIC"):
@@ -158,7 +158,7 @@ def test_criterion_5_low_snr_crossover():
 def _closed_throughput(config, mode="ipSIC"):
     spec = SweepSpec(config=config, rho_min_db=config.rho_db, rho_max_db=config.rho_db,
                      rho_step_db=1.0, methods=("closed",), sic_modes=(mode,))
-    return throughput_rows(spec)[0].value
+    return throughput_rows(spec).rows()[0].value
 
 
 def test_criterion_6_throughput_ceiling():

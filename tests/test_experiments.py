@@ -13,7 +13,8 @@ import pytest
 from twrnoma import analysis, cli, experiments, model, montecarlo, oracle
 from twrnoma.errors import ConfigError, NumericError
 from twrnoma.experiments import (
-    CurveRow,
+    CurveColumn,
+    CurveTable,
     SweepSpec,
     crossover_snr_db,
     figure_preset,
@@ -136,6 +137,12 @@ FROZEN_CLI_SHA256 = [
     (["figure", "--id", "4"], "301ac5f0a31bd5f8e77ea1cdf6a9a19b01630992a7a2493aff4aff070f662b82"),
     (["throughput", "--methods", "mc,closed,oma", "--trials", "2000", "--seed", "3"],
      "25f8ee7e1efb1f8a4676b9d6bdd06b7fcf03a19e0a00484f48c3960e5fcabeb0"),
+    # JSON output, recorded while every sweep still listed its rows one by one
+    (["sweep", "--format", "json", "--methods", "closed,asymptotic,mc,quad,oma", "--rho-max-db", "5",
+      "--trials", "2000", "--seed", "3"],
+     "05ecdfcf50731e9a38979c1df20ff04bada85243fedf4a94e60f74847a491d6c"),
+    (["throughput", "--format", "json", "--methods", "closed,mc,oma", "--trials", "2000", "--seed", "3"],
+     "7f56ffe89d0e7c61f85498c961356b02e4f0e431572dddb7dc2c9c1dca524c62"),
 ]
 
 
@@ -201,6 +208,15 @@ class TestSweep:
         with pytest.raises(ConfigError):
             self.spec(signals=())
 
+    @pytest.mark.parametrize("selection, message", [
+        (dict(signals=("x1", "x2", "x1")), "signal 'x1' is selected more than once"),
+        (dict(methods=("closed", "oma", "oma")), "method 'oma' is selected more than once"),
+        (dict(sic_modes=("ipSIC", "ipSIC")), "SIC mode 'ipSIC' is selected more than once"),
+    ])
+    def test_repeated_selection_rejected(self, selection, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            self.spec(**selection)
+
     def test_too_few_trials_rejected_when_mc_runs(self):
         # at construction, before any point is evaluated; without MC the trial count is not read
         with pytest.raises(ConfigError, match=re.escape("at least 1000 trials are required, got 500")):
@@ -229,7 +245,7 @@ class TestSweep:
         assert calls == []
 
     def test_rows_match_fresh_evaluations(self):
-        rows = run_sweep(self.spec())
+        rows = run_sweep(self.spec()).rows()
         for row in rows:
             cfg = replace(table_config(), rho_db=row.rho_db)
             assert row.value == analysis.closed_outage(cfg, row.signal, row.sic_mode)
@@ -245,7 +261,7 @@ class TestSweep:
             spec = SweepSpec(config=config, rho_min_db=float(rng.uniform(0.0, 3.0)), rho_max_db=45.0,
                              rho_step_db=float(rng.uniform(4.0, 6.0)), methods=("closed", "asymptotic", "oma"),
                              signals=experiments.SIGNALS, sic_modes=SIC_MODES)
-            rows = run_sweep(spec)
+            rows = run_sweep(spec).rows()
             assert len(rows) == len(spec.rho_grid_db()) * 4 * 2 * 3
             for row in rows:
                 at = replace(config, rho_db=row.rho_db)
@@ -263,20 +279,55 @@ class TestSweep:
         with pytest.raises(NumericError, match=re.escape(message)):
             run_sweep(self.spec(methods=(method,)))
 
-    def test_csv_bytes_match_csv_writer(self):
+    # tables to write as CSV, each built from the spec maker, with the start of its first data
+    # line and the end of its last line
+    CSV_TABLES = {
         # int grid bounds through the library API give int rho_db values, written as floats
-        spec = self.spec(rho_min_db=0, rho_max_db=10, rho_step_db=5, methods=("closed", "mc", "oma"), trials=2000)
-        rows = run_sweep(spec) + throughput_rows(replace(spec, methods=("closed", "mc")))
-        rows += [CurveRow(7.5, "x2", "pSIC", "closed", value) for value in (0.0, 1.0, 5e-324)]
-        rows.append(CurveRow(-0.0, 'x"1', "ip,SIC", "quad", 0.5))  # labels that need quoting
-        assert type(rows[0].rho_db) is int and rows[0].ci_low is None
-        mc = [row for row in rows if row.method == "mc"]
-        assert {type(row.trials) for row in mc} == {type(row.seed) for row in mc} == {int}
-        assert any(row.signal == "sum" and row.ci_low is None for row in mc)
-        text = rows_to_csv(rows)
-        assert text == reference_csv(rows)
-        assert text.splitlines()[1].startswith("0.0,x1,ipSIC,closed,")
-        assert text.endswith('-0.0,"x""1","ip,SIC",quad,0.5,,,,\n')
+        "int grid bounds": (
+            lambda spec: run_sweep(spec(rho_min_db=0, rho_max_db=10, rho_step_db=5, methods=("closed", "mc", "oma"))),
+            "0.0,x1,ipSIC,closed,", ",,,,\n"),
+        "mc quad and oma": (
+            lambda spec: run_sweep(spec(methods=("mc", "quad", "oma"), signals=("x1", "x4"), rho_max_db=5.0)),
+            "0.0,x1,ipSIC,mc,", ",,,,\n"),
+        # MC throughput rows have no CI, but a trial count and seed
+        "throughput with mc": (
+            lambda spec: throughput_rows(spec(rho_min_db=0, rho_max_db=10, rho_step_db=5, methods=("closed", "mc"))),
+            "0.0,sum,ipSIC,closed,", ",,,2000,3\n"),
+        # the whole-grid columns forced to fall back
+        "point by point": (
+            lambda spec: run_sweep(spec(methods=("closed", "asymptotic", "mc", "oma"), rho_max_db=10.0)),
+            "0.0,x1,ipSIC,closed,", ",,,,\n"),
+        # 199 grid points with 29 distinct rho_db values
+        "repeated snr values": (
+            lambda spec: throughput_rows(SweepSpec(SystemConfig(), 45.0, 45.0 + 2e-13, 1e-15,
+                                                   methods=("closed", "mc", "oma"), trials=1000, seed=5)),
+            "45.0,sum,ipSIC,closed,", ",,,,\n"),
+        "labels that need quoting": (
+            lambda spec: CurveTable([7.5, -0.0], [
+                CurveColumn("x2", "pSIC", "closed", [0.0, 1.0]),
+                CurveColumn("x2", "pSIC", "mc", [5e-324, 0.25], [0.0, 0.125], [0.5, 0.375], 1000, 0),
+                CurveColumn('x"1', "ip,SIC", "quad", [1.0, 0.5]),
+            ]),
+            "7.5,x2,pSIC,closed,0.0,,,,", '-0.0,"x""1","ip,SIC",quad,0.5,,,,\n'),
+    }
+
+    def test_csv_bytes_match_csv_writer(self, monkeypatch):
+        for case, (build, first, last) in self.CSV_TABLES.items():
+            with monkeypatch.context() as patched:
+                if case == "point by point":
+                    patched.setattr(experiments, "_grid_columns", lambda *args: None)
+                table = build(self.spec)
+            rows = table.rows()
+            text = rows_to_csv(table)
+            assert text == reference_csv(rows), case
+            assert len(rows) == len(table) == text.count("\n") - 1, case
+            assert text.splitlines()[1].startswith(first) and text.endswith(last), case
+            assert {type(row.rho_db) for row in rows} == {type(table.rho_db[0])}, case
+            if case == "int grid bounds":
+                assert type(table.rho_db[0]) is int
+            # every case has MC rows
+            mc = [row for row in rows if row.method == "mc"]
+            assert {type(row.trials) for row in mc} == {type(row.seed) for row in mc} == {int}, case
 
     def test_deterministic_csv_bytes(self):
         spec = self.spec(methods=("closed", "mc"), trials=2000)
@@ -297,7 +348,7 @@ class TestSweep:
         assert payload[0]["signal"] == "x1" and payload[0]["ci_low"] is None
 
     def test_mc_rows_carry_interval(self):
-        rows = run_sweep(self.spec(methods=("mc",), rho_max_db=0.0))
+        rows = run_sweep(self.spec(methods=("mc",), rho_max_db=0.0)).rows()
         for row in rows:
             assert row.ci_low is not None and row.ci_low <= row.value <= row.ci_high
             assert row.trials == 2000 and row.seed == 3
@@ -317,7 +368,7 @@ class TestSweep:
             return batched(cases, *args)
 
         monkeypatch.setattr(experiments, "quad_outages", counted)
-        rows = run_sweep(self.spec(methods=("quad",), signals=("x1", "x4"), rho_max_db=10.0))
+        rows = run_sweep(self.spec(methods=("quad",), signals=("x1", "x4"), rho_max_db=10.0)).rows()
         assert len(rows) == 3 * 2 * 2
         assert calls == [
             [(db, signal, mode) for signal in ("x1", "x4") for mode in ("ipSIC", "pSIC")]
@@ -388,7 +439,7 @@ class TestSweep:
             assert rows(sic) == [line for line in both if line.split(",")[2] == mode]
 
     def test_mirrored_signals_match_under_symmetric_scenario(self):
-        rows = run_sweep(self.spec(signals=("x1", "x2", "x3", "x4"), rho_max_db=10.0))
+        rows = run_sweep(self.spec(signals=("x1", "x2", "x3", "x4"), rho_max_db=10.0)).rows()
         by_key = {(r.rho_db, r.signal, r.sic_mode): r.value for r in rows}
         for (db, signal, mode), value in by_key.items():
             mirror = {"x1": "x3", "x2": "x4", "x3": "x1", "x4": "x2"}[signal]
@@ -434,7 +485,7 @@ class TestWholeGridColumns:
     def check_rows(self, config, grid):
         spec = SweepSpec(config=config, rho_min_db=grid[0], rho_max_db=grid[1], rho_step_db=grid[2],
                          methods=("closed", "asymptotic", "oma"), signals=experiments.SIGNALS, sic_modes=SIC_MODES)
-        rows = run_sweep(spec)
+        rows = run_sweep(spec).rows()
         points = spec.rho_grid_db()
         assert len(rows) == len(points) * 4 * 2 * 3
         assert [row.rho_db for row in rows[::24]] == points
@@ -442,7 +493,7 @@ class TestWholeGridColumns:
         for row in rows:
             at = replace(config, rho_db=row.rho_db)
             assert repr(row.value) == repr(self.scalar(row.method, at, row.signal, row.sic_mode)), row
-        tp_rows = throughput_rows(replace(spec, methods=("closed", "oma")))
+        tp_rows = throughput_rows(replace(spec, methods=("closed", "oma"))).rows()
         assert len(tp_rows) == len(points) * 2 * 2
         for row in tp_rows:
             at = replace(config, rho_db=row.rho_db)
@@ -549,7 +600,7 @@ class TestPointByPointFallback:
     def check_same(self, monkeypatch, spec, crossings=()):
         """The outcomes of ``spec``'s sweep and throughput and of each of ``crossings``, equal both ways."""
         throughput = tuple(m for m in spec.methods if m in experiments.THROUGHPUT_METHODS) or ("closed",)
-        calls = [lambda: run_sweep(spec), lambda: throughput_rows(replace(spec, methods=throughput))]
+        calls = [lambda: run_sweep(spec).rows(), lambda: throughput_rows(replace(spec, methods=throughput)).rows()]
         calls += [lambda signal=signal, mode=mode, window=window: crossover_snr_db(spec.config, signal, mode, *window)
                   for signal, mode, window in crossings]
         grid = [outcome(call) for call in calls]
@@ -611,7 +662,7 @@ class TestThroughputRows:
             config=table_config(), rho_min_db=30.0, rho_max_db=30.0, rho_step_db=5.0,
             methods=("closed",), sic_modes=("ipSIC",),
         )
-        row = throughput_rows(spec)[0]
+        row = throughput_rows(spec).rows()[0]
         cfg = table_config()
         outages = [analysis.closed_outage(cfg, signal, "ipSIC") for signal in ("x1", "x2", "x3", "x4")]
         assert row.value == pytest.approx(analysis.throughput_delay_limited(table_config(), outages))
@@ -646,7 +697,7 @@ class TestThroughputRows:
         spec = SweepSpec(SystemConfig(), 45.0, 45.0 + 2e-13, 1e-15, methods=("closed", "mc", "oma"),
                          trials=1000, seed=5)
         assert len(spec.rho_grid_db()) == 199 and len(set(spec.rho_grid_db())) == 29
-        rows = throughput_rows(spec)
+        rows = throughput_rows(spec).rows()
         assert len(rows) == 199 * 2 * 3
         # recorded when throughput evaluated its own grid columns and MC points
         assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
@@ -683,7 +734,7 @@ class TestThroughputRows:
         spec = SweepSpec(
             config=table_config(), rho_min_db=0.0, rho_max_db=45.0, rho_step_db=5.0, methods=("closed", "oma"),
         )
-        for row in throughput_rows(spec):
+        for row in throughput_rows(spec).rows():
             assert 0.0 <= row.value <= 0.22 + 1e-12
 
 
@@ -743,7 +794,7 @@ class TestCrossover:
 
 class TestFigurePresets:
     def test_preset_one_orders_modes(self):
-        rows = figure_preset(1, methods=("closed",))[""]
+        rows = figure_preset(1, methods=("closed",))[""].rows()
         closed = {(r.rho_db, r.signal, r.sic_mode): r.value for r in rows}
         for (db, signal, mode), value in closed.items():
             if mode == "pSIC":
@@ -751,24 +802,24 @@ class TestFigurePresets:
 
     def test_preset_two_benchmark_is_strictly_best(self):
         variants = figure_preset(2, methods=("closed",))
-        best = {(r.rho_db, r.signal, r.sic_mode): r.value for r in variants["varpi_0"]}
+        best = {(r.rho_db, r.signal, r.sic_mode): r.value for r in variants["varpi_0"].rows()}
         for label in ("varpi_0.01", "varpi_0.1"):
-            for row in variants[label]:
+            for row in variants[label].rows():
                 assert best[(row.rho_db, row.signal, row.sic_mode)] < row.value
 
     def test_preset_three_sweeps_residual_variance(self):
         variants = figure_preset(3, methods=("closed",))
         assert set(variants) == {"omega_i_-20dB", "omega_i_-10dB", "omega_i_0dB"}
-        worst = {(r.rho_db, r.signal): r.value for r in variants["omega_i_0dB"] if r.sic_mode == "ipSIC"}
-        for row in variants["omega_i_-20dB"]:
+        worst = {(r.rho_db, r.signal): r.value for r in variants["omega_i_0dB"].rows() if r.sic_mode == "ipSIC"}
+        for row in variants["omega_i_-20dB"].rows():
             if row.sic_mode == "ipSIC":
                 assert row.value <= worst[(row.rho_db, row.signal)] + 1e-15
 
     def test_preset_four_emits_throughput(self):
         variants = figure_preset(4, methods=("closed",))
         assert set(variants) == {"omega_i_-20dB", "omega_i_-10dB"}
-        for rows in variants.values():
-            assert all(row.signal == "sum" for row in rows)
+        for table in variants.values():
+            assert all(row.signal == "sum" for row in table.rows())
 
     def test_unknown_preset_rejected(self):
         with pytest.raises(ConfigError):
@@ -1018,6 +1069,17 @@ class TestCli:
         assert cli.main([*argv, "--config", str(scenario)]) == 2
         captured = capsys.readouterr()
         assert captured.err == "numeric error: float division by zero\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["sweep", "--signals", "x1,x1", "--rho-max-db", "0"], "signal 'x1' is selected more than once"),
+        (["outage", "--methods", "closed,closed"], "method 'closed' is selected more than once"),
+        (["throughput", "--methods", "closed,closed"], "method 'closed' is selected more than once"),
+    ])
+    def test_repeated_selection_exits_one(self, argv, message, capsys):
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"configuration error: {message}\n"
         assert captured.out == ""
 
     def test_unknown_method_exits_one(self, capsys):
