@@ -61,11 +61,12 @@ _MAX_STAGES = 3
 class HypoexpSpec:
     """Rates of a sum of 1-3 independent exponential stages.
 
-    ``series`` holds the coefficients ``h_m / (m+n-1)!`` of the divided
-    difference of exp around the node mean, where ``h_m`` is the complete
-    homogeneous symmetric polynomial of the rate deviations from their mean,
-    scaled by the rate spread. They depend on the rates only, so they are
-    computed once here and not per density evaluation.
+    For three rates, ``series`` holds the coefficients ``h_m / (m+2)!`` of
+    the divided difference of exp around the node mean, where ``h_m`` is the
+    complete homogeneous symmetric polynomial of the rate deviations from
+    their mean, scaled by the rate spread. They depend on the rates only, so
+    they are computed once here and not per density evaluation. Only the
+    three-stage density reads them; with fewer rates ``series`` is empty.
     """
 
     rates: tuple[float, ...]
@@ -76,7 +77,7 @@ class HypoexpSpec:
             raise ConfigError(f"hypoexponential spec needs 1 to {_MAX_STAGES} rates")
         if not all(r > 0.0 and math.isfinite(r) for r in self.rates):
             raise ConfigError("hypoexponential rates must be positive and finite")
-        object.__setattr__(self, "series", _series_coefficients(self.rates))
+        object.__setattr__(self, "series", _series_coefficients(self.rates) if len(self.rates) == 3 else ())
 
 
 def _series_coefficients(rates: Sequence[float]) -> tuple[float, ...]:
@@ -91,9 +92,10 @@ def _series_coefficients(rates: Sequence[float]) -> tuple[float, ...]:
     for d in ((r - mean) / spread for r in rates):
         e = [e[0]] + [e[j] + d * e[j - 1] for j in range(1, len(e))] + [d * e[-1]]
     # h_m = sum_j (-1)^(j+1) e_j h_(m-j)
+    signed = [e[j] if j % 2 else -e[j] for j in range(n + 1)]
     h = [1.0]
     for m in range(1, _SERIES_TERMS):
-        h.append(math.fsum((-1) ** (j + 1) * e[j] * h[m - j] for j in range(1, min(m, n) + 1)))
+        h.append(math.fsum(signed[j] * h[m - j] for j in range(1, min(m, n) + 1)))
     return tuple(hm / math.factorial(m + n - 1) for m, hm in enumerate(h))
 
 

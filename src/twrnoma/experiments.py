@@ -58,9 +58,10 @@ _GRID_METHODS = ("closed", "asymptotic", "oma")
 MAX_GRID_POINTS = 100_000
 
 # Scenarios that oracle_agreement draws and checks together: with both
-# signals and both SIC modes, 32 oracle cases, so memory does not grow with
-# the number of scenarios.
-_AGREEMENT_GROUP = 8
+# signals and both SIC modes, 128 oracle cases and about as many distinct
+# integrals, so one chunk fills several quadrature passes and memory is
+# bounded by the chunk, not by the number of scenarios.
+_AGREEMENT_GROUP = 32
 # Quadrature tolerances of oracle_agreement, tight enough that the oracle's
 # own error stays far below the agreement tolerances of validate.
 _AGREEMENT_SPEC = QuadSpec(abs_tol=1e-13, rel_tol=1e-11)

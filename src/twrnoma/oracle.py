@@ -28,9 +28,11 @@ two rules agree by chance cannot end the refinement early. Each integral
 keeps its own tolerance, depth limit and panel budget, and comes out bit for
 bit as it would alone.
 
-:func:`quad_outages` evaluates many ``(config, signal, SIC mode)`` outages
-in groups of ``_GROUP`` cases: within a group, the integrals of one kind
-(relay, near user, relay pair) and one density size share one batched pass.
+:func:`quad_outages` evaluates many ``(config, signal, SIC mode)`` outages:
+it collects the distinct integrals of all its cases, orders them by kind
+(relay, near user or relay pair, and density size) and integrates them in
+passes of at most ``_GROUP`` integrals, whatever their kinds. Within a pass,
+each kind's integrand evaluates the contiguous rows of that kind's members.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ _INITIAL_PANELS = 8
 # density of rates (2e5, 500, 5) was accepted with a true error of 6.3e-8.
 _MIN_DEPTH = 2
 _MAX_DEPTH = 60
-# Cases per batch in quad_outages, so at most this many integrals share an
+# Integrals per pass in quad_outages, so at most this many share an
 # integrand call and the working set does not grow with the number of cases.
 _GROUP = 32
 
@@ -114,13 +116,16 @@ def integrate_batch(
     lower: Sequence[float],
     scale: Sequence[float],
     spec: QuadSpec = QuadSpec(),
-    name: str = "semi-infinite",
+    name: str | Sequence[str] = "semi-infinite",
 ) -> np.ndarray:
     """Integrate ``n`` integrands, the i-th over [lower[i], infinity), in one pass.
 
     ``fn(z, owner)`` maps a ``(panels, 15)`` array of abscissae to integrand
     values; row ``j`` belongs to integral ``owner[j]``, so per-integral
-    parameters broadcast over it as ``param[owner, None]``. Every panel still
+    parameters broadcast over it as ``param[owner, None]``. ``owner`` is
+    ascending: each integral's rows are contiguous. ``name`` is the name of
+    every integral, or one name per integral, for the error raised when an
+    integral does not converge. Every panel still
     open at one depth, in every integral, is evaluated in that one call. Each
     integral keeps its own tolerance, depth limit and ``spec.max_subdivisions``
     budget, and its value is bit for bit what it would be alone: its panels
@@ -159,7 +164,7 @@ def integrate_batch(
         z_lo = lo + sc * (1.0 - b[worst]) / b[worst]
         z_hi = lo + sc * (1.0 - a[worst]) / a[worst] if a[worst] > 0.0 else math.inf
         return OracleError(
-            f"quadrature of the {name} integral {reason} "
+            f"quadrature of the {name if isinstance(name, str) else name[member]} integral {reason} "
             f"(lower={lo:.6g}, scale={sc:.6g}, worst open panel z in [{z_lo:.6g}, {z_hi:.6g}])"
         )
 
@@ -296,40 +301,54 @@ def quad_outages(
     tails and are evaluated exactly. Degenerate and reduced interference-term
     sets are handled natively by the density.
 
-    Cases are evaluated in groups of ``_GROUP``. Within a group, all
-    integrals of one kind and density size go through one
-    :func:`integrate_batch` pass, so an integrand call never sees more than
-    ``_GROUP`` integrals and memory does not grow with the number of cases.
-    Each value equals the case's value evaluated alone, bit for bit.
+    The distinct integrals of all cases are ordered by kind and density size
+    and integrated in :func:`integrate_batch` passes of at most ``_GROUP``
+    integrals, which may mix kinds; an integral asked for twice, such as the
+    relay integral of both SIC modes, is integrated once. An integrand call
+    never sees more than ``_GROUP`` integrals, so its memory does not grow
+    with the number of cases. Each value equals the case's value evaluated
+    alone, bit for bit.
     """
-    outages: list[float] = []
-    for first in range(0, len(cases), _GROUP):
-        outages.extend(_group_outages(cases[first:first + _GROUP], spec))
-    return outages
-
-
-def _group_outages(cases, spec):
     # (integrand factory, integral name, density size) -> {(lower, scale,
-    # integrand parameters): index} of the batch's members. An integral asked
-    # for twice, such as the relay integral of both SIC modes, is integrated once.
-    batches: dict[tuple, dict[tuple, int]] = {}
+    # integrand parameters): index} of that kind's integrals
+    kinds: dict[tuple, dict[tuple, int]] = {}
 
-    def request(key, lower, scale, *params):
-        members = batches.setdefault(key, {})
-        return key, members.setdefault((lower, scale, params), len(members))
+    def request(kind, lower, scale, *params):
+        members = kinds.setdefault(kind, {})
+        return kind, members.setdefault((lower, scale, params), len(members))
 
     plans = []
     for config, signal, mode in cases:
         roles, kind = signal_roles(signal)
         plan = _plan_xl if kind == "l" else _plan_xt
         plans.append(plan(config, roles, check_sic_mode(mode), build_derived_constants(config, roles), request))
+    # ((kind, index), (lower, scale, params)) of every integral, ordered by kind
+    integrals = [((kind, index), member) for kind, members in kinds.items() for index, member in enumerate(members)]
     value = {}
-    for key, members in batches.items():
-        factory, name = key[:2]
-        lowers, scales, params = zip(*members)
-        results = integrate_batch(factory(*zip(*params)), lowers, scales, spec, name)
-        value.update(((key, index), float(result)) for index, result in enumerate(results))
+    for first in range(0, len(integrals), _GROUP):
+        passed = integrals[first:first + _GROUP]
+        value.update(zip((key for key, _ in passed), _integrate_pass(passed, spec).tolist()))
     return [plan(value) for plan in plans]
+
+
+def _integrate_pass(integrals, spec):
+    # the values of integrals, ordered by kind, from one integrate_batch pass
+    kinds = [kind for (kind, _), _ in integrals]
+    lowers, scales, params = zip(*(member for _, member in integrals))
+    starts = [i for i, kind in enumerate(kinds) if i == 0 or kind != kinds[i - 1]]
+    bounds = starts + [len(kinds)]
+    integrands = [kinds[first][0](*zip(*params[first:last])) for first, last in zip(bounds, bounds[1:])]
+
+    def integrand(z, owner):
+        # each kind's rows are contiguous, as owner is ascending
+        rows = np.searchsorted(owner, bounds)
+        f = np.empty_like(z)
+        for fn, first, lo, hi in zip(integrands, starts, rows, rows[1:]):
+            if hi > lo:
+                f[lo:hi] = fn(z[lo:hi], owner[lo:hi] - first)
+        return f
+
+    return integrate_batch(integrand, lowers, scales, spec, [kind[1] for kind in kinds])
 
 
 def _plan_xl(config, roles, mode, dc, request):

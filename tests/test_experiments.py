@@ -117,6 +117,10 @@ FROZEN_THROUGHPUT_SHA256 = "3e1f690573faccf8c05a02d28463d403e69cff62d081101d1085
 FROZEN_CLI_SHA256 = [
     (["validate", "--configs", "16", "--seed", "7"],
      "541bfdf590ae7b582b5d77290a7e8fa2b6b355c32951a7b5d5da476371f87036"),
+    # several quadrature passes and two scenario chunks, recorded while each
+    # pass held the integrals of one kind and a chunk held 8 scenarios
+    (["validate", "--configs", "40", "--seed", "3"],
+     "e6ea46183b3214fd01a7e4d3087d25aa0a09a7ee66f456d9aa7102e197bcaaee"),
     (["outage", "--methods", "closed,asymptotic,quad,oma", "--signals", "x1,x2,x3,x4", "--sic", "both",
       "--varpi1", "0.02", "--omega-i-db", "-13", "--rho-db", "17.3"],
      "f99ce539588992002afd6e37977069916a80a1402a712b0e5263d0c2f499bd4c"),

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import mpmath
@@ -318,6 +319,50 @@ class TestBatchedOutages:
         scale = oracle._decay_scale(dc.lam, dc.beta_l / configs[1].omega[0])
         with pytest.raises(OracleError, match=rf"^quadrature of the relay integral .* \(lower=0, scale={scale:.6g},"):
             quad_outages([(c, "x1", "pSIC") for c in configs], starved)
+
+    @pytest.mark.parametrize(
+        "seed, signal, mode, kind", [(0, "x1", "ipSIC", "near user"), (1, "x2", "pSIC", "relay pair")]
+    )
+    def test_errors_name_the_failing_member_of_a_mixed_pass(self, monkeypatch, seed, signal, mode, kind):
+        # within this budget the relay, near-user and relay-pair integrals of
+        # varpi1 = 0.1 and 0.5 converge; the drawn scenario's residual near-user
+        # (seed 0) or relay-pair (seed 1) integral does not
+        starved = QuadSpec(abs_tol=1e-15, rel_tol=1e-13, max_subdivisions=56)
+        passing = [(table_config(varpi1=v), s, "pSIC") for v in (0.1, 0.5) for s in ("x1", "x2")]
+        assert quad_outages(passing, starved) == [quad(*case, starved) for case in passing]
+        failing = random_valid_config(np.random.default_rng(seed))
+        dc = build_derived_constants(failing, GROUP_ONE)
+        if kind == "near user":
+            lower, scale = dc.theta_l, failing.omega[2]
+        else:
+            lower, scale = 0.0, oracle._decay_scale(dc.lam_p, dc.beta_l / failing.omega[0] + dc.beta_t * dc.varphi_t)
+        passes = []
+        true_integrals = oracle.integrate_batch
+        monkeypatch.setattr(oracle, "integrate_batch", lambda *args: passes.append(args[4]) or true_integrals(*args))
+        with pytest.raises(OracleError, match=rf"^quadrature of the {kind} integral .* \(lower={lower:.6g}, scale={scale:.6g},"):
+            quad_outages(passing + [(failing, signal, mode)], starved)
+        # one pass, in which the failing integral follows converging ones of other kinds
+        assert len(passes) == 1 and passes[0][0] == "relay" and {"near user", "relay pair"} <= set(passes[0])
+
+    @pytest.mark.parametrize("group", [1, 5])
+    def test_values_do_not_depend_on_the_passes(self, monkeypatch, group):
+        cases = mixed_cases()
+        default = quad_outages(cases, TIGHT)
+        monkeypatch.setattr(oracle, "_GROUP", group)
+        assert quad_outages(cases, TIGHT) == default
+
+    def test_agreement_memory_does_not_grow_with_the_scenarios(self):
+        oracle_agreement(n_configs=8)  # one-off allocations, outside the measured runs
+        peaks = []
+        tracemalloc.start()
+        try:
+            for n_configs in (40, 160):
+                tracemalloc.reset_peak()
+                oracle_agreement(n_configs=n_configs)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0]
 
     def test_integrals_per_call_never_exceed_the_group(self, monkeypatch):
         widths = []
