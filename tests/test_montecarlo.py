@@ -96,6 +96,12 @@ class TestOutageEstimators:
         est = first[("x1", "ipSIC")]
         assert est.ci_low <= est.p_hat <= est.ci_high
 
+    def test_no_signals_or_modes_rejected(self):
+        with pytest.raises(ConfigError, match="non-empty"):
+            mc_outage(SystemConfig(), (), ("ipSIC",), trials=2000)
+        with pytest.raises(ConfigError, match="non-empty"):
+            mc_outage(SystemConfig(), ("x1",), (), trials=2000)
+
     def test_tags(self):
         estimates = mc_outage(table_config(), ("x2", "x3"), ("pSIC",), trials=2000, seed=3)
         assert list(estimates) == [("x2", "pSIC"), ("x3", "pSIC")]
@@ -320,3 +326,29 @@ class TestErgodicRates:
         cfg = table_config(rho_db=20.0)
         estimate = mc_ergodic_rates(cfg, roles, mode, trials=THREE_CHUNK_TRIALS, seed=1)
         assert estimate.rates == FROZEN_ERGODIC_RATES[(mode, roles)]
+
+
+def three_chunk_failures():
+    estimates = mc_outage(table_config(rho_db=20.0), SIGNALS, MODES, trials=THREE_CHUNK_TRIALS, seed=1)
+    return {
+        mode: tuple(round(estimates[(s, mode)].p_hat * THREE_CHUNK_TRIALS) for s in SIGNALS) for mode in MODES
+    }
+
+
+class TestBlockSize:
+    """The evaluation block only sets how many draws one numpy call sees; results never depend on it."""
+
+    # 1000 is not a power of two, so every chunk ends in a short block
+    @pytest.mark.parametrize("block", [1000, CHUNK_SIZE])
+    def test_counts_and_rates_do_not_depend_on_the_block(self, block, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_BLOCK", block)
+        assert three_chunk_failures() == FROZEN_THREE_CHUNK_FAILURES
+        cfg = table_config(rho_db=20.0)
+        for (mode, roles), frozen in FROZEN_ERGODIC_RATES.items():
+            assert mc_ergodic_rates(cfg, roles, mode, trials=THREE_CHUNK_TRIALS, seed=1).rates == frozen
+
+    def test_short_blocks_with_every_draw_redecided(self, monkeypatch):
+        # the SINR fallback indexes each block's rows by its open draws
+        monkeypatch.setattr(montecarlo, "_BLOCK", 1000)
+        monkeypatch.setattr(sinr, "_GUARD", math.inf)
+        assert three_chunk_failures() == FROZEN_THREE_CHUNK_FAILURES
