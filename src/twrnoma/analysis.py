@@ -16,9 +16,9 @@ check the signal and the mode and then call the evaluator that
 floats. A sweep, which has checked both already, calls the evaluator
 directly with derived constants built over its whole SNR grid: the same
 code then runs on arrays, each entry bit for bit the float result at its
-point. On a grid, an entry outside [0, 1] by more than the clamp gate
-raises ``NumericError`` for the whole column; which point fails, and how,
-is what the float evaluation at that point says.
+point. On a grid, the first entry outside [0, 1] by more than the clamp
+gate raises the ``NumericError`` that its point raises alone, with its
+index in the grid as the error's ``point``.
 """
 
 from __future__ import annotations
@@ -194,22 +194,24 @@ def interference_laplace(rates: Sequence[Grid], s: Grid) -> Grid:
     return value
 
 
-def _finish_probability(raw: Grid) -> Grid:
+def _finish_probability(raw: Grid, point: int | None = None) -> Grid:
     """``raw`` clamped into [0, 1], entry by entry for a grid.
 
     A value that is not finite or that strays further than ``CLAMP_GATE``
-    raises ``NumericError``; for a grid, any such entry does.
+    raises ``NumericError``. On a grid the first such entry raises what it
+    raises alone, with its index as the error's ``point``.
     """
     if isinstance(raw, np.ndarray):
-        if not ((raw >= -CLAMP_GATE) & (raw <= 1.0 + CLAMP_GATE)).all():  # NaN fails too
-            raise NumericError("outage evaluation left [0, 1] by more than the clamp gate on an SNR grid")
+        bad = np.flatnonzero(~((raw >= -CLAMP_GATE) & (raw <= 1.0 + CLAMP_GATE)))  # NaN fails too
+        if bad.size:
+            _finish_probability(raw[bad[0]].item(), int(bad[0]))  # raises
         # clamped as min(max(raw, 0.0), 1.0) clamps a float
         raw = np.where(0.0 > raw, 0.0, raw)
         return np.where(1.0 < raw, 1.0, raw)
     if not math.isfinite(raw):
-        raise NumericError(f"outage evaluation produced a non-finite value: {raw!r}")
+        raise NumericError(f"outage evaluation produced a non-finite value: {raw!r}", point)
     if raw < -CLAMP_GATE or raw > 1.0 + CLAMP_GATE:
-        raise NumericError(f"outage evaluation left [0, 1] by more than the clamp gate: {raw!r}")
+        raise NumericError(f"outage evaluation left [0, 1] by more than the clamp gate: {raw!r}", point)
     return min(max(raw, 0.0), 1.0)
 
 

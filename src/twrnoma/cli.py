@@ -237,7 +237,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
-    except (NumericError, ZeroDivisionError) as exc:
+    except ArithmeticError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,8 +1,10 @@
 """Exception hierarchy shared across the package.
 
 Two failure families map onto the CLI exit codes: configuration problems
-(exit 1) and numeric/oracle problems (exit 2). The CLI also reports a
-``ZeroDivisionError`` of the evaluators as a numeric problem (exit 2).
+(exit 1) and numeric/oracle problems (exit 2). The CLI reports every
+``ArithmeticError`` as a numeric problem: ``NumericError`` and its
+subclasses, and a float error that an evaluator meets, such as a
+``FloatingPointError`` from an SNR grid's division by zero.
 """
 
 
@@ -11,7 +13,15 @@ class ConfigError(ValueError):
 
 
 class NumericError(ArithmeticError):
-    """A computed quantity left its admissible range (NaN, overflow, bad probability)."""
+    """A computed quantity left its admissible range (NaN, overflow, bad probability).
+
+    ``point`` is the index of the SNR-grid entry that failed, when the error
+    arose on a whole grid at once.
+    """
+
+    def __init__(self, message: str, point: int | None = None):
+        super().__init__(message)
+        self.point = point
 
 
 class OracleError(NumericError):

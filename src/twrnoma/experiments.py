@@ -178,18 +178,14 @@ class SweepSpec:
         return [self.rho_min_db + i * self.rho_step_db for i in range(self._point_count())]
 
 
-def _evaluated_grid_db(spec: SweepSpec) -> list[float]:
-    """The spec's SNR grid, checked before any point is evaluated.
+def _checked_grid(config: SystemConfig, grid: list[float]) -> list[float]:
+    """``grid`` itself, once the configs at its first and last points are valid.
 
-    Its end must not overflow in linear units, and its first and last points
-    must give valid configs. The checks that read the SNR are monotone in it,
-    so these two raise what the first failing point would raise.
+    The domain bounds ``rho_db`` to an interval, so every point between two
+    valid ones is valid too; the first point fails first.
     """
-    grid = spec.rho_grid_db()
-    if not math.isfinite(db_to_linear(grid[-1])):
-        raise ConfigError(f"the SNR grid ends at {grid[-1]:g} dB, which overflows in linear units")
-    replace(spec.config, rho_db=grid[0])
-    replace(spec.config, rho_db=grid[-1])
+    replace(config, rho_db=grid[0])
+    replace(config, rho_db=grid[-1])
     return grid
 
 
@@ -218,73 +214,54 @@ def oma_outage(config: SystemConfig, signal: str, rho: Grid | None = None) -> Gr
     return 1.0 - hop_src * hop_dst
 
 
-def _columns(config: SystemConfig, rho: Grid, spec: SweepSpec, finish=lambda column: column) -> dict:
-    """The closed, asymptotic and TDMA outage of each (signal, mode) of ``spec`` at the linear SNR ``rho``.
-
-    ``rho`` is a float, or an array over an SNR grid, each entry bit for bit
-    the value of its point alone. The derived constants of every role group
-    are built first, then each (method, signal, mode) is evaluated in that
-    order, so an error is the first one met in that order. The TDMA outage
-    does not read the SIC mode and is evaluated once per signal.
-    ``finish`` maps each evaluated value to the one listed under
-    ``(method, signal, mode)``.
-    """
-    methods = [method for method in spec.methods if method in _GRID_METHODS]
-    constants = {}
-    if "closed" in methods or "asymptotic" in methods:
-        groups = dict.fromkeys(SIGNAL_ROLES[signal][0] for signal in spec.signals)
-        constants = {roles: build_derived_constants(config, roles, rho) for roles in groups}
-    values = {}
-    for method in methods:
-        for signal in spec.signals:
-            if method == "oma":
-                column = finish(oma_outage(config, signal, rho))
-                values.update(((method, signal, mode), column) for mode in spec.sic_modes)
-                continue
-            roles, kind = SIGNAL_ROLES[signal]
-            evaluator = analysis.EVALUATORS[method, kind]
-            for mode in spec.sic_modes:
-                values[method, signal, mode] = finish(evaluator(config, roles, constants[roles], mode))
-    return values
-
-
-def _grid_columns(spec: SweepSpec, grid_db: list[float]) -> dict | None:
+def _grid_columns(spec: SweepSpec, grid_db: list[float]) -> tuple[dict, int]:
     """``spec``'s closed, asymptotic and TDMA columns over the whole SNR grid ``grid_db``, as lists of floats.
 
     One set of derived constants per role group and one evaluator call per
-    (method, signal, mode) serve every point. ``None`` when any entry does
-    not evaluate cleanly: an SNR that overflows, an ``ArithmeticError`` or a
-    value outside [0, 1]. The caller then evaluates the points one by one,
-    which meets the error, if any, where the point alone meets it.
+    (method, signal, mode) serve every point, each entry bit for bit the
+    value of its point alone. The TDMA outage does not read the SIC mode, so
+    both modes list one column per signal. Also returns the first point at
+    which any column leaves [0, 1], ``len(grid_db)`` when none does.
     """
     rho = np.array([db_to_linear(rho_db) for rho_db in grid_db])  # converted as each point's config converts it
-    if not np.isfinite(rho).all():
-        return None
+    first_bad = len(grid_db)
 
     def listed(column) -> list[float]:
+        nonlocal first_bad
         column = np.broadcast_to(column, rho.shape)
-        if not ((0.0 <= column) & (column <= 1.0)).all():  # NaN fails too
-            raise NumericError("outage column out of range")
+        bad = np.flatnonzero(~((0.0 <= column) & (column <= 1.0)))  # NaN fails too
+        if bad.size:
+            first_bad = min(first_bad, int(bad[0]))
         return column.tolist()
 
-    try:
-        # inf and NaN arise silently, as on Python floats. x/0 raises: on the
-        # grid it could turn into a valid-looking exp(-inf).
-        with np.errstate(all="ignore", divide="raise"):
-            return _columns(spec.config, rho, spec, listed)
-    except ArithmeticError:
-        return None
+    methods = [method for method in spec.methods if method in _GRID_METHODS]
+    columns = {}
+    # inf and NaN arise silently, as on Python floats. x/0 raises: on the
+    # grid it could turn into a valid-looking exp(-inf).
+    with np.errstate(all="ignore", divide="raise"):
+        constants = {}
+        if "closed" in methods or "asymptotic" in methods:
+            groups = dict.fromkeys(SIGNAL_ROLES[signal][0] for signal in spec.signals)
+            constants = {roles: build_derived_constants(spec.config, roles, rho) for roles in groups}
+        for method in methods:
+            for signal in spec.signals:
+                if method == "oma":
+                    column = listed(oma_outage(spec.config, signal, rho))
+                    columns.update(((method, signal, mode), column) for mode in spec.sic_modes)
+                    continue
+                roles, kind = SIGNAL_ROLES[signal]
+                evaluator = analysis.EVALUATORS[method, kind]
+                for mode in spec.sic_modes:
+                    columns[method, signal, mode] = listed(evaluator(spec.config, roles, constants[roles], mode))
+    return columns, first_bad
 
 
-def _point_cells(spec: SweepSpec, rho_db: float, columns: dict | None) -> dict:
+def _point_cells(spec: SweepSpec, rho_db: float) -> dict:
     """The work a sweep does one SNR point at a time, keyed by ``(method, signal, mode)``.
 
     One validated config at ``rho_db``; the MC estimates of every (signal,
     mode) come from one engine call, and the quadrature values from one
-    batched oracle call. When the sweep has no whole-grid ``columns``
-    (``None``), the point also evaluates its closed, asymptotic and TDMA
-    values alone, after its MC and quadrature work, as :func:`_columns` does
-    at a float SNR.
+    batched oracle call.
     """
     config = replace(spec.config, rho_db=rho_db)
     keys = [(signal, mode) for signal in spec.signals for mode in spec.sic_modes]
@@ -295,8 +272,6 @@ def _point_cells(spec: SweepSpec, rho_db: float, columns: dict | None) -> dict:
     if "quad" in spec.methods:
         values = quad_outages([(config, signal, mode) for signal, mode in keys])
         cells.update((("quad", *key), value) for key, value in zip(keys, values))
-    if columns is None:
-        cells.update(_columns(config, config.rho, spec))
     return cells
 
 
@@ -304,27 +279,41 @@ def run_sweep(spec: SweepSpec) -> CurveTable:
     """Evaluate the grid; one column per (signal, mode, method), one row per (SNR point, column).
 
     Closed, asymptotic and TDMA columns are evaluated over the whole grid at
-    once when all of them evaluate cleanly there, and point by point
-    otherwise; MC and quadrature run one SNR point at a time. Every outage
-    value is range-checked, point by point in row order.
+    once; MC and quadrature run one SNR point at a time. The grid's ends are
+    checked against the domain first. Errors come as the points would meet
+    them one at a time: a point's MC and quadrature work, then its
+    evaluation errors, then its rows outside [0, 1], in row order.
     """
-    grid = _evaluated_grid_db(spec)
-    columns = _grid_columns(spec, grid)
+    return _sweep(spec, _checked_grid(spec.config, spec.rho_grid_db()))
+
+
+def _sweep(spec: SweepSpec, grid: list[float]) -> CurveTable:
+    """:func:`run_sweep` over ``grid``, whose ends are checked."""
+    try:
+        columns, first_bad = _grid_columns(spec, grid)
+    except NumericError as exc:
+        if exc.point:  # an evaluator failed at that point; the points before it raise their own errors first
+            _sweep(spec, grid[:exc.point])
+        raise
     keys = [(signal, mode) for signal in spec.signals for mode in spec.sic_modes]
-    per_point = [method for method in spec.methods if columns is None or method not in _GRID_METHODS]
+    per_point = [method for method in spec.methods if method not in _GRID_METHODS]
     # each (method, signal, mode)'s cells: its whole-grid column, or a list the points fill in
-    cells = dict(columns or {})
+    cells = dict(columns)
     cells.update(((method, *key), []) for method in per_point for key in keys)
-    for rho_db in grid if per_point else ():
-        at_point = _point_cells(spec, rho_db, columns)
-        # the whole-grid columns are in range; only values evaluated at the point need the check
+    for i, rho_db in enumerate(grid):
+        if per_point:
+            at_point = _point_cells(spec, rho_db)
+            for key in keys:
+                for method in per_point:
+                    cells[(method, *key)].append(at_point[(method, *key)])
+        elif i < first_bad:
+            continue  # the whole-grid columns are in range up to their first bad point
         for signal, mode in keys:
-            for method in per_point:
-                cell = at_point[method, signal, mode]
+            for method in spec.methods:
+                cell = cells[method, signal, mode][i]
                 value = cell.p_hat if method == "mc" else cell
                 if not 0.0 <= value <= 1.0:  # NaN fails too
                     raise NumericError(f"outage row out of range: {signal} {method} at {rho_db} dB -> {value!r}")
-                cells[method, signal, mode].append(cell)
     table = []
     for signal, mode in keys:
         for method in spec.methods:
@@ -379,8 +368,9 @@ def crossover_snr_db(
     cross on the window. Deterministic: no randomness is involved. A window
     that :class:`SweepSpec` rejects as a grid, with ``scan_step_db`` as its
     step, an unknown signal or mode, or a ``tol_db`` that is not positive and
-    finite raises ``ConfigError`` before any evaluation. The scan grid's
-    closed and TDMA columns come from the spec's whole-grid evaluation.
+    finite raises ``ConfigError`` before any evaluation, and so does a
+    window whose ends leave the domain. The scan grid's closed and TDMA
+    columns come from the sweep's whole-grid evaluation.
     """
     # the window's grid checks and size cap, and the selection the scan evaluates
     spec = SweepSpec(config, rho_min_db, rho_max_db, scan_step_db, methods=("closed", "oma"),
@@ -396,18 +386,12 @@ def crossover_snr_db(
     grid = [rho_min_db + i * scan_step_db for i in range(steps)]
     if grid[-1] < rho_max_db:
         grid.append(rho_max_db)
-    previous = diff(grid[0])  # checks the config at the first point
-    if previous > 0.0:
+    closed, oma = (column.values for column in _sweep(spec, _checked_grid(config, grid)).columns)
+    gaps = [c - o for c, o in zip(closed, oma)]
+    if gaps[0] > 0.0:
         return None  # already above the baseline at the low end
-    # The config checks that read the SNR are monotone in it: past the first
-    # point only an SNR that overflows fails them, and the columns fall back there.
-    columns = _grid_columns(spec, grid)
     for i in range(1, len(grid)):
-        if columns is None:
-            current = diff(grid[i])
-        else:
-            current = columns["closed", signal, mode][i] - columns["oma", signal, mode][i]
-        if previous <= 0.0 < current:
+        if gaps[i - 1] <= 0.0 < gaps[i]:
             lo, hi = grid[i] - scan_step_db, grid[i]
             while hi - lo > tol_db:
                 mid = 0.5 * (lo + hi)
@@ -418,7 +402,6 @@ def crossover_snr_db(
                 else:
                     lo = mid
             return 0.5 * (lo + hi)
-        previous = current
     return None
 
 

@@ -11,7 +11,6 @@ argument, one of :data:`SIC_MODES`, next to the config and the signal.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -38,11 +37,8 @@ def check_sic_mode(mode: str) -> str:
 
 
 def db_to_linear(value_db: float) -> float:
-    """Single conversion point for dB-valued inputs; infinity when the linear value overflows."""
-    try:
-        return 10.0 ** (value_db / 10.0)
-    except OverflowError:
-        return math.inf
+    """Single conversion point for dB-valued inputs."""
+    return 10.0 ** (value_db / 10.0)
 
 
 @dataclass(frozen=True)
@@ -88,6 +84,24 @@ def signal_roles(signal: str) -> tuple[PairRoles, str]:
         raise ConfigError(f"unknown signal {signal!r}; expected one of {tuple(SIGNAL_ROLES)}") from None
 
 
+# The physical domain of a scenario: (field, lowest, highest, unit), entry by
+# entry for the four-entry fields. varpi1 may also be exactly 0, no cross-pair
+# leakage. Inside it the smallest exponential mean the closed forms divide by,
+# rho·varpi1·a_i·omega_i, is 1e-34, the TDMA threshold 2^(8R) at most 2^64,
+# and every linear value a normal float.
+DOMAIN = (
+    ("rho_db", -100.0, 200.0, " dB"),
+    ("omega_i_db", -100.0, 30.0, " dB"),
+    ("a", 1e-6, 1.0 - 1e-6, ""),
+    ("b", 1e-6, 1.0 - 1e-6, ""),
+    ("omega", 1e-6, 1e4, ""),
+    ("varpi1", 1e-12, 1.0, ""),
+    ("varpi2", 0.0, 1.0, ""),
+    ("rates", 0.0, 8.0, " BPCU"),
+)
+_ENTRYWISE = ("a", "b", "omega", "rates")
+
+
 def omega_from_distances(d1: float, d2: float, alpha: float) -> tuple[float, float, float, float]:
     """Channel variances from relay distances: near users (1, 3) at ``d1``, far (2, 4) at ``d2``."""
     if d1 <= 0 or d2 <= 0:
@@ -120,58 +134,25 @@ class SystemConfig:
     rates: tuple[float, float, float, float] = (0.1, 0.01, 0.1, 0.01)
 
     def __post_init__(self) -> None:
-        for name, values in (("a", self.a), ("b", self.b), ("omega", self.omega), ("rates", self.rates)):
-            if len(values) != 4:
-                raise ConfigError(f"{name} must have exactly 4 entries, got {len(values)}")
-            if not all(map(math.isfinite, values)):
-                raise ConfigError(f"{name} entries must be finite")
-        # every entry is finite from here on, so bounds on min and max bound them all
-        if not (0.0 < min(self.a) and max(self.a) < 1.0):
-            raise ConfigError("uplink power coefficients a must lie in (0, 1)")
-        if not (0.0 < min(self.b) and max(self.b) < 1.0):
-            raise ConfigError("downlink power coefficients b must lie in (0, 1)")
+        for name in _ENTRYWISE:
+            if len(getattr(self, name)) != 4:
+                raise ConfigError(f"{name} must have exactly 4 entries, got {len(getattr(self, name))}")
+        for name, low, high, unit in DOMAIN:
+            value = getattr(self, name)
+            zero_too = name == "varpi1"
+            entries = value if name in _ENTRYWISE else (value,)
+            # a NaN fails every comparison, so it lies outside too
+            if not all(low <= v <= high or (zero_too and v == 0.0) for v in entries):
+                span = f"{'0 or ' * zero_too}[{low:g}, {high:g}]{unit}"
+                span = f"each entry in {span}" if name in _ENTRYWISE else span
+                raise ConfigError(f"{name} = {value!r} is outside the domain: {span}")
         if abs(self.b[0] + self.b[1] - 1.0) > _B_SUM_TOL or abs(self.b[2] + self.b[3] - 1.0) > _B_SUM_TOL:
             raise ConfigError("downlink splits must satisfy b1+b2 = 1 and b3+b4 = 1")
         if not (self.b[1] > self.b[0] and self.b[3] > self.b[2]):
             raise ConfigError("far users must get the larger downlink share (b2 > b1, b4 > b3)")
-        if not min(self.omega) > 0.0:
-            raise ConfigError("channel variances must be positive")
-        if not (0.0 <= self.varpi1 <= 1.0 and 0.0 <= self.varpi2 <= 1.0):
-            raise ConfigError("interference impact levels varpi1, varpi2 must lie in [0, 1]")
-        if not min(self.rates) >= 0.0:
-            raise ConfigError("target rates must be non-negative")
-        # the largest threshold, the TDMA baseline's 2^(OMA_PHASES * R), must not overflow
-        if not OMA_PHASES * max(self.rates) < sys.float_info.max_exp:
-            raise ConfigError(
-                f"target rate {max(self.rates):g} BPCU overflows the TDMA threshold 2^({OMA_PHASES}R); "
-                f"rates must be below {sys.float_info.max_exp / OMA_PHASES:g} BPCU"
-            )
-        if not (math.isfinite(self.rho_db) and math.isfinite(self.omega_i_db)):
-            raise ConfigError("rho_db and omega_i_db must be finite")
-        for name, value_db, linear in (
-            ("rho_db", self.rho_db, self.rho), ("omega_i_db", self.omega_i_db, self.omega_i)
-        ):
-            if not math.isfinite(linear):
-                raise ConfigError(f"{name} = {value_db:g} dB overflows in linear units")
-            # the closed forms and the Monte Carlo events divide by these values
-            if linear < sys.float_info.min:
-                raise ConfigError(f"{name} = {value_db:g} dB underflows in linear units")
-        # and the closed forms and the oracle divide by the exponential means
-        # rho*a_i*omega_i, rho*varpi1*a_i*omega_i and rho*omega_i, formed as they form them
-        rho = self.rho
-        means = [rho * a * om for a, om in zip(self.a, self.omega)]
-        if self.varpi1 > 0.0:
-            means += [rho * self.varpi1 * a * om for a, om in zip(self.a, self.omega)]
-        smallest = min(min(means), rho * self.omega_i)
-        if smallest < sys.float_info.min:
-            raise ConfigError(
-                f"the smallest exponential mean (of rho*a_i*omega_i, rho*varpi1*a_i*omega_i and "
-                f"rho*omega_i) is {smallest:g}, which underflows"
-            )
 
-    # Converted once per config, on first read (``__post_init__`` reads both);
-    # the cached values sit outside the fields, so ``==``, ``hash`` and
-    # ``replace`` see the dB values only.
+    # Converted once per config, on first read; the cached values sit outside
+    # the fields, so ``==``, ``hash`` and ``replace`` see the dB values only.
     @cached_property
     def rho(self) -> float:
         """Transmit SNR in linear units."""

@@ -151,21 +151,18 @@ def mc_outage(
     def failures(share: list[tuple[int, int]]) -> dict[tuple[str, str], int]:
         buffer = np.empty((UNIT_ROWS // 2 + 1, max(size for _, size in share)))
         fails = dict.fromkeys(keys, 0)
-        # A bound may overflow to inf on extreme variances; no unit draw exceeds
-        # it, which is the decision the SINR path makes, so the overflow is silent.
-        with np.errstate(over="ignore"):
-            for index, size in share:
-                stream = root.substream(index)
-                blocks = [slice(start, start + _BLOCK) for start in range(0, size, _BLOCK)]
-                uplink = unit_rows(stream, size, list(buffer[:5]))
-                relay = [decisions.relay([row[b] for row in uplink]) for b in blocks]
-                # keep row 4 only: pSIC's downlink starts there, on ipSIC's uplink residual
-                rows = [None] * 4 + uplink[4:] + unit_rows(stream, size, [*buffer[:4], buffer[5]])
-                for b, up in zip(blocks, relay):
-                    down = decisions.user([row if row is None else row[b] for row in rows])
-                    for key in keys:
-                        ok = up[key] & down[key]
-                        fails[key] += ok.size - int(np.count_nonzero(ok))
+        for index, size in share:
+            stream = root.substream(index)
+            blocks = [slice(start, start + _BLOCK) for start in range(0, size, _BLOCK)]
+            uplink = unit_rows(stream, size, list(buffer[:5]))
+            relay = [decisions.relay([row[b] for row in uplink]) for b in blocks]
+            # keep row 4 only: pSIC's downlink starts there, on ipSIC's uplink residual
+            rows = [None] * 4 + uplink[4:] + unit_rows(stream, size, [*buffer[:4], buffer[5]])
+            for b, up in zip(blocks, relay):
+                down = decisions.user([row if row is None else row[b] for row in rows])
+                for key in keys:
+                    ok = up[key] & down[key]
+                    fails[key] += ok.size - int(np.count_nonzero(ok))
         return fails
 
     workers = max(1, min(workers, len(bounds)))

@@ -35,8 +35,7 @@ the band both paths therefore decide alike. Draws inside it, a share of
 order ``k`` per event, are decided again by the SINR path
 (:func:`relay_events`, :func:`user_events`), so the outcomes are the SINR
 path's by construction, whatever the band. This holds while no product
-overflows or underflows. Where ``rho·g`` overflows (3080 dB) the SINR path
-yields NaN, a failed decode, and only the linear forms are right.
+overflows or underflows, which the domain (``model.DOMAIN``) rules out.
 """
 
 from __future__ import annotations

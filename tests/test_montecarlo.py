@@ -188,33 +188,26 @@ def near_infeasible_config():
     return cfg
 
 
-def overflowing_bound_config():
-    # the relay-side interference times a cut of its bound overflows: the bound
-    # is inf, which no unit draw exceeds, so the decisions stay the SINR path's
+def domain_corner_config():
+    # at the top of the SNR domain, with variances, a power split, a downlink
+    # split and a rate at their domain bounds; x1 and x2 fail about half the time
     return table_config(
-        a=(0.9168349950011633, 0.08316500499883672, 0.637966489169057, 0.36203351083094304),
-        b=(0.08602641823443918, 0.9139735817655608, 0.44203495297005246, 0.5579650470299475),
-        omega=(2.5625476214820794e-108, 7.38650109274556, 4.072359306011697e+216, 5.94340296589343),
-        omega_i_db=-96.44263489618311, varpi1=2.477783631121481e-07, varpi2=0.012476326218623995,
-        rates=(2.7787097509109568e-09, 7.212537519508192e-08, 0.00037442718152215065, 1.1265644571327126e-10),
+        rho_db=200.0, a=(0.99, 0.23, 1.0 - 1e-6, 0.6), b=(0.39, 0.61, 0.5 - 1e-6, 0.5 + 1e-6),
+        omega=(1e-6, 0.017, 1e-6, 6.4e-4), omega_i_db=-40.0, varpi1=1.4e-9, varpi2=0.1,
+        rates=(1.7e-4, 0.012, 1.04, 8.0),
     )
 
 
 class TestGuardBand:
     """Draws near an event boundary are decided by the SINR path, so counts never depend on the band."""
 
-    def test_counts_do_not_overflow_at_extreme_snr(self):
-        # rho * g overflows at 3080 dB; the rho-free forms do not, and no
-        # draw of this run lies between the event boundaries at 300 and 3080 dB
-        assert failure_counts(table_config(rho_db=3080.0)) == failure_counts(table_config(rho_db=300.0))
-
     @pytest.mark.parametrize("cfg", [
         *(table_config(rho_db=rho_db) for rho_db in sorted({rho for rho, _ in FROZEN_FAILURES})),
         near_infeasible_config(),
         table_config(rho_db=20.0, rates=(0.0, 0.0, 0.0, 0.0)),
         table_config(rho_db=20.0, varpi1=0.0, varpi2=0.0),
-        overflowing_bound_config(),
-    ], ids=["0dB", "20dB", "40dB", "near_infeasible", "zero_rates", "no_leakage", "overflowing_bound"])
+        domain_corner_config(),
+    ], ids=["0dB", "20dB", "40dB", "near_infeasible", "zero_rates", "no_leakage", "domain_corner"])
     def test_counts_equal_with_every_draw_redecided(self, cfg, monkeypatch):
         banded = failure_counts(cfg)
         monkeypatch.setattr(sinr, "_GUARD", math.inf)
