@@ -108,11 +108,19 @@ def _given(**flags) -> dict:
     return {name: value for name, value in flags.items() if value is not None}
 
 
-def _load_scenario(args: argparse.Namespace, rho_db: float | None = None) -> tuple[SystemConfig, RunSettings]:
-    """The ``--config`` file, or the defaults, with the scenario flags and ``rho_db`` over it."""
-    config, settings = load_config_file(args.config) if args.config else (SystemConfig(), RunSettings())
+def _load_scenario(args: argparse.Namespace) -> tuple[SystemConfig, RunSettings]:
+    """The ``--config`` file, or the defaults, with the scenario flags over it.
+
+    The config is built and checked once, after the flags replace the file's
+    values. Only ``outage`` reads ``rho_db``, from ``--rho-db`` or else the
+    file; the other commands evaluate their own SNR grid and take the default,
+    so a file ``rho_db`` they never read is never checked.
+    """
+    rho_db = args.rho_db if args.command == "outage" else SystemConfig.rho_db
     overrides = _given(varpi1=args.varpi1, varpi2=args.varpi2, omega_i_db=args.omega_i_db, rho_db=rho_db)
-    return replace(config, **overrides), settings
+    if args.config:
+        return load_config_file(args.config, **overrides)
+    return SystemConfig(**overrides), RunSettings()
 
 
 def _run_settings(args: argparse.Namespace, settings: RunSettings = RunSettings()) -> RunSettings:
@@ -146,7 +154,7 @@ def _sweep_spec(args, methods: tuple[str, ...], **selection) -> experiments.Swee
     ``outage`` evaluates the one point at the scenario's SNR, the others their grid.
     """
     one_point = args.command == "outage"
-    config, settings = _load_scenario(args, args.rho_db if one_point else None)
+    config, settings = _load_scenario(args)
     settings = _run_settings(args, settings)
     grid = (config.rho_db, config.rho_db, 1.0) if one_point else (args.rho_min_db, args.rho_max_db, args.rho_step_db)
     return experiments.SweepSpec(

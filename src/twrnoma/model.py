@@ -374,14 +374,16 @@ _SCALAR_KEYS = {
 _KNOWN_KEYS = _SCALAR_KEYS | {"trials", "seed"}
 
 
-def load_config_file(path: str | Path) -> tuple[SystemConfig, RunSettings]:
+def load_config_file(path: str | Path, **overrides: object) -> tuple[SystemConfig, RunSettings]:
     """Parse a flat ``key=value`` config file (UTF-8, ``#`` comments allowed).
 
     Channel variances come either from ``omega1..omega4`` or from distances
     ``d1, d2`` with path-loss exponent ``alpha`` (never both). Unknown keys
     are an error, ``sic_mode`` among them: the SIC mode is chosen per
     command. Missing keys fall back to the defaults of
-    :class:`SystemConfig` / :class:`RunSettings`.
+    :class:`SystemConfig` / :class:`RunSettings`. ``overrides`` are
+    :class:`SystemConfig` fields that replace the file's before the config is
+    built, so a file value they replace is never checked against the domain.
     """
     raw: dict[str, str] = {}
     try:
@@ -442,4 +444,4 @@ def load_config_file(path: str | Path) -> tuple[SystemConfig, RunSettings]:
             except ValueError as exc:
                 raise ConfigError(f"{path}: key {key!r} is not an integer: {raw[key]!r}") from exc
 
-    return SystemConfig(**values), RunSettings(**settings_kwargs)
+    return SystemConfig(**{**values, **overrides}), RunSettings(**settings_kwargs)

@@ -24,7 +24,12 @@ open at one bisection depth, in every integral of the batch, is evaluated on
 its 15 nodes in a single vectorised integrand call. A panel is accepted once
 its error estimate is at most its share of its integral's tolerance,
 ``tol * (b - a)`` in ``u``, but never before depth 2, so a coarse panel whose
-two rules agree by chance cannot end the refinement early. Each integral
+two rules agree by chance cannot end the refinement early. Only the levels
+whose numbers are read are evaluated: depth 0, whose estimate anchors each
+relative tolerance, and depth 2 onward. Depth 1 is bisected without being
+evaluated, so an integral that converges at depth 2 costs 600 integrand
+evaluations, not 840; the panel budget still counts it, and it is evaluated
+only to name the worst panel when the budget runs out there. Each integral
 keeps its own tolerance, depth limit and panel budget, and comes out bit for
 bit as it would alone.
 
@@ -96,8 +101,10 @@ _ROUNDOFF_FLOOR = 50.0 * np.finfo(float).eps
 class QuadSpec:
     """Quadrature tolerances and the subdivision budget.
 
-    ``max_subdivisions`` caps the number of panels evaluated per integral,
-    the initial ones included; each panel costs 15 integrand evaluations.
+    ``max_subdivisions`` caps the number of panels per integral: it counts
+    the panels of the bisection, the initial ones included, and the level
+    that is never evaluated too. An evaluated panel costs 15 integrand
+    evaluations.
     """
 
     abs_tol: float = 1e-10
@@ -157,8 +164,8 @@ def integrate_batch(
         return kronrod, np.maximum(np.abs(kronrod - gauss), floor)
 
     def unconverged(reason, member):
-        # reads the current depth's panels
-        panels = np.flatnonzero(open_ & (owner == member))
+        # reads the current depth's open panels and their error estimates
+        panels = np.flatnonzero(owner == member)
         worst = panels[np.argmax(err[panels])]
         lo, sc = float(lower[member]), float(scale[member])
         z_lo = lo + sc * (1.0 - b[worst]) / b[worst]
@@ -182,13 +189,14 @@ def integrate_batch(
     accepted, accepted_owner = [], []
     depth = 0
     while True:
-        done = (err <= tol[owner] * (b - a)) & (depth >= _MIN_DEPTH)
-        accepted.append(estimate[done])
-        accepted_owner.append(owner[done])
-        open_ = ~done
-        if not open_.any():
-            break
-        open_count = np.bincount(owner[open_], minlength=count)
+        if depth >= _MIN_DEPTH:
+            done = err <= tol[owner] * (b - a)
+            accepted.append(estimate[done])
+            accepted_owner.append(owner[done])
+            if done.all():
+                break
+            a, b, owner, err = a[~done], b[~done], owner[~done], err[~done]
+        open_count = np.bincount(owner, minlength=count)
         if depth == _MAX_DEPTH:
             raise unconverged(
                 f"exceeded the maximum bisection depth {_MAX_DEPTH} without converging",
@@ -197,11 +205,13 @@ def integrate_batch(
         spent += 2 * open_count
         over = np.flatnonzero(spent > spec.max_subdivisions)
         if over.size:
+            if err is None:
+                # a level above 0 and below _MIN_DEPTH is evaluated only to name its worst panel
+                _, err = gauss_kronrod(a, b, owner)
             raise unconverged(
                 f"did not converge within the subdivision budget of {spec.max_subdivisions} panels",
                 int(over[0]),
             )
-        a, b, owner = a[open_], b[open_], owner[open_]
         # each integral's left halves, then its right halves, as it would bisect alone
         start = np.cumsum(open_count) - open_count
         left = start[owner] + np.arange(owner.size)
@@ -212,8 +222,9 @@ def integrate_batch(
         a_next[left], b_next[left], owner_next[left] = a, middle, owner
         a_next[right], b_next[right], owner_next[right] = middle, b, owner
         a, b, owner = a_next, b_next, owner_next
-        estimate, err = gauss_kronrod(a, b, owner)
         depth += 1
+        # no estimate after depth 0 and before _MIN_DEPTH is read, so those levels are bisected unevaluated
+        estimate, err = gauss_kronrod(a, b, owner) if depth >= _MIN_DEPTH else (None, None)
     estimates, owners = np.concatenate(accepted), np.concatenate(accepted_owner)
     return np.array([math.fsum(estimates[owners == member]) for member in range(count)])
 

@@ -911,7 +911,7 @@ class TestCli:
         (["outage", "--varpi2", "1.5"], None, "varpi2"),
         (["outage", "--methods", "oma"], "r1 = 10\nr2 = 0.01\nr3 = 0.1\nr4 = 0.01\n", "rates"),
         (["outage", "--methods", "closed"], "a1 = 0\na2 = 0.2\na3 = 0.8\na4 = 0.2\n", "a"),
-        (["outage", "--rho-db", "1090"], "omega2 = 1e200\nomega1 = 0.25\nomega3 = 0.25\nomega4 = 1e200\n", "omega"),
+        (["outage", "--rho-db", "100"], "omega2 = 1e200\nomega1 = 0.25\nomega3 = 0.25\nomega4 = 1e200\n", "omega"),
         (["sweep", "--rho-min-db", "-3070", "--rho-max-db", "-3070", "--methods", "closed,oma"], None, "rho_db"),
         (["sweep", "--rho-min-db", "190", "--rho-max-db", "210", "--methods", "closed,mc"], None, "rho_db"),
         (["throughput", "--rho-min-db", "-3070", "--rho-max-db", "-3070"], None, "rho_db"),
@@ -932,6 +932,51 @@ class TestCli:
         assert captured.err.startswith(f"configuration error: {field} = ")
         assert "is outside the domain: " in captured.err
         assert captured.out == ""
+
+    # (argv, config file text): a file value outside the domain that a flag
+    # replaces, or that the command never reads, is never checked
+    REPLACED_OR_UNREAD = [
+        (["sweep", "--rho-max-db", "10", "--methods", "closed"], "rho_db = 250\n"),
+        (["throughput", "--rho-max-db", "10", "--methods", "closed"], "rho_db = 250\n"),
+        (["diversity", "--signal", "x1"], "rho_db = 250\n"),
+        (["outage", "--rho-db", "30", "--methods", "closed"], "rho_db = 250\n"),
+        (["outage", "--varpi1", "0.01", "--methods", "closed"], "varpi1 = 5\n"),
+        (["outage", "--varpi2", "0.01", "--omega-i-db", "-20", "--methods", "closed"], "varpi2 = 2\nomega_i_db = 50\n"),
+    ]
+
+    @pytest.mark.parametrize("argv, text", REPLACED_OR_UNREAD, ids=[argv[0] for argv, _ in REPLACED_OR_UNREAD])
+    def test_replaced_or_unread_file_value_is_not_checked(self, argv, text, tmp_path, capsys):
+        scenario = tmp_path / "s.cfg"
+        scenario.write_text(text, encoding="utf-8")
+        assert cli.main([*argv, "--config", str(scenario)]) == 0
+        with_file = capsys.readouterr()
+        # the same bytes as the defaults, which the replaced and unread values equal
+        assert cli.main(argv) == 0
+        assert capsys.readouterr() == with_file and with_file.err == ""
+
+    @pytest.mark.parametrize("argv, text, field", [
+        (["outage", "--methods", "closed"], "rho_db = 250\n", "rho_db"),
+        (["outage", "--varpi2", "0.01", "--methods", "closed"], "varpi1 = 5\n", "varpi1"),
+        (["sweep", "--rho-max-db", "10", "--varpi1", "0.01"], "rho_db = 250\nvarpi2 = 2\n", "varpi2"),
+    ], ids=["rho_db", "varpi1", "varpi2"])
+    def test_file_value_no_flag_replaces_is_checked(self, argv, text, field, tmp_path, capsys):
+        scenario = tmp_path / "s.cfg"
+        scenario.write_text(text, encoding="utf-8")
+        assert cli.main([*argv, "--config", str(scenario)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"configuration error: {field} = ")
+        assert "is outside the domain: " in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["sweep", "throughput"])
+    def test_in_domain_file_rho_db_leaves_a_grid_unchanged(self, command, tmp_path, capsys):
+        scenario = tmp_path / "s.cfg"
+        scenario.write_text("rho_db = 5\n", encoding="utf-8")
+        argv = [command, "--rho-max-db", "10", "--methods", "closed,oma"]
+        assert cli.main([*argv, "--config", str(scenario)]) == 0
+        with_file = capsys.readouterr().out
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == with_file
 
     def test_float_error_on_the_grid_exits_two(self, monkeypatch, capsys):
         # x/0 raises on an SNR grid, where it could turn into a valid-looking exp(-inf)

@@ -118,6 +118,30 @@ class TestIntegrator:
         with pytest.raises(OracleError, match=r"^quadrature of the relay pair integral did not converge"):
             quad(table_config(), "x2", "ipSIC", starved)
 
+    def test_converging_at_depth_two_takes_600_evaluations(self):
+        # the 8 depth-0 and 32 depth-2 panels; the 16 of depth 1 are never evaluated
+        sizes = []
+        value = integrate_semi_infinite(lambda z: sizes.append(z.size) or np.exp(-z), 0.0, 1.0)
+        assert value == pytest.approx(1.0, abs=1e-10)
+        assert sizes == [8 * 15, 32 * 15] and sum(sizes) == 600
+
+    @pytest.mark.parametrize(
+        "budget, panel",
+        [(16, "[0, 0.284133]"), (40, "[29.8339, inf]")],
+        ids=["out at depth 0", "out at depth 1"],
+    )
+    def test_budget_exhausted_before_the_first_accepting_depth(self, budget, panel):
+        # the budget counts the unevaluated depth-1 level too; the worst panel
+        # of the level where it runs out is named as when every level was evaluated
+        starved = QuadSpec(abs_tol=1e-300, rel_tol=1e-16, max_subdivisions=budget)
+        cases = [(table_config(), "x2", "ipSIC"), (table_config(), "x1", "ipSIC"), (table_config(varpi1=0.01), "x1", "pSIC")]
+        with pytest.raises(OracleError) as raised:
+            quad_outages(cases, starved)
+        assert str(raised.value) == (
+            f"quadrature of the relay pair integral did not converge within the subdivision budget of {budget} "
+            f"panels (lower=0, scale=1.98893, worst open panel z in {panel})"
+        )
+
     def test_bad_tolerances_rejected(self):
         with pytest.raises(ConfigError):
             QuadSpec(abs_tol=0.0)
@@ -274,6 +298,27 @@ class TestBatchedIntegrator:
         assert integrate_batch(integrand, [0.0], [1.0], starved)[0] == pytest.approx(1.0, rel=1e-12)
         with pytest.raises(OracleError, match=r"^quadrature of the test integral did not converge .* \(lower=0, scale=10,"):
             integrate_batch(integrand, [0.0, 0.0], scales, starved, "test")
+
+    def test_members_converging_at_depths_two_to_four_equal_their_lone_integrals(self):
+        # under TIGHT, rate exp(-rate z) on scale 1 converges at depth 2, 3 and 4
+        # for rates 1, 0.5 and 0.2: one integrand call at depth 0, then one per depth from 2
+        rates = np.array([1.0, 0.5, 0.2])
+        rows = []
+
+        def integrand(z, owner):
+            rows.append(np.bincount(owner, minlength=rates.size).tolist())
+            return rates[owner, None] * np.exp(-rates[owner, None] * z)
+
+        batched = integrate_batch(integrand, [0.0] * 3, [1.0] * 3, TIGHT)
+        assert rows == [[8, 8, 8], [32, 32, 32], [0, 2, 4], [0, 0, 2]]
+        # no call evaluates the depth-1 level of 16 panels per member
+        assert [16] * 3 not in rows
+        for member, depth in enumerate((2, 3, 4)):
+            calls = []
+            rate = rates[member]
+            alone = integrate_semi_infinite(lambda z: calls.append(z.size) or rate * np.exp(-rate * z), 0.0, 1.0, TIGHT)
+            assert batched[member] == alone and len(calls) == depth
+            assert alone == pytest.approx(1.0, rel=1e-11)
 
     def test_bad_scale_in_a_batch_rejected(self):
         with pytest.raises(ConfigError):
