@@ -24,7 +24,6 @@ index in the grid as the error's ``point``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -57,27 +56,43 @@ _SERIES_TERMS = 21
 _MAX_STAGES = 3
 
 
-@dataclass(frozen=True)
 class HypoexpSpec:
-    """Rates of a sum of 1-3 independent exponential stages.
+    """One or more sums of 1-3 independent exponential stages, all with the same number of stages.
+
+    ``HypoexpSpec(rates)`` is one sum; ``HypoexpSpec(*rate_sets)`` stacks
+    several for one density call, sum ``i`` in row ``i`` of each table: its
+    rates in ascending order, their ``math.prod`` and ``math.fsum`` mean,
+    and its series coefficients.
 
     For three rates, ``series`` holds the coefficients ``h_m / (m+2)!`` of
     the divided difference of exp around the node mean, where ``h_m`` is the
     complete homogeneous symmetric polynomial of the rate deviations from
     their mean, scaled by the rate spread. They depend on the rates only, so
-    they are computed once here and not per density evaluation. Only the
-    three-stage density reads them; with fewer rates ``series`` is empty.
+    they are computed once here, from the rates in the order given, and not
+    per density evaluation. A series shorter than ``_SERIES_TERMS``
+    (coincident rates) is padded with zero high-order coefficients, which
+    leave Horner's sum unchanged. Only the three-stage density reads them;
+    with fewer rates ``series`` is all zero.
     """
 
-    rates: tuple[float, ...]
-    series: tuple[float, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if not 1 <= len(self.rates) <= _MAX_STAGES:
+    def __init__(self, *rate_sets: Sequence[float]):
+        stages = {len(rates) for rates in rate_sets}
+        if len(stages) != 1:
+            raise ConfigError("a hypoexponential spec needs at least one rate set, all with the same number of rates")
+        (self.stages,) = stages
+        if not 1 <= self.stages <= _MAX_STAGES:
             raise ConfigError(f"hypoexponential spec needs 1 to {_MAX_STAGES} rates")
-        if not all(r > 0.0 and math.isfinite(r) for r in self.rates):
+        if not all(r > 0.0 and math.isfinite(r) for rates in rate_sets for r in rates):
             raise ConfigError("hypoexponential rates must be positive and finite")
-        object.__setattr__(self, "series", _series_coefficients(self.rates) if len(self.rates) == 3 else ())
+        ordered = [sorted(rates) for rates in rate_sets]
+        self.rates = np.array(ordered)
+        self.prod = np.array([math.prod(rates) for rates in ordered])
+        self.mean = np.array([math.fsum(rates) / self.stages for rates in ordered])
+        self.series = np.zeros((len(rate_sets), _SERIES_TERMS))
+        if self.stages == 3:
+            for row, rates in zip(self.series, rate_sets):
+                coefficients = _series_coefficients(rates)
+                row[: len(coefficients)] = coefficients
 
 
 def _series_coefficients(rates: Sequence[float]) -> tuple[float, ...]:
@@ -99,30 +114,6 @@ def _series_coefficients(rates: Sequence[float]) -> tuple[float, ...]:
     return tuple(hm / math.factorial(m + n - 1) for m, hm in enumerate(h))
 
 
-class HypoexpBatch:
-    """Several :class:`HypoexpSpec` with the same number of rates, stacked for one density call.
-
-    Row ``i`` of each table belongs to ``specs[i]``: its rates in ascending
-    order, their ``math.prod`` and ``math.fsum`` mean, and its series
-    coefficients. A series shorter than ``_SERIES_TERMS`` (coincident rates)
-    is padded with zero high-order coefficients, which leave Horner's sum
-    unchanged.
-    """
-
-    def __init__(self, specs: Sequence[HypoexpSpec]):
-        stages = {len(spec.rates) for spec in specs}
-        if len(stages) != 1:
-            raise ConfigError("a hypoexponential batch needs at least one spec, all with the same number of rates")
-        (self.stages,) = stages
-        ordered = [sorted(spec.rates) for spec in specs]
-        self.rates = np.array(ordered)
-        self.prod = np.array([math.prod(rates) for rates in ordered])
-        self.mean = np.array([math.fsum(rates) / self.stages for rates in ordered])
-        self.series = np.zeros((len(specs), _SERIES_TERMS))
-        for row, spec in zip(self.series, specs):
-            row[: len(spec.series)] = spec.series
-
-
 def _divided_difference_exp2(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
     """Divided difference of exp over nodes ``hi >= lo``, exact when they meet."""
     gap = hi - lo
@@ -130,10 +121,8 @@ def _divided_difference_exp2(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
     return np.exp(hi) * ratio
 
 
-def hypoexp_pdf(
-    spec: HypoexpSpec | HypoexpBatch, z: float | np.ndarray, owner: np.ndarray | None = None
-) -> float | np.ndarray:
-    """Density at ``z >= 0`` of the sum of independent exponentials in ``spec``.
+def hypoexp_pdf(spec: HypoexpSpec, z: float | np.ndarray, owner: np.ndarray | None = None) -> float | np.ndarray:
+    """Density at ``z >= 0`` of a sum of independent exponentials in ``spec``.
 
     ``z`` is a float or an array; a float gives a float. Valid for any rate
     multiset: coincident rates reproduce the Erlang density, a single rate the
@@ -141,17 +130,17 @@ def hypoexp_pdf(
     divided difference of exp over the nodes ``-rate * z``, evaluated in a
     form that stays exact when nodes cluster.
 
-    With a :class:`HypoexpBatch`, ``owner[i]`` names the member whose density
-    row ``i`` of ``z`` takes; the member's parameters are broadcast over the
-    row. Each value equals that member's own density at that point, bit for bit.
+    ``owner[i]`` names the sum of ``spec`` whose density row ``i`` of ``z``
+    takes, its parameters broadcast over the row; without ``owner`` every
+    value is the first sum's. Each value equals that sum's own density at
+    that point, bit for bit.
     """
-    batch = spec if isinstance(spec, HypoexpBatch) else HypoexpBatch((spec,))
     zv = np.atleast_1d(np.asarray(z, dtype=float))
     if np.any(zv < 0.0):
         raise ConfigError("hypoexponential density is supported on z >= 0")
     member = 0 if owner is None else np.asarray(owner).reshape((-1,) + (1,) * (zv.ndim - 1))
-    n = batch.stages
-    rates = [batch.rates[member, k] for k in range(n)]
+    n = spec.stages
+    rates = [spec.rates[member, k] for k in range(n)]
     if n == 1:
         value = rates[0] * np.exp(-rates[0] * zv)
     else:
@@ -166,18 +155,18 @@ def hypoexp_pdf(
                 # series in the scaled deviations, around the node mean
                 near_member = np.broadcast_to(member, zv.shape)[near]
                 z_near = zv[near]
-                t = (batch.rates[near_member, 0] - batch.rates[near_member, 2]) * z_near
-                total = batch.series[near_member, -1]
+                t = (spec.rates[near_member, 0] - spec.rates[near_member, 2]) * z_near
+                total = spec.series[near_member, -1]
                 for column in range(_SERIES_TERMS - 2, -1, -1):
-                    total = total * t + batch.series[near_member, column]
-                dd[near] = np.exp(-batch.mean[near_member] * z_near) * total
+                    total = total * t + spec.series[near_member, column]
+                dd[near] = np.exp(-spec.mean[near_member] * z_near) * total
             far = ~near
             if far.any():
                 # spread-out nodes: recurse on the extremes, whose gap is too
                 # large for catastrophic cancellation
                 x0, x1, x2 = (x[far] for x in nodes)
                 dd[far] = (_divided_difference_exp2(x0, x1) - _divided_difference_exp2(x1, x2)) / spread[far]
-        value = np.maximum(batch.prod[member] * zv ** (n - 1) * dd, 0.0)
+        value = np.maximum(spec.prod[member] * zv ** (n - 1) * dd, 0.0)
     return float(value[0]) if np.ndim(z) == 0 else value
 
 

@@ -219,10 +219,11 @@ def _cmd_figure(args) -> int:
             print(f"# variant: {label}")
         _emit(table, target, args.format)
     if args.id == 1:
+        lo, hi = experiments.FIGURE_WINDOW_DB
         for signal in ("x1", "x2"):
             for mode in SIC_MODES:
                 cross = experiments.crossover_snr_db(SystemConfig(), signal, mode)
-                shown = "none on [0, 45] dB" if cross is None else f"{cross:.2f} dB"
+                shown = f"none on [{lo:g}, {hi:g}] dB" if cross is None else f"{cross:.2f} dB"
                 print(f"crossover vs TDMA baseline, {signal} {mode}: {shown}")
     return 0
 

@@ -31,6 +31,7 @@ import numpy as np
 from . import analysis
 from .errors import ConfigError, NumericError
 from .model import (
+    DEFAULT_TRIALS,
     OMA_PHASES,
     SIC_MODES,
     SIGNAL_ROLES,
@@ -42,7 +43,7 @@ from .model import (
     exact_exp,
     signal_roles,
 )
-from .montecarlo import DEFAULT_TRIALS, check_trials, mc_outage
+from .montecarlo import check_trials, mc_outage
 from .oracle import QuadSpec, quad_outages
 
 METHODS = ("closed", "asymptotic", "mc", "quad", "oma")
@@ -52,6 +53,10 @@ THROUGHPUT_METHODS = ("closed", "mc", "oma")
 # Methods a sweep evaluates over its whole grid at once; MC and quadrature
 # run one SNR point at a time.
 _GRID_METHODS = ("closed", "asymptotic", "oma")
+
+# Transmit-SNR window (dB) of the figure presets, on which crossover_snr_db
+# looks for figure 1's crossing.
+FIGURE_WINDOW_DB = (0.0, 45.0)
 
 # Largest SNR grid a sweep accepts; a fine grid such as 0-45 dB in 0.05 dB
 # steps has about 900 points, a figure curve 19.
@@ -178,17 +183,6 @@ class SweepSpec:
         return [self.rho_min_db + i * self.rho_step_db for i in range(self._point_count())]
 
 
-def _checked_grid(config: SystemConfig, grid: list[float]) -> list[float]:
-    """``grid`` itself, once the configs at its first and last points are valid.
-
-    The domain bounds ``rho_db`` to an interval, so every point between two
-    valid ones is valid too; the first point fails first.
-    """
-    replace(config, rho_db=grid[0])
-    replace(config, rho_db=grid[-1])
-    return grid
-
-
 def oma_outage(config: SystemConfig, signal: str, rho: Grid | None = None) -> Grid:
     """Outage of one signal under the eight-phase TDMA relaying reference.
 
@@ -284,7 +278,12 @@ def run_sweep(spec: SweepSpec) -> CurveTable:
     them one at a time: a point's MC and quadrature work, then its
     evaluation errors, then its rows outside [0, 1], in row order.
     """
-    return _sweep(spec, _checked_grid(spec.config, spec.rho_grid_db()))
+    grid = spec.rho_grid_db()
+    # the domain bounds rho_db to an interval, so every point between two
+    # valid ends is valid too; the first end fails first
+    replace(spec.config, rho_db=grid[0])
+    replace(spec.config, rho_db=grid[-1])
+    return _sweep(spec, grid)
 
 
 def _sweep(spec: SweepSpec, grid: list[float]) -> CurveTable:
@@ -352,52 +351,31 @@ def throughput_rows(spec: SweepSpec) -> CurveTable:
     return CurveTable(outages.rho_db, table)
 
 
-def crossover_snr_db(
-    config: SystemConfig,
-    signal: str,
-    mode: str,
-    rho_min_db: float = 0.0,
-    rho_max_db: float = 45.0,
-    scan_step_db: float = 0.25,
-    tol_db: float = 1e-6,
-) -> float | None:
+def crossover_snr_db(config: SystemConfig, signal: str, mode: str) -> float | None:
     """SNR (dB) where the closed-form outage of ``signal`` under ``mode`` crosses the TDMA baseline.
 
-    Scans for the first sign change of (superposed - orthogonal) from below
-    and refines it by bisection; returns ``None`` when the curves do not
-    cross on the window. Deterministic: no randomness is involved. A window
-    that :class:`SweepSpec` rejects as a grid, with ``scan_step_db`` as its
-    step, an unknown signal or mode, or a ``tol_db`` that is not positive and
-    finite raises ``ConfigError`` before any evaluation, and so does a
-    window whose ends leave the domain. The scan grid's closed and TDMA
-    columns come from the sweep's whole-grid evaluation.
+    Scans figure 1's window :data:`FIGURE_WINDOW_DB` in 0.25 dB steps for
+    the first sign change of (superposed - orthogonal) from below and
+    refines it by bisection to within 1e-6 dB; returns ``None`` when the
+    curves do not cross on the window. Deterministic: no randomness is
+    involved. The scan's closed and TDMA columns come from
+    :func:`run_sweep`; an unknown signal or mode raises ``ConfigError``
+    before any evaluation.
     """
-    # the window's grid checks and size cap, and the selection the scan evaluates
-    spec = SweepSpec(config, rho_min_db, rho_max_db, scan_step_db, methods=("closed", "oma"),
-                     signals=(signal,), sic_modes=(mode,))
-    if not (tol_db > 0.0 and math.isfinite(tol_db)):
-        raise ConfigError(f"tol_db must be positive and finite, got {tol_db!r}")
-
-    def diff(rho_db: float) -> float:
-        at = replace(config, rho_db=rho_db)
-        return analysis.closed_outage(at, signal, mode) - oma_outage(at, signal)
-
-    steps = int(math.floor((rho_max_db - rho_min_db) / scan_step_db)) + 1
-    grid = [rho_min_db + i * scan_step_db for i in range(steps)]
-    if grid[-1] < rho_max_db:
-        grid.append(rho_max_db)
-    closed, oma = (column.values for column in _sweep(spec, _checked_grid(config, grid)).columns)
+    table = run_sweep(SweepSpec(config, *FIGURE_WINDOW_DB, 0.25, methods=("closed", "oma"),
+                                signals=(signal,), sic_modes=(mode,)))
+    grid = table.rho_db
+    closed, oma = (column.values for column in table.columns)
     gaps = [c - o for c, o in zip(closed, oma)]
     if gaps[0] > 0.0:
         return None  # already above the baseline at the low end
     for i in range(1, len(grid)):
         if gaps[i - 1] <= 0.0 < gaps[i]:
-            lo, hi = grid[i] - scan_step_db, grid[i]
-            while hi - lo > tol_db:
+            lo, hi = grid[i - 1], grid[i]
+            while hi - lo > 1e-6:
                 mid = 0.5 * (lo + hi)
-                if not lo < mid < hi:
-                    break  # lo and hi are adjacent floats: tol_db is below their spacing
-                if diff(mid) > 0.0:
+                at = replace(config, rho_db=mid)
+                if analysis.closed_outage(at, signal, mode) - oma_outage(at, signal) > 0.0:
                     hi = mid
                 else:
                     lo = mid
@@ -432,7 +410,7 @@ def figure_preset(
     defaults, evaluate, variants = presets[fig_id]
     base = SystemConfig(rho_db=0.0)
     return {
-        label: evaluate(SweepSpec(replace(base, **changes), 0.0, 45.0, 2.5, methods=methods or defaults,
+        label: evaluate(SweepSpec(replace(base, **changes), *FIGURE_WINDOW_DB, 2.5, methods=methods or defaults,
                                   trials=trials, seed=seed))
         for label, changes in variants.items()
     }

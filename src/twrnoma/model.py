@@ -353,11 +353,14 @@ def slot_sample(config: SystemConfig, rows: list, sic_mode: str, slot: int) -> C
     return ChannelSample(g[0], g[1], g[2], g[3], gi)
 
 
+DEFAULT_TRIALS = 10**6  # reference iteration count for the numerical presets
+
+
 @dataclass(frozen=True)
 class RunSettings:
     """Simulation controls carried by config files next to the physics."""
 
-    trials: int = 10**6
+    trials: int = DEFAULT_TRIALS
     seed: int = 1
 
     def __post_init__(self) -> None:

@@ -34,6 +34,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .model import (
+    DEFAULT_TRIALS,
     DOWNLINK,
     UNIT_ROWS,
     UPLINK,
@@ -49,7 +50,6 @@ from .model import (
 from .sinr import EventDecisions, Group, relay_sinrs, user_sinrs
 
 CHUNK_SIZE = 1 << 17
-DEFAULT_TRIALS = 10**6  # reference iteration count for the numerical presets
 _MIN_TRIALS = 1000
 # Draws per evaluation block. Each per-block numpy call has a fixed cost, so
 # larger blocks make fewer calls; a block's float64 temporaries (128 KiB each)

@@ -31,13 +31,15 @@ evaluated, so an integral that converges at depth 2 costs 600 integrand
 evaluations, not 840; the panel budget still counts it, and it is evaluated
 only to name the worst panel when the budget runs out there. Each integral
 keeps its own tolerance, depth limit and panel budget, and comes out bit for
-bit as it would alone.
+bit as it would alone: the ``math.fsum`` of its accepted panels.
 
 :func:`quad_outages` evaluates many ``(config, signal, SIC mode)`` outages:
 it collects the distinct integrals of all its cases, orders them by kind
 (relay, near user or relay pair, and density size) and integrates them in
 passes of at most ``_GROUP`` integrals, whatever their kinds. Within a pass,
-each kind's integrand evaluates the contiguous rows of that kind's members.
+each kind's integrand evaluates the contiguous rows of that kind's members;
+a density kind stacks its members' rate sets into one
+:class:`~twrnoma.analysis.HypoexpSpec`, and each row reads its own member's.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .analysis import CLAMP_GATE, HypoexpBatch, HypoexpSpec, hypoexp_pdf
+from .analysis import CLAMP_GATE, HypoexpSpec, hypoexp_pdf
 from .errors import ConfigError, OracleError
 from .model import SystemConfig, build_derived_constants, check_sic_mode, signal_roles
 
@@ -225,8 +227,11 @@ def integrate_batch(
         depth += 1
         # no estimate after depth 0 and before _MIN_DEPTH is read, so those levels are bisected unevaluated
         estimate, err = gauss_kronrod(a, b, owner) if depth >= _MIN_DEPTH else (None, None)
-    estimates, owners = np.concatenate(accepted), np.concatenate(accepted_owner)
-    return np.array([math.fsum(estimates[owners == member]) for member in range(count)])
+    # each integral's accepted estimates, grouped in the order they were accepted
+    owners = np.concatenate(accepted_owner)
+    grouped = np.concatenate(accepted)[np.argsort(owners, kind="stable")]
+    ends = np.cumsum(np.bincount(owners, minlength=count))
+    return np.array([math.fsum(part) for part in np.split(grouped, ends[:-1])])
 
 
 def integrate_semi_infinite(
@@ -258,7 +263,7 @@ def _decay_scale(rates: tuple[float, ...], s: float) -> float:
 
 
 def _relay_integrand(rates, s):
-    pdf, s = HypoexpBatch([HypoexpSpec(r) for r in rates]), np.array(s)
+    pdf, s = HypoexpSpec(*rates), np.array(s)
 
     def integrand(z, owner):
         return hypoexp_pdf(pdf, z, owner) * np.exp(-(z + 1.0) * s[owner, None])
@@ -267,7 +272,7 @@ def _relay_integrand(rates, s):
 
 
 def _pair_integrand(rates, s):
-    pdf, s = HypoexpBatch([HypoexpSpec(r) for r in rates]), np.array(s)
+    pdf, s = HypoexpSpec(*rates), np.array(s)
 
     def integrand(z, owner):
         return hypoexp_pdf(pdf, z, owner) * np.exp(-s[owner, None] * z)

@@ -221,6 +221,28 @@ class TestSweep:
         with pytest.raises(ConfigError, match=re.escape(message)):
             self.spec(**selection)
 
+    @pytest.mark.parametrize("window, message", [
+        (dict(rho_step_db=1e-300), "more than 100000 points"),
+        (dict(rho_step_db=0.0), "rho_step_db must be positive"),
+        (dict(rho_step_db=-0.25), "rho_step_db must be positive"),
+        (dict(rho_min_db=10.0, rho_max_db=5.0), "empty SNR grid"),
+        (dict(rho_min_db=math.nan), "must be finite"),
+        (dict(rho_max_db=math.nan), "must be finite"),
+        (dict(rho_step_db=math.inf), "must be finite"),
+        # the domain at both ends; 200.25 dB is the last whole step
+        (dict(rho_min_db=-150.0), "rho_db = -150.0 is outside the domain: [-100, 200] dB"),
+        (dict(rho_max_db=200.25), "rho_db = 200.25 is outside the domain: [-100, 200] dB"),
+    ], ids=lambda value: str(value))
+    def test_grid_it_cannot_scan_rejected_before_any_evaluation(self, monkeypatch, window, message):
+        def forbidden(*args):
+            raise AssertionError("no outage may be evaluated")
+
+        monkeypatch.setattr(experiments, "_grid_columns", forbidden)
+        monkeypatch.setattr(experiments, "_point_cells", forbidden)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            run_sweep(self.spec(**{"rho_max_db": 45.0, "rho_step_db": 0.25, "methods": ("closed", "oma"),
+                                   **window}))
+
     def test_too_few_trials_rejected_when_mc_runs(self):
         # at construction, before any point is evaluated; without MC the trial count is not read
         with pytest.raises(ConfigError, match=re.escape("at least 1000 trials are required, got 500")):
@@ -658,41 +680,55 @@ class TestCrossover:
         assert analysis.closed_outage(above, "x1", "ipSIC") > oma_outage(above, "x1")
 
     def test_no_crossover_reported_when_absent(self):
-        # without an error floor (no leakage, perfect cancellation) the
-        # superposed scheme stays below the baseline over the window
-        cfg = table_config(varpi1=0.0, varpi2=0.0)
-        assert crossover_snr_db(cfg, "x2", "pSIC", rho_max_db=30.0) is None
+        # without leakage, under pSIC, x2 at rates (0.5, 0.3, 0.5, 0.3) stays
+        # at or below the baseline over the whole 0-45 dB window: both are 1
+        # at 0 dB, and at 45 dB they read 0.0206 against 0.0267. (At the
+        # default rates x2 pSIC crosses at 30.95 dB.)
+        cfg = table_config(varpi1=0.0, varpi2=0.0, rates=(0.5, 0.3, 0.5, 0.3))
+        assert crossover_snr_db(cfg, "x2", "pSIC") is None
 
-    @pytest.mark.parametrize("window, message", [
-        (dict(tol_db=0.0), "tol_db must be positive and finite"),
-        (dict(tol_db=-1e-6), "tol_db must be positive and finite"),
-        (dict(tol_db=math.nan), "tol_db must be positive and finite"),
-        (dict(tol_db=math.inf), "tol_db must be positive and finite"),
-        (dict(scan_step_db=1e-300), "more than 100000 points"),
-        (dict(scan_step_db=0.0), "rho_step_db must be positive"),
-        (dict(scan_step_db=-0.25), "rho_step_db must be positive"),
-        (dict(rho_min_db=10.0, rho_max_db=5.0), "empty SNR grid"),
-        (dict(rho_min_db=math.nan), "must be finite"),
-        (dict(rho_max_db=math.nan), "must be finite"),
-        (dict(scan_step_db=math.inf), "must be finite"),
-        # the domain at both ends; 200.1 dB is the end appended after the last whole step
-        (dict(rho_min_db=-150.0), "rho_db = -150.0 is outside the domain: [-100, 200] dB"),
-        (dict(rho_max_db=200.1), "rho_db = 200.1 is outside the domain: [-100, 200] dB"),
-    ], ids=lambda value: str(value))
-    def test_window_it_cannot_scan_rejected_before_any_evaluation(self, monkeypatch, window, message):
-        def forbidden(*args):
-            raise AssertionError("no outage may be evaluated")
 
-        monkeypatch.setattr(analysis, "closed_outage", forbidden)
-        monkeypatch.setattr(experiments, "oma_outage", forbidden)
-        with pytest.raises(ConfigError, match=re.escape(message)):
-            crossover_snr_db(table_config(), "x1", "ipSIC", **window)
+    @pytest.mark.parametrize("signal", ["x1", "x2", "x3", "x4"])
+    @pytest.mark.parametrize("mode", SIC_MODES)
+    @pytest.mark.parametrize("scenario", [
+        {},
+        # no crossing for x2 and x4 under pSIC (see the test above)
+        dict(varpi1=0.0, varpi2=0.0, rates=(0.5, 0.3, 0.5, 0.3)),
+    ], ids=["default", "no_leakage_low_rates"])
+    def test_crossover_is_the_first_rise_on_figure_one_window(self, scenario, signal, mode):
+        # the gaps are evaluated point by point, not through the sweep's whole-grid columns
+        cfg = table_config(**scenario)
+        lo_db, hi_db = experiments.FIGURE_WINDOW_DB
 
-    def test_tolerance_below_the_float_spacing_ends(self):
-        # bisection stops at adjacent floats instead of looping on them
-        cfg = table_config()
-        fine = crossover_snr_db(cfg, "x1", "ipSIC", tol_db=1e-300)
-        assert fine == pytest.approx(crossover_snr_db(cfg, "x1", "ipSIC"), abs=1e-6)
+        def gap(rho_db):
+            at = replace(cfg, rho_db=rho_db)
+            return analysis.closed_outage(at, signal, mode) - oma_outage(at, signal)
+
+        grid = [lo_db + 0.25 * i for i in range(round((hi_db - lo_db) / 0.25) + 1)]
+        gaps = [gap(rho_db) for rho_db in grid]
+        rises = [i for i in range(1, len(grid)) if gaps[i - 1] <= 0.0 < gaps[i]]
+        cross = crossover_snr_db(cfg, signal, mode)
+        if gaps[0] > 0.0 or not rises:
+            assert cross is None
+        else:
+            assert grid[rises[0] - 1] <= cross <= grid[rises[0]]
+            assert gap(cross - 1e-6) <= 0.0 < gap(cross + 1e-6)
+
+    def test_scans_figure_one_window_in_quarter_decibels(self, monkeypatch):
+        scanned = []
+        sweep = experiments.run_sweep
+
+        def recording(spec):
+            scanned.append(spec)
+            return sweep(spec)
+
+        monkeypatch.setattr(experiments, "run_sweep", recording)
+        crossover_snr_db(table_config(), "x1", "ipSIC")
+        (spec,) = scanned
+        assert (spec.rho_min_db, spec.rho_max_db, spec.rho_step_db) == (*experiments.FIGURE_WINDOW_DB, 0.25)
+        # figure 1's own grid spans the same window
+        figure_grid = figure_preset(1, methods=("closed",))[""].rho_db
+        assert (figure_grid[0], figure_grid[-1]) == experiments.FIGURE_WINDOW_DB
 
 
 class TestFigurePresets:

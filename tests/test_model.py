@@ -4,9 +4,10 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from twrnoma import model
+from twrnoma import model, montecarlo
 from twrnoma.analysis import closed_outage
 from twrnoma.errors import ConfigError
+from twrnoma.experiments import SweepSpec
 from twrnoma.model import (
     GROUP_ONE,
     GROUP_TWO,
@@ -271,6 +272,13 @@ class TestConfigFile:
         config, settings = load_config_file(path)
         assert config == SystemConfig(rho_db=25.0)
         assert settings.trials == 50000 and settings.seed == 9
+
+    def test_missing_trials_take_the_library_default(self, tmp_path):
+        # a file without trials, a sweep and the MC engines share one default
+        _, settings = load_config_file(self.write(tmp_path, "seed = 2\n"))
+        assert settings.trials == model.DEFAULT_TRIALS == 10**6
+        assert SweepSpec(SystemConfig(), 0.0, 0.0, 1.0).trials == model.DEFAULT_TRIALS
+        assert montecarlo.DEFAULT_TRIALS is model.DEFAULT_TRIALS
 
     def test_negative_seed_rejected(self, tmp_path):
         assert load_config_file(self.write(tmp_path, "seed = 0\n"))[1].seed == 0

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from twrnoma import oracle
-from twrnoma.analysis import HypoexpBatch, HypoexpSpec, closed_outage, hypoexp_pdf
+from twrnoma.analysis import HypoexpSpec, closed_outage, hypoexp_pdf
 from twrnoma.errors import ConfigError, OracleError
 from twrnoma.experiments import oracle_agreement, random_valid_config
 from twrnoma.model import GROUP_ONE, SystemConfig, build_derived_constants
@@ -99,8 +99,9 @@ class TestIntegrator:
             assert float(abs(value - exact) / exact) <= 1e-11
 
     def test_tolerance_monotonicity(self):
-        spec = HypoexpSpec((0.5, 0.5, 50.0))
-        mean = sum(1.0 / r for r in spec.rates)
+        rates = (0.5, 0.5, 50.0)
+        spec = HypoexpSpec(rates)
+        mean = sum(1.0 / r for r in rates)
 
         def density(z):
             return hypoexp_pdf(spec, z) * np.exp(-0.3 * z)
@@ -240,9 +241,9 @@ TIGHT = QuadSpec(abs_tol=1e-13, rel_tol=1e-11)
 
 def laplace_integrand(rate_sets, s):
     # hypoexp_pdf(rates_i) * exp(-s_i z) for member i, whose integral is prod(lam / (lam + s_i))
-    batch = HypoexpBatch([HypoexpSpec(rates) for rates in rate_sets])
+    spec = HypoexpSpec(*rate_sets)
     s = np.array(s)
-    return lambda z, owner: hypoexp_pdf(batch, z, owner) * np.exp(-s[owner, None] * z)
+    return lambda z, owner: hypoexp_pdf(spec, z, owner) * np.exp(-s[owner, None] * z)
 
 
 class TestBatchedIntegrator:
@@ -276,14 +277,22 @@ class TestBatchedIntegrator:
     def test_batch_density_equals_member_density(self):
         z = np.linspace(0.0, 3.0, 45).reshape(3, 15)
         owner = np.array([2, 0, 3])
-        batch = HypoexpBatch([HypoexpSpec(rates) for rates in self.RATE_SETS])
-        values = hypoexp_pdf(batch, z, owner)
+        values = hypoexp_pdf(HypoexpSpec(*self.RATE_SETS), z, owner)
         for row, member in enumerate(owner):
             assert np.array_equal(values[row], hypoexp_pdf(HypoexpSpec(self.RATE_SETS[member]), z[row]))
 
     def test_batch_needs_equal_rate_counts(self):
         with pytest.raises(ConfigError):
-            HypoexpBatch([HypoexpSpec((1.0,)), HypoexpSpec((1.0, 2.0))])
+            HypoexpSpec((1.0,), (1.0, 2.0))
+        with pytest.raises(ConfigError):
+            HypoexpSpec()
+
+    def test_three_rate_series_follows_the_given_rate_order(self):
+        # the oracle passes its interference rates unsorted; a series built
+        # from the sorted rates (0.02, 0.05, 0.5) moves every value below by one ulp
+        z = np.array([0.105, 0.222, 0.297, 0.368])
+        frozen = [2.701986769725974e-06, 1.1815600159035373e-05, 2.0853313317436654e-05, 3.15952241043218e-05]
+        assert hypoexp_pdf(HypoexpSpec((0.5, 0.02, 0.05)), z).tolist() == frozen
 
     def test_each_integral_keeps_its_own_budget(self):
         # exp(-z) on its natural scale converges at depth 2 (56 panels); the
