@@ -26,22 +26,18 @@ from .experiments import (
 from .model import (
     GROUP_ONE,
     GROUP_TWO,
-    ChannelSample,
     PairRoles,
     RandomStream,
     SystemConfig,
     build_derived_constants,
     load_config_file,
     omega_from_distances,
-    slot_sample,
     unit_rows,
 )
 from .montecarlo import mc_ergodic_rates, mc_outage, wilson_interval
 from .oracle import QuadSpec, integrate_semi_infinite, quad_outages
-from .sinr import relay_sinrs, user_sinrs
 
 __all__ = [
-    "ChannelSample",
     "ConfigError",
     "GROUP_ONE",
     "GROUP_TWO",
@@ -68,11 +64,8 @@ __all__ = [
     "omega_from_distances",
     "oracle_agreement",
     "quad_outages",
-    "relay_sinrs",
     "run_sweep",
-    "slot_sample",
     "throughput_delay_limited",
     "unit_rows",
-    "user_sinrs",
     "wilson_interval",
 ]

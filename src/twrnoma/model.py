@@ -180,24 +180,6 @@ def exact_exp(x: Grid) -> Grid:
     return math.exp(x)
 
 
-@dataclass(frozen=True)
-class ChannelSample:
-    """One fading realization: four channel power gains plus the residual gain.
-
-    Fields may hold scalars or equally shaped arrays (one entry per draw);
-    ``gI`` is ``None`` when no residual is drawn (perfect cancellation).
-    """
-
-    g1: Gain
-    g2: Gain
-    g3: Gain
-    g4: Gain
-    gI: Gain | None = None
-
-    def gain(self, user: int) -> Gain:
-        return (self.g1, self.g2, self.g3, self.g4)[user - 1]
-
-
 class DerivedConstants(NamedTuple):
     """Constants feeding the outage evaluators, with feasibility flags.
 
@@ -317,10 +299,11 @@ class RandomStream:
 # Every Monte Carlo chunk draws UNIT_ROWS rows of unit exponentials, in two
 # halves. Under ipSIC the uplink (multiple-access) slot reads rows 0-4, g1..g4
 # and then the residual gain gI, and the downlink (broadcast) slot rows 5-9.
-# pSIC has no residual, so its slots read rows 0-3 and 4-7. A unit row scaled
-# by a variance equals ``exponential(variance)`` drawn in its place bit for
-# bit, so one draw serves both SIC modes and both role groups with the draws
-# each would have made alone.
+# pSIC has no residual, so its slots read rows 0-3 and 4-7. ``sinr.event_table``
+# reads rows by these numbers, with the variances in its coefficients. A unit
+# row scaled by a variance equals ``exponential(variance)`` drawn in its place
+# bit for bit, so one draw serves both SIC modes and both role groups with
+# the draws each would have made alone.
 UNIT_ROWS = 10
 UPLINK, DOWNLINK = 0, 1
 
@@ -337,20 +320,6 @@ def unit_rows(stream: RandomStream, count: int, out: list | None = None) -> list
     if out is None:
         return [rng.standard_exponential(count) for _ in range(UNIT_ROWS // 2)]
     return [rng.standard_exponential(out=row[:count]) for row in out]
-
-
-def slot_sample(config: SystemConfig, rows: list, sic_mode: str, slot: int) -> ChannelSample:
-    """One slot's fading under ``sic_mode``, scaled from a chunk's unit rows.
-
-    ``rows`` is indexed by row number; only the rows the slot reads need to
-    be present. ``gI`` is ``None`` under pSIC.
-    """
-    check_sic_mode(sic_mode)
-    width = 5 if sic_mode == "ipSIC" else 4  # g1..g4, then gI under ipSIC
-    first = slot * width
-    g = [om * row for om, row in zip(config.omega, rows[first:first + 4])]
-    gi = config.omega_i * rows[first + 4] if sic_mode == "ipSIC" else None
-    return ChannelSample(g[0], g[1], g[2], g[3], gi)
 
 
 DEFAULT_TRIALS = 10**6  # reference iteration count for the numerical presets

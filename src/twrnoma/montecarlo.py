@@ -17,11 +17,12 @@ Trials are partitioned into fixed-size chunks on disjoint substreams with
 integer event counts merged at the end, so a given seed yields identical
 results for any worker count.
 
-Every decode event is decided by :class:`~twrnoma.sinr.EventDecisions`
-from rho-free linear forms of the unit rows, outside a guard band around
-each event's boundary; draws inside the band are decided again by the SINR
-path, so the counts are the SINR path's by construction (see
-:mod:`twrnoma.sinr`).
+Every decode event comes from :func:`~twrnoma.sinr.event_table`. The
+outage engine decides them by :class:`~twrnoma.sinr.EventDecisions`, from
+rho-free linear forms of the unit rows, outside a guard band around each
+event's boundary; draws inside the band are decided again by the table's
+SINR evaluation, so the counts are that evaluation's by construction (see
+:mod:`twrnoma.sinr`). The ergodic rates read the same evaluation.
 """
 
 from __future__ import annotations
@@ -42,12 +43,10 @@ from .model import (
     RandomStream,
     SystemConfig,
     check_sic_mode,
-    sinr_threshold,
     signal_roles,
-    slot_sample,
     unit_rows,
 )
-from .sinr import EventDecisions, Group, relay_sinrs, user_sinrs
+from .sinr import EventDecisions, event_sinr, event_table
 
 CHUNK_SIZE = 1 << 17
 _MIN_TRIALS = 1000
@@ -114,13 +113,6 @@ def _chunks(trials: int) -> list[tuple[int, int]]:
     return bounds
 
 
-def _groups(config: SystemConfig, signals: tuple[str, ...]) -> list[Group]:
-    """(roles, x_l threshold, x_t threshold) of each role group the signals belong to."""
-    groups = dict.fromkeys(signal_roles(signal)[0] for signal in signals)
-    rates = config.rates
-    return [(roles, sinr_threshold(rates[roles.l - 1]), sinr_threshold(rates[roles.t - 1])) for roles in groups]
-
-
 def mc_outage(
     config: SystemConfig,
     signals: tuple[str, ...],
@@ -144,8 +136,10 @@ def mc_outage(
     bounds = _chunks(trials)
     for mode in sic_modes:
         check_sic_mode(mode)
-    decisions = EventDecisions(config, _groups(config, signals), sic_modes)
+    for signal in signals:
+        signal_roles(signal)
     keys = list(dict.fromkeys((signal, mode) for signal in signals for mode in sic_modes))
+    decisions = EventDecisions(config, keys)
     root = RandomStream(seed)
 
     def failures(share: list[tuple[int, int]]) -> dict[tuple[str, str], int]:
@@ -155,11 +149,11 @@ def mc_outage(
             stream = root.substream(index)
             blocks = [slice(start, start + _BLOCK) for start in range(0, size, _BLOCK)]
             uplink = unit_rows(stream, size, list(buffer[:5]))
-            relay = [decisions.relay([row[b] for row in uplink]) for b in blocks]
+            relay = [decisions.decide(UPLINK, [row[b] for row in uplink]) for b in blocks]
             # keep row 4 only: pSIC's downlink starts there, on ipSIC's uplink residual
             rows = [None] * 4 + uplink[4:] + unit_rows(stream, size, [*buffer[:4], buffer[5]])
             for b, up in zip(blocks, relay):
-                down = decisions.user([row if row is None else row[b] for row in rows])
+                down = decisions.decide(DOWNLINK, [row if row is None else row[b] for row in rows])
                 for key in keys:
                     ok = up[key] & down[key]
                     fails[key] += ok.size - int(np.count_nonzero(ok))
@@ -193,26 +187,24 @@ def mc_ergodic_rates(
     SNR, which is the ceiling the delay-limited throughput runs into.
     """
     check_sic_mode(mode)
+    table = event_table(config)
+    signals = (f"x{roles.l}", f"x{roles.t}")
+    # each slot's last event decodes the signal itself: its relay and destination stages
+    stages = [{event.slot: event for event in table[(signal, mode)]} for signal in signals]
     root = RandomStream(seed)
-    sum_l = []
-    sum_t = []
+    sums = [[], []]
     for index, size in _chunks(trials):
         stream = root.substream(index)
         rows = unit_rows(stream, size) + unit_rows(stream, size)
-        chain_l = np.empty(size)
-        chain_t = np.empty(size)
+        chains = [np.empty(size), np.empty(size)]
         # stages run on _BLOCK-draw blocks, for the reasons given at _BLOCK
         for start in range(0, size, _BLOCK):
             b = slice(start, start + _BLOCK)
             block = [row[b] for row in rows]
-            strong, weak = relay_sinrs(config, roles, slot_sample(config, block, mode, UPLINK), (mode,))
-            _, own, far = user_sinrs(config, roles, slot_sample(config, block, mode, DOWNLINK), mode)
-            np.minimum(strong, own, out=chain_l[b])
-            np.minimum(weak[mode], far, out=chain_t[b])
-        sum_l.append(float(np.log2(1.0 + chain_l).sum()))
-        sum_t.append(float(np.log2(1.0 + chain_t).sum()))
-    rates = {
-        f"x{roles.l}": 0.5 * math.fsum(sum_l) / trials,
-        f"x{roles.t}": 0.5 * math.fsum(sum_t) / trials,
-    }
+            for stage, chain in zip(stages, chains):
+                relay, destination = (event_sinr(stage[slot], config.rho, block) for slot in (UPLINK, DOWNLINK))
+                np.minimum(relay, destination, out=chain[b])
+        for total, chain in zip(sums, chains):
+            total.append(float(np.log2(1.0 + chain).sum()))
+    rates = {signal: 0.5 * math.fsum(total) / trials for signal, total in zip(signals, sums)}
     return ErgodicRateEstimate(rates, trials, seed)

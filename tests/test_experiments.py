@@ -714,6 +714,23 @@ class TestCrossover:
             assert grid[rises[0] - 1] <= cross <= grid[rises[0]]
             assert gap(cross - 1e-6) <= 0.0 < gap(cross + 1e-6)
 
+    @pytest.mark.parametrize("phases", [8, 4, 2])
+    def test_low_snr_crossover_rests_on_the_eight_phase_baseline(self, phases, monkeypatch):
+        # claim 1, that the superposed scheme beats TDMA at low SNR (criterion
+        # 5, figure 1's crossover lines), holds only with the eight-phase TDMA
+        # round; with four or two phases its outage is already above TDMA's at 0 dB
+        monkeypatch.setattr(experiments, "OMA_PHASES", phases)
+        cfg = SystemConfig()
+        crossings = {(s, m): crossover_snr_db(cfg, s, m) for s in ("x1", "x2") for m in SIC_MODES}
+        if phases == 8:
+            expected = {("x1", "ipSIC"): 18.28, ("x1", "pSIC"): 28.65, ("x2", "ipSIC"): 13.40, ("x2", "pSIC"): 20.37}
+            assert crossings == pytest.approx(expected, abs=0.005)
+        else:
+            assert set(crossings.values()) == {None}
+            at = replace(cfg, rho_db=0.0)
+            for signal, mode in crossings:
+                assert analysis.closed_outage(at, signal, mode) > oma_outage(at, signal)
+
     def test_scans_figure_one_window_in_quarter_decibels(self, monkeypatch):
         scanned = []
         sweep = experiments.run_sweep

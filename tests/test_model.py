@@ -11,9 +11,6 @@ from twrnoma.experiments import SweepSpec
 from twrnoma.model import (
     GROUP_ONE,
     GROUP_TWO,
-    DOWNLINK,
-    UPLINK,
-    ChannelSample,
     PairRoles,
     RandomStream,
     SystemConfig,
@@ -21,7 +18,6 @@ from twrnoma.model import (
     db_to_linear,
     load_config_file,
     omega_from_distances,
-    slot_sample,
     unit_rows,
 )
 
@@ -64,11 +60,9 @@ INSIDE_THE_DOMAIN = domain_edges(outside=False) + [
 ]
 
 
-def single_draw(stream, config, mode="ipSIC"):
-    """The uplink slot of one fading realization as plain floats, from a size-1 draw."""
-    block = slot_sample(config, unit_rows(stream, 1), mode, UPLINK)
-    gi = None if block.gI is None else float(block.gI[0])
-    return ChannelSample(*(float(g[0]) for g in (block.g1, block.g2, block.g3, block.g4)), gi)
+def single_draw(stream):
+    """The first draw of each unit row of a half chunk, as plain floats."""
+    return tuple(float(row[0]) for row in unit_rows(stream, 1))
 
 
 class TestSystemConfig:
@@ -196,44 +190,32 @@ class TestDerivedConstants:
 
 
 class TestSampling:
-    def test_perfect_cancellation_zeroes_residual(self):
-        stream = RandomStream(3)
-        for _ in range(16):
-            assert single_draw(stream, table_config(), "pSIC").gI is None
-
     def test_block_matches_means_within_three_sigma(self):
         n = 10**6
-        block = slot_sample(table_config(), unit_rows(RandomStream(17), n), "ipSIC", UPLINK)
-        for gains, omega in ((block.g1, 0.25), (block.g2, 0.01), (block.g3, 0.25), (block.g4, 0.01)):
+        cfg = table_config()
+        variances = cfg.omega + (cfg.omega_i,)
+        for row, omega in zip(unit_rows(RandomStream(17), n), variances, strict=True):
             sigma = omega / math.sqrt(n)
-            assert abs(float(np.mean(gains)) - omega) < 3 * sigma
-        assert abs(float(np.mean(block.gI)) - 0.01) < 3 * 0.01 / math.sqrt(n)
+            assert abs(float(np.mean(omega * row)) - omega) < 3 * sigma
 
     def test_same_seed_bit_identical(self):
-        cfg = table_config()
-        a = slot_sample(cfg, unit_rows(RandomStream(5), 1000), "ipSIC", UPLINK)
-        b = slot_sample(cfg, unit_rows(RandomStream(5), 1000), "ipSIC", UPLINK)
-        assert np.array_equal(a.g1, b.g1) and np.array_equal(a.gI, b.gI)
-        s1 = single_draw(RandomStream(5), cfg)
-        s2 = single_draw(RandomStream(5), cfg)
-        assert s1 == s2
+        a = unit_rows(RandomStream(5), 1000)
+        b = unit_rows(RandomStream(5), 1000)
+        assert all(np.array_equal(x, y) for x, y in zip(a, b, strict=True))
+        assert single_draw(RandomStream(5)) == single_draw(RandomStream(5))
 
     def test_slots_read_the_unit_row_layout(self):
-        # a scaled unit row equals an exponential draw with that variance;
-        # ipSIC slots read rows 0-4 and 5-9, pSIC slots rows 0-3 and 4-7
+        # a unit row times a variance equals an exponential draw with that
+        # variance bit for bit, on both halves of the ipSIC layout: g1..g4 and
+        # then the residual gain, once per slot
         cfg = table_config()
         stream = RandomStream(5)
         rows = unit_rows(stream, 1000) + unit_rows(stream, 1000)
         rng = RandomStream(5).generator
-        direct = [rng.exponential(om, size=1000) for om in (cfg.omega + (cfg.omega_i,)) * 2]
-        ipsic = [slot_sample(cfg, rows, "ipSIC", slot) for slot in (UPLINK, DOWNLINK)]
-        scaled = [g for s in ipsic for g in (s.g1, s.g2, s.g3, s.g4, s.gI)]
+        variances = (cfg.omega + (cfg.omega_i,)) * 2
+        direct = [rng.exponential(om, size=1000) for om in variances]
+        scaled = [om * row for om, row in zip(variances, rows, strict=True)]
         assert all(np.array_equal(a, b) for a, b in zip(scaled, direct, strict=True))
-        psic = [slot_sample(cfg, rows, "pSIC", slot) for slot in (UPLINK, DOWNLINK)]
-        scaled = [g for s in psic for g in (s.g1, s.g2, s.g3, s.g4)]
-        expected = [om * row for om, row in zip(cfg.omega * 2, rows[:8])]
-        assert all(np.array_equal(a, b) for a, b in zip(scaled, expected, strict=True))
-        assert psic[0].gI is None and psic[1].gI is None
 
     def test_unit_rows_into_a_buffer_equal_fresh_draws(self):
         fresh = unit_rows(RandomStream(5), 1000)
@@ -245,10 +227,10 @@ class TestSampling:
 
     def test_substreams_differ_and_are_reconstructible(self):
         root = RandomStream(5)
-        a = single_draw(root.substream(0), table_config())
-        b = single_draw(root.substream(1), table_config())
+        a = single_draw(root.substream(0))
+        b = single_draw(root.substream(1))
         assert a != b
-        again = single_draw(RandomStream(5).substream(1), table_config())
+        again = single_draw(RandomStream(5).substream(1))
         assert b == again
 
 

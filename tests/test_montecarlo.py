@@ -60,7 +60,7 @@ FROZEN_THREE_CHUNK_FAILURES = {
 
 # Ergodic rates for the same run, per mode and role group, as exact floats.
 FROZEN_ERGODIC_RATES = {
-    ("ipSIC", GROUP_ONE): {"x1": 0.677879182594846, "x2": 0.06067422894349292},
+    ("ipSIC", GROUP_ONE): {"x1": 0.677879182594846, "x2": 0.06067422894349291},
     ("ipSIC", GROUP_TWO): {"x3": 0.6784382691364477, "x4": 0.060638132743082586},
     ("pSIC", GROUP_ONE): {"x1": 0.8546825661613734, "x2": 0.08861745235895722},
     ("pSIC", GROUP_TWO): {"x3": 0.8564226749779816, "x4": 0.08852381601485491},
@@ -242,48 +242,32 @@ def near(boundary: Fraction) -> np.ndarray:
 
 
 def boundary_decisions(cfg, draws=64):
-    """(engine, SINR path) success masks on rows that put one event at a time on its boundary."""
-    groups = montecarlo._groups(cfg, SIGNALS)
-    decisions = sinr.EventDecisions(cfg, groups, MODES)
+    """(engine, SINR evaluation) success masks on rows that put one table event at a time on its boundary.
+
+    An event ``x·u > gamma·(y_own·u + Y_rest + 1/rho)`` on row ``u`` is on its
+    boundary at ``u = gamma·(Y_rest + 1/rho) / (x - gamma·y_own)``, taken exactly.
+    """
+    table = sinr.event_table(cfg)
+    decisions = sinr.EventDecisions(cfg, list(table))
     f = Fraction
-    a, b, om, v1, v2 = cfg.a, cfg.b, cfg.omega, f(cfg.varpi1), f(cfg.varpi2)
-    om_i, inv_rho = f(cfg.omega_i), 1 / f(cfg.rho)
     out = []
-    for roles, g_l, g_t in groups:
-        l, t, k, r = roles.l - 1, roles.t - 1, roles.k - 1, roles.r - 1
-        g_l, g_t = f(g_l), f(g_t)
-        # relay events: x_l's strong decode, then x_t's weak decode per mode
-        for target, mode in ((l, None), (t, "ipSIC"), (t, "pSIC")):
-            base = unit_rows(RandomStream(7 + target), draws)
-            rows = [np.repeat(row, len(OFFSETS)) for row in base]
-            values = []
-            for j in range(draws):
-                u = [f(float(row[j])) for row in base]
-                leak = v1 * (f(a[k]) * f(om[k]) * u[k] + f(a[r]) * f(om[r]) * u[r]) + inv_rho
-                if mode is None:
-                    edge = g_l * (f(a[t]) * f(om[t]) * u[t] + leak) / (f(a[l]) * f(om[l]))
-                else:
-                    rest = leak + (om_i * u[4] if mode == "ipSIC" else 0)
-                    edge = g_t * rest / (f(a[t]) * f(om[t]))
-                values.append(near(edge))
-            rows[target] = np.concatenate(values)
-            out.append((decisions.relay(rows), sinr.relay_events(cfg, groups, MODES, rows)))
-        # user events per mode: the cross, own and far decodes
-        for mode, first in (("ipSIC", 5), ("pSIC", 4)):
-            cross = g_t * inv_rho / (f(om[k]) * (f(b[t]) - g_t * (f(b[l]) + v2)))
-            far = g_t * inv_rho / (f(om[r]) * (f(b[t]) - g_t * (f(b[l]) + v2)))
-            for target, edges in ((k, cross), (r, far), (k, None)):
-                base = unit_rows(RandomStream(11 + target), draws) + unit_rows(RandomStream(13 + target), draws)
-                rows = [np.repeat(row, len(OFFSETS)) for row in base]
-                if edges is None:  # own decode, with the residual row under ipSIC
-                    resid = [om_i * f(float(x)) if mode == "ipSIC" else 0 for x in base[first + 4]]
-                    values = [
-                        near(g_l * (x + inv_rho) / (f(om[k]) * (f(b[l]) - g_l * v2))) for x in resid
-                    ]
-                    rows[first + target] = np.concatenate(values)
-                else:
-                    rows[first + target] = np.tile(near(edges), draws)
-                out.append((decisions.user(rows), sinr.user_events(cfg, groups, MODES, rows)))
+    for n, event in enumerate(dict.fromkeys(event for chain in table.values() for event in chain)):
+        stream = RandomStream(7 + n)
+        base = unit_rows(stream, draws) + unit_rows(stream, draws)
+        rows = [np.repeat(row, len(OFFSETS)) for row in base]
+        gamma = f(event.gamma)
+        own = sum(f(c) for i, c in event.y if i == event.row)
+        edges = []
+        for j in range(draws):
+            rest = sum(f(c) * f(float(base[i][j])) for i, c in event.y if i != event.row)
+            edges.append(near(gamma * (rest + 1 / f(cfg.rho)) / (f(event.x) - gamma * own)))
+        rows[event.row] = np.concatenate(edges)
+        slot = event.slot
+        reference = {
+            key: np.logical_and.reduce([sinr.event_sinr(e, cfg.rho, rows) > e.gamma for e in chain if e.slot == slot])
+            for key, chain in table.items()
+        }
+        out.append((decisions.decide(slot, rows), reference))
     return out
 
 
