@@ -5,11 +5,15 @@ Subcommands: ``outage`` (single operating point), ``sweep`` (SNR grid),
 ``diversity`` (high-SNR slope), ``validate`` (closed-form vs quadrature
 agreement suite), ``figure`` (reference-scenario presets). Exit codes:
 0 success, 1 configuration error, 2 numeric/oracle failure.
+
+The parser is built once per process and shared by every ``main`` call;
+callers read it and never mutate it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import replace
@@ -56,8 +60,10 @@ def _add_grid(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--rho-step-db", type=float, default=2.5)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="twrnoma", description=__doc__)
+    """The CLI's parser, built once per process; ``parse_args`` leaves it unchanged, so never mutate it."""
+    parser = _Parser(prog="twrnoma", description=__doc__.rpartition("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_outage = sub.add_parser("outage", help="outage at one operating point")
@@ -239,9 +245,8 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -853,6 +853,52 @@ class TestCliFlags:
         assert captured.out == ""
 
 
+class TestSharedParser:
+    def test_one_parser_per_process(self, monkeypatch, capsys):
+        assert cli.build_parser() is cli.build_parser()
+        cli.build_parser.cache_clear()
+        built = []
+        init = cli._Parser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counted)
+        for argv in (["figure", "--id", "4"], ["diversity", "--signal", "x2"], ["validate", "--configs", "2"]):
+            assert cli.main(argv) == 0
+        assert built.count("twrnoma") == 1
+
+    def test_no_state_carried_between_calls(self, tmp_path, capsys):
+        scenario = tmp_path / "s.cfg"
+        scenario.write_text("rho_db = 12\n", encoding="utf-8")
+        sequence = [
+            ["validate", "--configs", "2", "--trials", "7"],
+            ["no-such-command"],
+            ["outage", "--rho-db", "30", "--signals", "x1", "--methods", "closed"],
+            ["outage", "--config", str(scenario), "--signals", "x1", "--methods", "closed"],
+            ["diversity", "--signal", "x2", "--sic", "p"],
+            ["validate", "--configs", "2", "--seed", "3"],
+        ]
+
+        def run(fresh_parser: bool) -> list[tuple[int, str, str]]:
+            cli.build_parser.cache_clear()
+            results = []
+            for argv in sequence:
+                if fresh_parser:
+                    cli.build_parser.cache_clear()
+                code = cli.main(argv)
+                captured = capsys.readouterr()
+                results.append((code, captured.out, captured.err))
+            return results
+
+        shared = run(fresh_parser=False)
+        assert [code for code, _, _ in shared] == [1, 1, 0, 0, 0, 0]
+        # the file's SNR, not the previous call's --rho-db
+        assert [row.split(",")[0] for row in shared[3][1].splitlines()[1:]] == ["12.0", "12.0"]
+        assert shared == run(fresh_parser=True)
+
+
 class TestCli:
     def test_outage_csv_to_stdout(self, capsys):
         assert cli.main(["outage", "--rho-db", "30", "--signals", "x1", "--methods", "closed"]) == 0
