@@ -383,19 +383,14 @@ def crossover_snr_db(config: SystemConfig, signal: str, mode: str) -> float | No
     return None
 
 
-def figure_preset(
-    fig_id: int,
-    trials: int = DEFAULT_TRIALS,
-    seed: int = 1,
-    methods: tuple[str, ...] | None = None,
-) -> dict[str, CurveTable]:
+def figure_preset(fig_id: int, trials: int = DEFAULT_TRIALS, seed: int = 1) -> dict[str, CurveTable]:
     """Reference-scenario sweeps behind the four numerical-result figures.
 
     Returns a mapping from variant label (one per parameter level, empty for
     single-variant figures) to its table. Presets 1-3 emit outage curves,
     preset 4 delay-limited throughput.
     """
-    # figure id -> (default methods, evaluation, {variant label: scenario changes});
+    # figure id -> (methods, evaluation, {variant label: scenario changes});
     # built per call, so it holds the module's current run_sweep and throughput_rows
     presets = {
         1: (("closed", "asymptotic", "mc", "oma"), run_sweep, {"": {}}),
@@ -407,10 +402,10 @@ def figure_preset(
     }
     if fig_id not in presets:
         raise ConfigError(f"unknown figure id {fig_id}; expected 1-4")
-    defaults, evaluate, variants = presets[fig_id]
+    methods, evaluate, variants = presets[fig_id]
     base = SystemConfig(rho_db=0.0)
     return {
-        label: evaluate(SweepSpec(replace(base, **changes), *FIGURE_WINDOW_DB, 2.5, methods=methods or defaults,
+        label: evaluate(SweepSpec(replace(base, **changes), *FIGURE_WINDOW_DB, 2.5, methods=methods,
                                   trials=trials, seed=seed))
         for label, changes in variants.items()
     }

@@ -164,8 +164,8 @@ class SystemConfig:
         return db_to_linear(self.omega_i_db)
 
 
-Gain = Union[float, np.ndarray]
-# A value at one SNR point (a float) or at every point of an SNR grid (an array).
+# A float or an array of them: a value at one SNR point or at every point of
+# an SNR grid, or a value of one Monte Carlo draw or of a row of draws.
 Grid = Union[float, np.ndarray]
 
 
@@ -274,26 +274,14 @@ def build_derived_constants(config: SystemConfig, roles: PairRoles, rho: Grid | 
     )
 
 
-class RandomStream:
-    """Counter-based random stream that splits into independent substreams.
+def chunk_generator(seed: int, chunk: int) -> np.random.Generator:
+    """The counter-based generator of Monte Carlo chunk ``chunk`` of a run seeded ``seed``.
 
-    A stream is fully determined by ``(seed, spawn path)``, so any substream
-    can be reconstructed without drawing from its parent; Monte Carlo chunks
-    built on disjoint substreams give results independent of worker count.
-    Instances are single-owner: share substreams, not the stream itself.
+    It is fully determined by ``(seed, chunk)``, so any chunk can be drawn
+    without drawing the ones before it; chunks dealt to any number of workers
+    give the same results.
     """
-
-    def __init__(self, seed: int, _spawn_key: tuple[int, ...] = ()):
-        self.seed = int(seed)
-        self._spawn_key = _spawn_key
-        seq = np.random.SeedSequence(entropy=self.seed, spawn_key=_spawn_key)
-        self.generator = np.random.Generator(np.random.Philox(seq))
-
-    def substream(self, index: int) -> "RandomStream":
-        return RandomStream(self.seed, self._spawn_key + (int(index),))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"RandomStream(seed={self.seed}, path={self._spawn_key})"
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(chunk,))))
 
 
 # Every Monte Carlo chunk draws UNIT_ROWS rows of unit exponentials, in two
@@ -308,15 +296,14 @@ UNIT_ROWS = 10
 UPLINK, DOWNLINK = 0, 1
 
 
-def unit_rows(stream: RandomStream, count: int, out: list | None = None) -> list[np.ndarray]:
-    """The stream's next half of a chunk: ``UNIT_ROWS // 2`` rows of ``count`` unit exponential draws.
+def unit_rows(rng: np.random.Generator, count: int, out: list | None = None) -> list[np.ndarray]:
+    """The generator's next half of a chunk: ``UNIT_ROWS // 2`` rows of ``count`` unit exponential draws.
 
     With ``out`` (``UNIT_ROWS // 2`` contiguous float64 rows of at least
     ``count`` entries) the draws are written into the first ``count`` entries
     of each row, bit for bit the values a fresh draw would return, and the
     returned rows are views of ``out``.
     """
-    rng = stream.generator
     if out is None:
         return [rng.standard_exponential(count) for _ in range(UNIT_ROWS // 2)]
     return [rng.standard_exponential(out=row[:count]) for row in out]

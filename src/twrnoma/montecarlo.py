@@ -13,9 +13,9 @@ uplink reads rows 0-4 (g1..g4, then the residual gain) and the downlink rows
 5-9; pSIC draws no residual, so its slots read rows 0-3 and 4-7. A row scaled
 by a variance equals an exponential draw with that variance bit for bit, so
 every mode and role group sees exactly the draws it would have made alone.
-Trials are partitioned into fixed-size chunks on disjoint substreams with
-integer event counts merged at the end, so a given seed yields identical
-results for any worker count.
+Trials are partitioned into fixed-size chunks, each on its own generator
+(:func:`~twrnoma.model.chunk_generator`), with integer event counts merged
+at the end, so a given seed yields identical results for any worker count.
 
 Every decode event comes from :func:`~twrnoma.sinr.event_table`. The
 outage engine decides them by :class:`~twrnoma.sinr.EventDecisions`, from
@@ -40,9 +40,9 @@ from .model import (
     UNIT_ROWS,
     UPLINK,
     PairRoles,
-    RandomStream,
     SystemConfig,
     check_sic_mode,
+    chunk_generator,
     signal_roles,
     unit_rows,
 )
@@ -100,7 +100,7 @@ def check_trials(trials: int) -> None:
 
 
 def _chunks(trials: int) -> list[tuple[int, int]]:
-    """(substream index, size) of every chunk of a run of ``trials`` draws."""
+    """(chunk index, size) of every chunk of a run of ``trials`` draws."""
     check_trials(trials)
     bounds = []
     index = 0
@@ -128,11 +128,13 @@ def mc_outage(
     draws the downlink half into rows 0-3 and 5, keeping row 4, and decides
     the user events. Both run on blocks of ``_BLOCK`` draws, so every mode and
     role group reads the same draws and the working set stays small. Chunks
-    are dealt to the workers in turn; counts are integers, so the result
-    does not depend on how many workers there are.
+    are dealt to the ``workers`` (at least one) in turn; counts are integers,
+    so the result does not depend on how many workers there are.
     """
     if not signals or not sic_modes:
         raise ConfigError("signals and sic_modes must be non-empty")
+    if workers < 1:
+        raise ConfigError(f"at least 1 worker is required, got {workers}")
     bounds = _chunks(trials)
     for mode in sic_modes:
         check_sic_mode(mode)
@@ -140,18 +142,17 @@ def mc_outage(
         signal_roles(signal)
     keys = list(dict.fromkeys((signal, mode) for signal in signals for mode in sic_modes))
     decisions = EventDecisions(config, keys)
-    root = RandomStream(seed)
 
     def failures(share: list[tuple[int, int]]) -> dict[tuple[str, str], int]:
         buffer = np.empty((UNIT_ROWS // 2 + 1, max(size for _, size in share)))
         fails = dict.fromkeys(keys, 0)
         for index, size in share:
-            stream = root.substream(index)
+            rng = chunk_generator(seed, index)
             blocks = [slice(start, start + _BLOCK) for start in range(0, size, _BLOCK)]
-            uplink = unit_rows(stream, size, list(buffer[:5]))
+            uplink = unit_rows(rng, size, list(buffer[:5]))
             relay = [decisions.decide(UPLINK, [row[b] for row in uplink]) for b in blocks]
             # keep row 4 only: pSIC's downlink starts there, on ipSIC's uplink residual
-            rows = [None] * 4 + uplink[4:] + unit_rows(stream, size, [*buffer[:4], buffer[5]])
+            rows = [None] * 4 + uplink[4:] + unit_rows(rng, size, [*buffer[:4], buffer[5]])
             for b, up in zip(blocks, relay):
                 down = decisions.decide(DOWNLINK, [row if row is None else row[b] for row in rows])
                 for key in keys:
@@ -159,7 +160,7 @@ def mc_outage(
                     fails[key] += ok.size - int(np.count_nonzero(ok))
         return fails
 
-    workers = max(1, min(workers, len(bounds)))
+    workers = min(workers, len(bounds))
     shares = [bounds[w::workers] for w in range(workers)]
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -191,11 +192,10 @@ def mc_ergodic_rates(
     signals = (f"x{roles.l}", f"x{roles.t}")
     # each slot's last event decodes the signal itself: its relay and destination stages
     stages = [{event.slot: event for event in table[(signal, mode)]} for signal in signals]
-    root = RandomStream(seed)
     sums = [[], []]
     for index, size in _chunks(trials):
-        stream = root.substream(index)
-        rows = unit_rows(stream, size) + unit_rows(stream, size)
+        rng = chunk_generator(seed, index)
+        rows = unit_rows(rng, size) + unit_rows(rng, size)
         chains = [np.empty(size), np.empty(size)]
         # stages run on _BLOCK-draw blocks, for the reasons given at _BLOCK
         for start in range(0, size, _BLOCK):

@@ -60,7 +60,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import DOWNLINK, GROUP_ONE, GROUP_TWO, SIC_MODES, UPLINK, Gain, SystemConfig, sinr_threshold
+from .model import DOWNLINK, GROUP_ONE, GROUP_TWO, SIC_MODES, UPLINK, Grid, SystemConfig, sinr_threshold
 
 # Half-width of the band of draws left to the SINR evaluation, as a fraction
 # of an event's unfused magnitudes X + Z; eight times the rounding of
@@ -110,7 +110,7 @@ def event_table(config: SystemConfig) -> dict[tuple[str, str], tuple[Event, ...]
     return table
 
 
-def event_sinr(event: Event, rho: float, rows: list) -> Gain:
+def event_sinr(event: Event, rho: float, rows: list) -> Grid:
     """``rho·X / (rho·Y + 1)`` of ``event`` on unit rows indexed by row number; only the rows it reads are needed."""
     y = sum(c * rows[i] for i, c in event.y)
     return rho * (event.x * rows[event.row]) / (rho * y + 1.0)

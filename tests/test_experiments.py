@@ -509,6 +509,35 @@ def domain_scenarios(count, seed):
     return found
 
 
+def binomial_two_sided_tail(count, n, p):
+    """Twice the smaller exact tail of ``count`` under Binomial(``n``, ``p``), at most 1."""
+    if p > 0.5:  # the same test on the complementary count
+        count, p = n - count, 1.0 - p
+    log_pmf = [math.lgamma(n + 1) - math.lgamma(j + 1) - math.lgamma(n - j + 1) + j * math.log(p)
+               + (n - j) * math.log1p(-p) for j in range(count + 1)]
+    below_count = math.fsum(math.exp(v) for v in log_pmf[:-1])
+    lower = below_count + math.exp(log_pmf[-1])
+    upper = max(0.0, 1.0 - below_count)
+    return min(1.0, 2.0 * min(lower, upper))
+
+
+def test_plain_mc_tracks_the_closed_forms_across_the_domain():
+    # bounds, seed and trials were fixed before the first run: a failing cell is a program fault
+    n = 20_000
+    for k, config in enumerate(domain_scenarios(120, seed=777)):
+        estimates = montecarlo.mc_outage(config, experiments.SIGNALS, SIC_MODES, trials=n, seed=5)
+        for (signal, mode), estimate in estimates.items():
+            p = analysis.closed_outage(config, signal, mode)
+            count = round(estimate.p_hat * n)
+            cell = (k, signal, mode, p, count)
+            if p in (0.0, 1.0):
+                assert count == p * n, cell
+            elif n * p * (1.0 - p) >= 10.0:
+                assert abs(estimate.p_hat - p) <= 5.0 * math.sqrt(p * (1.0 - p) / n), cell
+            else:
+                assert binomial_two_sided_tail(count, n, p) >= 1e-9, cell
+
+
 class TestWholeGridColumns:
     """The closed, asymptotic and TDMA columns of a sweep against the per-point evaluators, by repr."""
 
@@ -744,37 +773,43 @@ class TestCrossover:
         (spec,) = scanned
         assert (spec.rho_min_db, spec.rho_max_db, spec.rho_step_db) == (*experiments.FIGURE_WINDOW_DB, 0.25)
         # figure 1's own grid spans the same window
-        figure_grid = figure_preset(1, methods=("closed",))[""].rho_db
+        figure_grid = figure_preset(1, trials=1000)[""].rho_db
         assert (figure_grid[0], figure_grid[-1]) == experiments.FIGURE_WINDOW_DB
+
+
+def closed_rows(table):
+    """The rows of ``table``'s closed-form columns."""
+    return [row for row in table.rows() if row.method == "closed"]
 
 
 class TestFigurePresets:
     def test_preset_one_orders_modes(self):
-        rows = figure_preset(1, methods=("closed",))[""].rows()
+        rows = closed_rows(figure_preset(1, trials=1000)[""])
         closed = {(r.rho_db, r.signal, r.sic_mode): r.value for r in rows}
         for (db, signal, mode), value in closed.items():
             if mode == "pSIC":
                 assert value <= closed[(db, signal, "ipSIC")] + 1e-15
 
     def test_preset_two_benchmark_is_strictly_best(self):
-        variants = figure_preset(2, methods=("closed",))
-        best = {(r.rho_db, r.signal, r.sic_mode): r.value for r in variants["varpi_0"].rows()}
+        variants = figure_preset(2, trials=1000)
+        best = {(r.rho_db, r.signal, r.sic_mode): r.value for r in closed_rows(variants["varpi_0"])}
         for label in ("varpi_0.01", "varpi_0.1"):
-            for row in variants[label].rows():
+            for row in closed_rows(variants[label]):
                 assert best[(row.rho_db, row.signal, row.sic_mode)] < row.value
 
     def test_preset_three_sweeps_residual_variance(self):
-        variants = figure_preset(3, methods=("closed",))
+        variants = figure_preset(3, trials=1000)
         assert set(variants) == {"omega_i_-20dB", "omega_i_-10dB", "omega_i_0dB"}
-        worst = {(r.rho_db, r.signal): r.value for r in variants["omega_i_0dB"].rows() if r.sic_mode == "ipSIC"}
-        for row in variants["omega_i_-20dB"].rows():
+        worst = {(r.rho_db, r.signal): r.value for r in closed_rows(variants["omega_i_0dB"]) if r.sic_mode == "ipSIC"}
+        for row in closed_rows(variants["omega_i_-20dB"]):
             if row.sic_mode == "ipSIC":
                 assert row.value <= worst[(row.rho_db, row.signal)] + 1e-15
 
     def test_preset_four_emits_throughput(self):
-        variants = figure_preset(4, methods=("closed",))
+        variants = figure_preset(4, trials=1000)
         assert set(variants) == {"omega_i_-20dB", "omega_i_-10dB"}
         for table in variants.values():
+            assert closed_rows(table)
             assert all(row.signal == "sum" for row in table.rows())
 
     def test_unknown_preset_rejected(self):

@@ -12,9 +12,9 @@ from twrnoma.model import (
     GROUP_ONE,
     GROUP_TWO,
     PairRoles,
-    RandomStream,
     SystemConfig,
     build_derived_constants,
+    chunk_generator,
     db_to_linear,
     load_config_file,
     omega_from_distances,
@@ -60,9 +60,14 @@ INSIDE_THE_DOMAIN = domain_edges(outside=False) + [
 ]
 
 
-def single_draw(stream):
+def philox(seed):
+    """A generator on a Philox stream seeded ``seed``."""
+    return np.random.Generator(np.random.Philox(seed))
+
+
+def single_draw(rng):
     """The first draw of each unit row of a half chunk, as plain floats."""
-    return tuple(float(row[0]) for row in unit_rows(stream, 1))
+    return tuple(float(row[0]) for row in unit_rows(rng, 1))
 
 
 class TestSystemConfig:
@@ -194,44 +199,46 @@ class TestSampling:
         n = 10**6
         cfg = table_config()
         variances = cfg.omega + (cfg.omega_i,)
-        for row, omega in zip(unit_rows(RandomStream(17), n), variances, strict=True):
+        for row, omega in zip(unit_rows(philox(17), n), variances, strict=True):
             sigma = omega / math.sqrt(n)
             assert abs(float(np.mean(omega * row)) - omega) < 3 * sigma
 
     def test_same_seed_bit_identical(self):
-        a = unit_rows(RandomStream(5), 1000)
-        b = unit_rows(RandomStream(5), 1000)
+        a = unit_rows(philox(5), 1000)
+        b = unit_rows(philox(5), 1000)
         assert all(np.array_equal(x, y) for x, y in zip(a, b, strict=True))
-        assert single_draw(RandomStream(5)) == single_draw(RandomStream(5))
+        assert single_draw(philox(5)) == single_draw(philox(5))
 
     def test_slots_read_the_unit_row_layout(self):
         # a unit row times a variance equals an exponential draw with that
         # variance bit for bit, on both halves of the ipSIC layout: g1..g4 and
         # then the residual gain, once per slot
         cfg = table_config()
-        stream = RandomStream(5)
-        rows = unit_rows(stream, 1000) + unit_rows(stream, 1000)
-        rng = RandomStream(5).generator
+        rng = philox(5)
+        rows = unit_rows(rng, 1000) + unit_rows(rng, 1000)
+        rng = philox(5)  # the same stream again, drawn directly
         variances = (cfg.omega + (cfg.omega_i,)) * 2
         direct = [rng.exponential(om, size=1000) for om in variances]
         scaled = [om * row for om, row in zip(variances, rows, strict=True)]
         assert all(np.array_equal(a, b) for a, b in zip(scaled, direct, strict=True))
 
     def test_unit_rows_into_a_buffer_equal_fresh_draws(self):
-        fresh = unit_rows(RandomStream(5), 1000)
+        fresh = unit_rows(philox(5), 1000)
         buffer = np.full((5, 1500), -1.0)
-        rows = unit_rows(RandomStream(5), 1000, list(buffer))
+        rows = unit_rows(philox(5), 1000, list(buffer))
         assert all(np.array_equal(a, b) for a, b in zip(rows, fresh, strict=True))
         assert all(np.shares_memory(row, line) for row, line in zip(rows, buffer))
         assert (buffer[:, 1000:] == -1.0).all()
 
-    def test_substreams_differ_and_are_reconstructible(self):
-        root = RandomStream(5)
-        a = single_draw(root.substream(0))
-        b = single_draw(root.substream(1))
+    def test_chunk_generators_differ_and_are_reconstructible(self):
+        a = single_draw(chunk_generator(5, 0))
+        b = single_draw(chunk_generator(5, 1))
         assert a != b
-        again = single_draw(RandomStream(5).substream(1))
-        assert b == again
+        assert single_draw(chunk_generator(5, 1)) == b
+        assert single_draw(chunk_generator(6, 1)) != b
+        # chunk c's stream is numpy's c-th spawned child of the seed
+        child = np.random.SeedSequence(5).spawn(2)[1]
+        assert single_draw(np.random.Generator(np.random.Philox(child))) == b
 
 
 class TestConfigFile:

@@ -8,8 +8,10 @@ import pytest
 from twrnoma import montecarlo, sinr
 from twrnoma.analysis import closed_outage
 from twrnoma.errors import ConfigError
-from twrnoma.model import GROUP_ONE, GROUP_TWO, RandomStream, SystemConfig, sinr_threshold, unit_rows
+from twrnoma.model import GROUP_ONE, GROUP_TWO, SystemConfig, sinr_threshold, unit_rows
 from twrnoma.montecarlo import CHUNK_SIZE, mc_ergodic_rates, mc_outage, wilson_interval
+
+from test_model import philox
 
 SIGNALS = ("x1", "x2", "x3", "x4")
 MODES = ("ipSIC", "pSIC")
@@ -95,6 +97,9 @@ class TestOutageEstimators:
         assert first == second == threaded
         est = first[("x1", "ipSIC")]
         assert est.ci_low <= est.p_hat <= est.ci_high
+        for workers in (0, -1):
+            with pytest.raises(ConfigError, match="at least 1 worker is required, got"):
+                mc_outage(cfg, ("x1",), MODES, trials=2000, seed=42, workers=workers)
 
     def test_no_signals_or_modes_rejected(self):
         with pytest.raises(ConfigError, match="non-empty"):
@@ -252,8 +257,8 @@ def boundary_decisions(cfg, draws=64):
     f = Fraction
     out = []
     for n, event in enumerate(dict.fromkeys(event for chain in table.values() for event in chain)):
-        stream = RandomStream(7 + n)
-        base = unit_rows(stream, draws) + unit_rows(stream, draws)
+        rng = philox(7 + n)
+        base = unit_rows(rng, draws) + unit_rows(rng, draws)
         rows = [np.repeat(row, len(OFFSETS)) for row in base]
         gamma = f(event.gamma)
         own = sum(f(c) for i, c in event.y if i == event.row)

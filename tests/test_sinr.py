@@ -11,7 +11,6 @@ from twrnoma.model import (
     GROUP_TWO,
     SIC_MODES,
     UPLINK,
-    RandomStream,
     SystemConfig,
     signal_roles,
     sinr_threshold,
@@ -19,6 +18,7 @@ from twrnoma.model import (
 )
 from twrnoma.sinr import event_sinr, event_table
 
+from test_model import philox
 from test_montecarlo import domain_corner_config
 
 NAMES = ("relay_strong", "relay_weak", "user_cross", "user_own", "far_user")
@@ -76,7 +76,7 @@ class TestProperties:
     def gains(self, seed=0):
         """One draw's power gains g1..g4, gI on the default scenario."""
         cfg = config()
-        rows = unit_rows(RandomStream(seed), 1)
+        rows = unit_rows(philox(seed), 1)
         return tuple(float(v * row[0]) for v, row in zip(cfg.omega + (cfg.omega_i,), rows))
 
     def test_all_fields_nonnegative(self):
@@ -115,7 +115,7 @@ class TestProperties:
 
     def test_batch_matches_scalar(self):
         cfg = config()
-        rows = unit_rows(RandomStream(8), 64) + unit_rows(RandomStream(9), 64)
+        rows = unit_rows(philox(8), 64) + unit_rows(philox(9), 64)
         table = event_table(cfg)
         for event in {event for chain in table.values() for event in chain}:
             batched = event_sinr(event, cfg.rho, rows)
