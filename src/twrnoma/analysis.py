@@ -17,8 +17,7 @@ floats. A sweep, which has checked both already, calls the evaluator
 directly with derived constants built over its whole SNR grid: the same
 code then runs on arrays, each entry bit for bit the float result at its
 point. On a grid, the first entry outside [0, 1] by more than the clamp
-gate raises the ``NumericError`` that its point raises alone, with its
-index in the grid as the error's ``point``.
+gate raises the ``NumericError`` that its point raises alone.
 """
 
 from __future__ import annotations
@@ -183,24 +182,24 @@ def interference_laplace(rates: Sequence[Grid], s: Grid) -> Grid:
     return value
 
 
-def _finish_probability(raw: Grid, point: int | None = None) -> Grid:
+def _finish_probability(raw: Grid) -> Grid:
     """``raw`` clamped into [0, 1], entry by entry for a grid.
 
     A value that is not finite or that strays further than ``CLAMP_GATE``
     raises ``NumericError``. On a grid the first such entry raises what it
-    raises alone, with its index as the error's ``point``.
+    raises alone.
     """
     if isinstance(raw, np.ndarray):
         bad = np.flatnonzero(~((raw >= -CLAMP_GATE) & (raw <= 1.0 + CLAMP_GATE)))  # NaN fails too
         if bad.size:
-            _finish_probability(raw[bad[0]].item(), int(bad[0]))  # raises
+            _finish_probability(raw[bad[0]].item())  # raises
         # clamped as min(max(raw, 0.0), 1.0) clamps a float
         raw = np.where(0.0 > raw, 0.0, raw)
         return np.where(1.0 < raw, 1.0, raw)
     if not math.isfinite(raw):
-        raise NumericError(f"outage evaluation produced a non-finite value: {raw!r}", point)
+        raise NumericError(f"outage evaluation produced a non-finite value: {raw!r}")
     if raw < -CLAMP_GATE or raw > 1.0 + CLAMP_GATE:
-        raise NumericError(f"outage evaluation left [0, 1] by more than the clamp gate: {raw!r}", point)
+        raise NumericError(f"outage evaluation left [0, 1] by more than the clamp gate: {raw!r}")
     return min(max(raw, 0.0), 1.0)
 
 

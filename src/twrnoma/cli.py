@@ -198,7 +198,7 @@ def _cmd_validate(args) -> int:
     for flag, tol in (("--rel-tol", args.rel_tol), ("--rel-tol-degenerate", args.rel_tol_degenerate)):
         if not (tol > 0.0 and math.isfinite(tol)):
             raise ConfigError(f"{flag} must be positive and finite, got {tol!r}")
-    seed = RunSettings(**_given(seed=args.seed)).seed  # RunSettings rejects a negative seed
+    seed = RunSettings.seed if args.seed is None else args.seed  # the run default, not oracle_agreement's
     report = experiments.oracle_agreement(n_configs=args.configs, seed=seed)
     print(f"checked {report.checked} random scenarios (both signals, both SIC modes)")
     print(f"max relative error, distinct rates:        {report.max_rel_err_distinct:.3e} "

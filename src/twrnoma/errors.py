@@ -13,15 +13,7 @@ class ConfigError(ValueError):
 
 
 class NumericError(ArithmeticError):
-    """A computed quantity left its admissible range (NaN, overflow, bad probability).
-
-    ``point`` is the index of the SNR-grid entry that failed, when the error
-    arose on a whole grid at once.
-    """
-
-    def __init__(self, message: str, point: int | None = None):
-        super().__init__(message)
-        self.point = point
+    """A computed quantity left its admissible range (NaN, overflow, bad probability)."""
 
 
 class OracleError(NumericError):

@@ -38,6 +38,7 @@ from .model import (
     Grid,
     SystemConfig,
     build_derived_constants,
+    check_seed,
     check_sic_mode,
     db_to_linear,
     exact_exp,
@@ -50,9 +51,6 @@ METHODS = ("closed", "asymptotic", "mc", "quad", "oma")
 SIGNALS = ("x1", "x2", "x3", "x4")
 
 THROUGHPUT_METHODS = ("closed", "mc", "oma")
-# Methods a sweep evaluates over its whole grid at once; MC and quadrature
-# run one SNR point at a time.
-_GRID_METHODS = ("closed", "asymptotic", "oma")
 
 # Transmit-SNR window (dB) of the figure presets, on which crossover_snr_db
 # looks for figure 1's crossing.
@@ -62,11 +60,13 @@ FIGURE_WINDOW_DB = (0.0, 45.0)
 # steps has about 900 points, a figure curve 19.
 MAX_GRID_POINTS = 100_000
 
-# Scenarios that oracle_agreement draws and checks together: with both
-# signals and both SIC modes, 128 oracle cases and about as many distinct
-# integrals, so one chunk fills several quadrature passes and memory is
-# bounded by the chunk, not by the number of scenarios.
-_AGREEMENT_GROUP = 32
+# Scenarios whose cases one quad_outages call plans at once: oracle_agreement
+# draws and checks its random scenarios this many at a time (128 cases, with
+# both signals and both SIC modes), a sweep its SNR points (up to 256 cases).
+# The oracle dedupes a call's integrals and integrates them in passes of at
+# most 32, so one call fills several passes and memory is bounded by this
+# count, not by the number of scenarios or grid points.
+_PLANNED_SCENARIOS = 32
 # Quadrature tolerances of oracle_agreement, tight enough that the oracle's
 # own error stays far below the agreement tolerances of validate.
 _AGREEMENT_SPEC = QuadSpec(abs_tol=1e-13, rel_tol=1e-11)
@@ -173,6 +173,7 @@ class SweepSpec:
             raise ConfigError("methods, signals and sic_modes must be non-empty")
         if "mc" in self.methods:
             check_trials(self.trials)
+            check_seed(self.seed)
 
     def _point_count(self) -> int | float:
         # infinite when the span overflows or the step underflows it
@@ -208,122 +209,102 @@ def oma_outage(config: SystemConfig, signal: str, rho: Grid | None = None) -> Gr
     return 1.0 - hop_src * hop_dst
 
 
-def _grid_columns(spec: SweepSpec, grid_db: list[float]) -> tuple[dict, int]:
-    """``spec``'s closed, asymptotic and TDMA columns over the whole SNR grid ``grid_db``, as lists of floats.
+def _in_range(values: Grid | list[float], grid: list[float], signal: str, method: str) -> list[float]:
+    """``values`` (an array, a list, or a float standing for every point) listed at each point of ``grid``.
 
-    One set of derived constants per role group and one evaluator call per
-    (method, signal, mode) serve every point, each entry bit for bit the
-    value of its point alone. The TDMA outage does not read the SIC mode, so
-    both modes list one column per signal. Also returns the first point at
-    which any column leaves [0, 1], ``len(grid_db)`` when none does.
+    The first point outside [0, 1], NaN included, raises ``NumericError``.
     """
-    rho = np.array([db_to_linear(rho_db) for rho_db in grid_db])  # converted as each point's config converts it
-    first_bad = len(grid_db)
+    column = np.broadcast_to(values, (len(grid),))
+    bad = np.flatnonzero(~((0.0 <= column) & (column <= 1.0)))  # NaN fails too
+    if bad.size:
+        i = int(bad[0])
+        raise NumericError(f"outage row out of range: {signal} {method} at {grid[i]} dB -> {column[i].item()!r}")
+    return column.tolist()
 
-    def listed(column) -> list[float]:
-        nonlocal first_bad
-        column = np.broadcast_to(column, rho.shape)
-        bad = np.flatnonzero(~((0.0 <= column) & (column <= 1.0)))  # NaN fails too
-        if bad.size:
-            first_bad = min(first_bad, int(bad[0]))
-        return column.tolist()
 
-    methods = [method for method in spec.methods if method in _GRID_METHODS]
-    columns = {}
+def _grid_columns(spec: SweepSpec, method: str, grid: list[float], rho: np.ndarray,
+                  constants: dict) -> list[CurveColumn]:
+    """The closed, asymptotic or TDMA columns of ``spec`` over the whole grid, each range-checked as it is made.
+
+    One evaluator call per (signal, mode) serves every point, each entry bit
+    for bit the value of its point alone. ``constants`` maps a role group to
+    its derived constants over ``rho``; a group missing there is built and
+    added, so a sweep builds each group once. The TDMA outage does not read
+    the SIC mode, so both modes share one list per signal.
+    """
+    columns = []
     # inf and NaN arise silently, as on Python floats. x/0 raises: on the
     # grid it could turn into a valid-looking exp(-inf).
     with np.errstate(all="ignore", divide="raise"):
-        constants = {}
-        if "closed" in methods or "asymptotic" in methods:
-            groups = dict.fromkeys(SIGNAL_ROLES[signal][0] for signal in spec.signals)
-            constants = {roles: build_derived_constants(spec.config, roles, rho) for roles in groups}
-        for method in methods:
-            for signal in spec.signals:
-                if method == "oma":
-                    column = listed(oma_outage(spec.config, signal, rho))
-                    columns.update(((method, signal, mode), column) for mode in spec.sic_modes)
-                    continue
-                roles, kind = SIGNAL_ROLES[signal]
-                evaluator = analysis.EVALUATORS[method, kind]
-                for mode in spec.sic_modes:
-                    columns[method, signal, mode] = listed(evaluator(spec.config, roles, constants[roles], mode))
-    return columns, first_bad
+        for signal in spec.signals:
+            if method == "oma":
+                values = _in_range(oma_outage(spec.config, signal, rho), grid, signal, method)
+                columns += [CurveColumn(signal, mode, method, values) for mode in spec.sic_modes]
+                continue
+            roles, kind = SIGNAL_ROLES[signal]
+            if roles not in constants:
+                constants[roles] = build_derived_constants(spec.config, roles, rho)
+            evaluator = analysis.EVALUATORS[method, kind]
+            for mode in spec.sic_modes:
+                values = evaluator(spec.config, roles, constants[roles], mode)
+                columns.append(CurveColumn(signal, mode, method, _in_range(values, grid, signal, method)))
+    return columns
 
 
-def _point_cells(spec: SweepSpec, rho_db: float) -> dict:
-    """The work a sweep does one SNR point at a time, keyed by ``(method, signal, mode)``.
+def _mc_columns(spec: SweepSpec, grid: list[float]) -> list[CurveColumn]:
+    """The MC columns of ``spec``: one engine call per point serves every (signal, mode)."""
+    at_points = [mc_outage(replace(spec.config, rho_db=rho_db), spec.signals, spec.sic_modes,
+                           trials=spec.trials, seed=spec.seed) for rho_db in grid]
+    columns = []
+    for signal in spec.signals:
+        for mode in spec.sic_modes:
+            estimates = [at_point[signal, mode] for at_point in at_points]
+            values = _in_range([est.p_hat for est in estimates], grid, signal, "mc")
+            columns.append(CurveColumn(signal, mode, "mc", values, [est.ci_low for est in estimates],
+                                       [est.ci_high for est in estimates], spec.trials, spec.seed))
+    return columns
 
-    One validated config at ``rho_db``; the MC estimates of every (signal,
-    mode) come from one engine call, and the quadrature values from one
-    batched oracle call.
-    """
-    config = replace(spec.config, rho_db=rho_db)
+
+def _quad_columns(spec: SweepSpec, grid: list[float]) -> list[CurveColumn]:
+    """The quadrature columns of ``spec``: one oracle call per ``_PLANNED_SCENARIOS`` points."""
     keys = [(signal, mode) for signal in spec.signals for mode in spec.sic_modes]
-    cells = {}
-    if "mc" in spec.methods:
-        estimates = mc_outage(config, spec.signals, spec.sic_modes, trials=spec.trials, seed=spec.seed)
-        cells.update((("mc", *key), estimates[key]) for key in keys)
-    if "quad" in spec.methods:
-        values = quad_outages([(config, signal, mode) for signal, mode in keys])
-        cells.update((("quad", *key), value) for key, value in zip(keys, values))
-    return cells
+    values = []  # point by point, each point's in key order
+    for first in range(0, len(grid), _PLANNED_SCENARIOS):
+        configs = [replace(spec.config, rho_db=rho_db) for rho_db in grid[first:first + _PLANNED_SCENARIOS]]
+        values += quad_outages([(config, signal, mode) for config in configs for signal, mode in keys])
+    return [CurveColumn(signal, mode, "quad", _in_range(values[k::len(keys)], grid, signal, "quad"))
+            for k, (signal, mode) in enumerate(keys)]
 
 
 def run_sweep(spec: SweepSpec) -> CurveTable:
     """Evaluate the grid; one column per (signal, mode, method), one row per (SNR point, column).
 
-    Closed, asymptotic and TDMA columns are evaluated over the whole grid at
-    once; MC and quadrature run one SNR point at a time. The grid's ends are
-    checked against the domain first. Errors come as the points would meet
-    them one at a time: a point's MC and quadrature work, then its
-    evaluation errors, then its rows outside [0, 1], in row order.
+    The grid's ends are checked against the domain first. The methods then
+    run in the order given, each over the whole grid: closed, asymptotic
+    and TDMA in one evaluator call per column, quadrature in one oracle call
+    per ``_PLANNED_SCENARIOS`` points, MC in one engine call per point. Each
+    column is range-checked as it is made, so the first error raised is
+    that of the first failing column in evaluation order, at its first bad
+    point, and no work follows it.
     """
     grid = spec.rho_grid_db()
     # the domain bounds rho_db to an interval, so every point between two
     # valid ends is valid too; the first end fails first
     replace(spec.config, rho_db=grid[0])
     replace(spec.config, rho_db=grid[-1])
-    return _sweep(spec, grid)
-
-
-def _sweep(spec: SweepSpec, grid: list[float]) -> CurveTable:
-    """:func:`run_sweep` over ``grid``, whose ends are checked."""
-    try:
-        columns, first_bad = _grid_columns(spec, grid)
-    except NumericError as exc:
-        if exc.point:  # an evaluator failed at that point; the points before it raise their own errors first
-            _sweep(spec, grid[:exc.point])
-        raise
-    keys = [(signal, mode) for signal in spec.signals for mode in spec.sic_modes]
-    per_point = [method for method in spec.methods if method not in _GRID_METHODS]
-    # each (method, signal, mode)'s cells: its whole-grid column, or a list the points fill in
-    cells = dict(columns)
-    cells.update(((method, *key), []) for method in per_point for key in keys)
-    for i, rho_db in enumerate(grid):
-        if per_point:
-            at_point = _point_cells(spec, rho_db)
-            for key in keys:
-                for method in per_point:
-                    cells[(method, *key)].append(at_point[(method, *key)])
-        elif i < first_bad:
-            continue  # the whole-grid columns are in range up to their first bad point
-        for signal, mode in keys:
-            for method in spec.methods:
-                cell = cells[method, signal, mode][i]
-                value = cell.p_hat if method == "mc" else cell
-                if not 0.0 <= value <= 1.0:  # NaN fails too
-                    raise NumericError(f"outage row out of range: {signal} {method} at {rho_db} dB -> {value!r}")
-    table = []
-    for signal, mode in keys:
-        for method in spec.methods:
-            listed = cells[method, signal, mode]
-            if method == "mc":
-                table.append(CurveColumn(signal, mode, method, [est.p_hat for est in listed],
-                                         [est.ci_low for est in listed], [est.ci_high for est in listed],
-                                         spec.trials, spec.seed))
-            else:
-                table.append(CurveColumn(signal, mode, method, listed))
-    return CurveTable(grid, table)
+    rho = np.array([db_to_linear(rho_db) for rho_db in grid])  # converted as each point's config converts it
+    constants = {}  # role group -> derived constants over rho, shared by closed and asymptotic
+    columns = {}
+    for method in spec.methods:
+        if method == "mc":
+            made = _mc_columns(spec, grid)
+        elif method == "quad":
+            made = _quad_columns(spec, grid)
+        else:
+            made = _grid_columns(spec, method, grid, rho, constants)
+        columns.update(((column.signal, column.sic_mode, method), column) for column in made)
+    return CurveTable(grid, [columns[signal, mode, method] for signal in spec.signals
+                             for mode in spec.sic_modes for method in spec.methods])
 
 
 def throughput_rows(spec: SweepSpec) -> CurveTable:
@@ -527,14 +508,15 @@ def oracle_agreement(n_configs: int = 200, seed: int = 20240) -> AgreementReport
     """
     if n_configs < 1:
         raise ConfigError(f"at least one random scenario is required, got {n_configs}")
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     n_degenerate = int(n_configs * _DEGENERATE_FRACTION)
     worst_distinct = 0.0
     worst_degenerate = 0.0
-    for first in range(0, n_configs, _AGREEMENT_GROUP):
+    for first in range(0, n_configs, _PLANNED_SCENARIOS):
         configs = [
             random_valid_config(rng, force_degenerate=i < n_degenerate)
-            for i in range(first, min(first + _AGREEMENT_GROUP, n_configs))
+            for i in range(first, min(first + _PLANNED_SCENARIOS, n_configs))
         ]
         cases = [(config, signal, mode) for config in configs for mode in SIC_MODES for signal in ("x1", "x2")]
         for i, (case, quad) in enumerate(zip(cases, quad_outages(cases, _AGREEMENT_SPEC))):

@@ -312,6 +312,12 @@ def unit_rows(rng: np.random.Generator, count: int, out: list | None = None) -> 
 DEFAULT_TRIALS = 10**6  # reference iteration count for the numerical presets
 
 
+def check_seed(seed: int) -> None:
+    """A ``ConfigError`` for a seed that no random generator accepts."""
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
+
+
 @dataclass(frozen=True)
 class RunSettings:
     """Simulation controls carried by config files next to the physics."""
@@ -320,8 +326,7 @@ class RunSettings:
     seed: int = 1
 
     def __post_init__(self) -> None:
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        check_seed(self.seed)
 
 
 _SCALAR_KEYS = {

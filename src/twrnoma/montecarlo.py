@@ -41,6 +41,7 @@ from .model import (
     UPLINK,
     PairRoles,
     SystemConfig,
+    check_seed,
     check_sic_mode,
     chunk_generator,
     signal_roles,
@@ -136,6 +137,7 @@ def mc_outage(
     if workers < 1:
         raise ConfigError(f"at least 1 worker is required, got {workers}")
     bounds = _chunks(trials)
+    check_seed(seed)
     for mode in sic_modes:
         check_sic_mode(mode)
     for signal in signals:
@@ -188,6 +190,7 @@ def mc_ergodic_rates(
     SNR, which is the ceiling the delay-limited throughput runs into.
     """
     check_sic_mode(mode)
+    check_seed(seed)
     table = event_table(config)
     signals = (f"x{roles.l}", f"x{roles.t}")
     # each slot's last event decodes the signal itself: its relay and destination stages

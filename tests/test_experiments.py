@@ -65,7 +65,7 @@ def count_constant_builds(monkeypatch):
 
 
 def bad_at(point, bad=1.5):
-    """Outage 0.5 at each SNR of the 0, 5, 10 dB grid but its ``point``-th, where it is ``bad``.
+    """Outage 0.5 at each SNR of a grid in 5 dB steps from 0 dB but its ``point``-th, where it is ``bad``.
 
     ``rho`` is a float or an array, as the sweep's evaluators take it.
     """
@@ -237,8 +237,8 @@ class TestSweep:
         def forbidden(*args):
             raise AssertionError("no outage may be evaluated")
 
-        monkeypatch.setattr(experiments, "_grid_columns", forbidden)
-        monkeypatch.setattr(experiments, "_point_cells", forbidden)
+        for columns in ("_grid_columns", "_mc_columns", "_quad_columns"):
+            monkeypatch.setattr(experiments, columns, forbidden)
         with pytest.raises(ConfigError, match=re.escape(message)):
             run_sweep(self.spec(**{"rho_max_db": 45.0, "rho_step_db": 0.25, "methods": ("closed", "oma"),
                                    **window}))
@@ -248,6 +248,11 @@ class TestSweep:
         with pytest.raises(ConfigError, match=re.escape("at least 1000 trials are required, got 500")):
             self.spec(methods=("closed", "mc"), trials=500)
         assert self.spec(methods=("closed", "asymptotic", "quad", "oma"), trials=500).trials == 500
+
+    def test_negative_seed_rejected_when_mc_runs(self):
+        with pytest.raises(ConfigError, match=re.escape("seed must be non-negative, got -1")):
+            run_sweep(self.spec(methods=("mc",), seed=-1))
+        assert self.spec(methods=("closed", "asymptotic", "quad", "oma"), seed=-1).seed == -1
 
     def test_grid_size_is_capped(self):
         cap = experiments.MAX_GRID_POINTS
@@ -368,7 +373,7 @@ class TestSweep:
         assert len(rows) == 3 * 4 * 2
         assert calls == [(db, ("x1", "x2", "x3", "x4"), ("ipSIC", "pSIC")) for db in (0.0, 5.0, 10.0)]
 
-    def test_one_quadrature_call_per_grid_point(self, monkeypatch):
+    def test_one_quadrature_call_per_32_point_slice(self, monkeypatch):
         calls = []
         batched = experiments.quad_outages
 
@@ -377,12 +382,13 @@ class TestSweep:
             return batched(cases, *args)
 
         monkeypatch.setattr(experiments, "quad_outages", counted)
-        rows = run_sweep(self.spec(methods=("quad",), signals=("x1", "x4"), rho_max_db=10.0)).rows()
-        assert len(rows) == 3 * 2 * 2
-        assert calls == [
-            [(db, signal, mode) for signal in ("x1", "x4") for mode in ("ipSIC", "pSIC")]
-            for db in (0.0, 5.0, 10.0)
-        ]
+        spec = self.spec(methods=("quad",), signals=("x1", "x4"), rho_max_db=45.0, rho_step_db=1.0)
+        grid = spec.rho_grid_db()
+        rows = run_sweep(spec).rows()
+        assert len(grid) == 46 and len(rows) == 46 * 2 * 2
+        # point by point within a slice, each point's cases in row order
+        keys = [(signal, mode) for signal in ("x1", "x4") for mode in ("ipSIC", "pSIC")]
+        assert calls == [[(db, *key) for db in points for key in keys] for points in (grid[:32], grid[32:])]
         for row in rows:
             case = (replace(table_config(), rho_db=row.rho_db), row.signal, row.sic_mode)
             assert row.value == oracle.quad_outages([case])[0]
@@ -402,36 +408,50 @@ class TestSweep:
         run_sweep(replace(spec, methods=("oma",)))
         assert calls == []
 
-    @pytest.mark.parametrize("closed_at, oma_at, message", [
-        (2, 1, "outage row out of range: x2 oma at 5.0 dB -> 1.5"),
-        (1, 2, "outage row out of range: x1 closed at 5.0 dB -> 1.5"),
-        # the rows of one point come key by key, each key's in method order
-        (1, 1, "outage row out of range: x1 closed at 5.0 dB -> 1.5"),
+    @pytest.mark.parametrize("closed_at, oma_at, oma_first, closed_first", [
+        (2, 1, "x2 oma at 5.0 dB", "x1 closed at 10.0 dB"),
+        (1, 2, "x2 oma at 10.0 dB", "x1 closed at 5.0 dB"),
+        (1, 1, "x2 oma at 5.0 dB", "x1 closed at 5.0 dB"),
     ])
-    def test_earlier_point_raises_first(self, monkeypatch, closed_at, oma_at, message):
+    def test_first_bad_column_raises(self, monkeypatch, closed_at, oma_at, oma_first, closed_first):
+        # methods run in the order given; a column raises at its first bad point, whatever later columns hold
         closed = bad_at(closed_at)
         monkeypatch.setitem(analysis.EVALUATORS, ("closed", "l"), lambda config, roles, dc, mode: closed(dc.rho))
         oma_x2 = bad_at(oma_at)
         monkeypatch.setattr(experiments, "oma_outage",
                             lambda config, signal, rho: oma_x2(rho) if signal == "x2" else 0.5)
-        with pytest.raises(NumericError, match=re.escape(message)):
-            run_sweep(self.spec(methods=("oma", "closed"), rho_max_db=10.0))
+        for methods, at in ((("oma", "closed"), oma_first), (("closed", "oma"), closed_first)):
+            with pytest.raises(NumericError, match=re.escape(f"outage row out of range: {at} -> 1.5")):
+                run_sweep(self.spec(methods=methods, rho_max_db=10.0))
 
-    @pytest.mark.parametrize("finished_at, oma_at, message", [
-        (2, 1, "outage row out of range: x1 oma at 5.0 dB -> 1.5"),
-        (1, 2, "outage evaluation left [0, 1] by more than the clamp gate: 1.25"),
-        # at one point every evaluator runs before any row is range-checked
-        (1, 1, "outage evaluation left [0, 1] by more than the clamp gate: 1.25"),
-    ])
-    def test_evaluator_error_waits_for_its_point(self, monkeypatch, finished_at, oma_at, message):
+    @pytest.mark.parametrize("finished_at, oma_at", [(2, 1), (1, 2), (1, 1)])
+    def test_evaluator_error_raises_in_method_order(self, monkeypatch, finished_at, oma_at):
+        # x2's asymptotic evaluator raises wherever its bad point lies; x1's TDMA column is bad at oma_at
         finished = bad_at(finished_at, 1.25)
         monkeypatch.setitem(analysis.EVALUATORS, ("asymptotic", "t"),
                             lambda config, roles, dc, mode: analysis._finish_probability(finished(dc.rho)))
         oma = bad_at(oma_at)
         monkeypatch.setattr(experiments, "oma_outage", lambda config, signal, rho: oma(rho))
-        for methods in (("oma", "asymptotic"), ("asymptotic", "oma")):
+        for methods, message in (
+            (("oma", "asymptotic"), f"outage row out of range: x1 oma at {5.0 * oma_at} dB -> 1.5"),
+            (("asymptotic", "oma"), "outage evaluation left [0, 1] by more than the clamp gate: 1.25"),
+        ):
             with pytest.raises(NumericError, match=re.escape(message)):
                 run_sweep(self.spec(methods=methods, rho_max_db=10.0))
+
+    @pytest.mark.parametrize("failing, message", [
+        (analysis._finish_probability, "outage evaluation left [0, 1] by more than the clamp gate: 1.5"),
+        (lambda raw: raw, "outage row out of range: x1 closed at 20.0 dB -> 1.5"),
+    ], ids=["evaluator error", "row out of range"])
+    def test_failing_column_stops_the_sweep(self, monkeypatch, failing, message):
+        # no MC point runs once the closed column has failed, not even those before its bad point
+        calls = count_engine_calls(monkeypatch)
+        closed = bad_at(4)
+        monkeypatch.setitem(analysis.EVALUATORS, ("closed", "l"),
+                            lambda config, roles, dc, mode: failing(closed(dc.rho)))
+        with pytest.raises(NumericError, match=re.escape(message)):
+            run_sweep(self.spec(methods=("closed", "mc"), rho_max_db=45.0))
+        assert calls == []
 
     def test_frozen_output_bytes(self, capsys):
         assert cli_sha256(capsys, FROZEN_SWEEP_ARGV) == FROZEN_SWEEP_SHA256
@@ -662,22 +682,20 @@ class TestThroughputRows:
         assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
             "320f3e1303eb41dc4b67b7bba56479259c4d9365fe3ca9f9a5c478c343e061fb")
 
-    @pytest.mark.parametrize("finished_at, oma_at, error, message", [
-        (2, 1, NumericError, "outage row out of range: x1 oma at 5.0 dB -> 1.5"),
-        (1, 2, NumericError, "outage evaluation left [0, 1] by more than the clamp gate: 1.25"),
-        (1, 1, NumericError, "outage evaluation left [0, 1] by more than the clamp gate: 1.25"),
-    ])
-    def test_earlier_point_raises_first(self, monkeypatch, finished_at, oma_at, error, message):
+    @pytest.mark.parametrize("finished_at, oma_at", [(2, 1), (1, 2), (1, 1)])
+    def test_first_failing_method_raises(self, monkeypatch, finished_at, oma_at):
         finished = bad_at(finished_at, 1.25)
         monkeypatch.setitem(analysis.EVALUATORS, ("closed", "t"),
                             lambda config, roles, dc, mode: analysis._finish_probability(finished(dc.rho)))
         oma = bad_at(oma_at)
         monkeypatch.setattr(experiments, "oma_outage", lambda config, signal, rho: oma(rho))
-        spec = SweepSpec(
-            config=table_config(), rho_min_db=0.0, rho_max_db=10.0, rho_step_db=5.0, methods=("oma", "closed"),
-        )
-        with pytest.raises(error, match=re.escape(message)):
-            throughput_rows(spec)
+        for methods, message in (
+            (("oma", "closed"), f"outage row out of range: x1 oma at {5.0 * oma_at} dB -> 1.5"),
+            (("closed", "oma"), "outage evaluation left [0, 1] by more than the clamp gate: 1.25"),
+        ):
+            spec = SweepSpec(config=table_config(), rho_min_db=0.0, rho_max_db=10.0, rho_step_db=5.0, methods=methods)
+            with pytest.raises(NumericError, match=re.escape(message)):
+                throughput_rows(spec)
 
     def test_bad_method_rejected_before_any_work(self, monkeypatch):
         calls = count_engine_calls(monkeypatch)
@@ -822,6 +840,10 @@ class TestOracleAgreementSuite:
         report = oracle_agreement(n_configs=20, seed=7)
         assert report.max_rel_err_distinct <= 1e-6
         assert report.max_rel_err_degenerate <= 1e-5
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match=re.escape("seed must be non-negative, got -1")):
+            oracle_agreement(2, seed=-1)
 
 
 SCENARIO_FLAGS = {"--config", "--varpi1", "--varpi2", "--omega-i-db"}

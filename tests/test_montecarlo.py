@@ -83,6 +83,13 @@ class TestOutageEstimators:
         with pytest.raises(ConfigError):
             mc_outage(table_config(), ("x1",), MODES, trials=10, seed=1)
 
+    def test_negative_seed_rejected(self):
+        message = "seed must be non-negative, got -1"
+        with pytest.raises(ConfigError, match=message):
+            mc_outage(table_config(), ("x1",), MODES, trials=2000, seed=-1)
+        with pytest.raises(ConfigError, match=message):
+            mc_ergodic_rates(table_config(), GROUP_ONE, "ipSIC", trials=2000, seed=-1)
+
     def test_unknown_signal_or_mode_rejected(self):
         with pytest.raises(ConfigError, match="signal"):
             mc_outage(table_config(), ("x5",), MODES, trials=2000, seed=1)
