@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import csv
 import io
-from itertools import repeat
+from itertools import chain, repeat
 import json
 import math
 from dataclasses import dataclass, replace
@@ -399,17 +399,13 @@ def _csv_text(fields) -> str:
     return buffer.getvalue()[:-1]
 
 
-def _float_texts(values: list[float]) -> list[str]:
-    return list(map(repr, map(float, values)))
-
-
-def _column_lines(column: CurveColumn, values: list[str]):
-    """The column's text at each point after its ``rho_db``, lazily; ``values`` is the text of its values."""
+def _column_lines(column: CurveColumn, text):
+    """The column's text at each point after its ``rho_db``, lazily; ``text`` lists a float list's text."""
     head = _csv_text((column.signal, column.sic_mode, column.method))
-    lows = repeat("") if column.ci_low is None else _float_texts(column.ci_low)
-    highs = repeat("") if column.ci_high is None else _float_texts(column.ci_high)
+    lows = repeat("") if column.ci_low is None else text(column.ci_low)
+    highs = repeat("") if column.ci_high is None else text(column.ci_high)
     tail = ",".join("" if field is None else str(field) for field in (column.trials, column.seed))
-    return (f"{head},{value},{low},{high},{tail}" for value, low, high in zip(values, lows, highs))
+    return (f"{head},{value},{low},{high},{tail}" for value, low, high in zip(text(column.values), lows, highs))
 
 
 def rows_to_csv(table: CurveTable) -> str:
@@ -417,20 +413,30 @@ def rows_to_csv(table: CurveTable) -> str:
 
     The bytes are those of ``csv.writer(lineterminator="\\n")`` writing each
     row with its floats as ``repr(float(...))``. The writer works column by
-    column: numbers need no quoting, each distinct list of values is
-    formatted once (the TDMA column is one list for both SIC modes), each
-    column's (signal, sic_mode, method) label once, by ``csv.writer``, and
-    each point's ``rho_db`` once. The columns' lines are then interleaved
-    point by point, each built only when its point is written.
+    column: numbers need no quoting, each distinct float of the table is
+    formatted once (a sweep's asymptotic columns hold a few distinct values,
+    and a symmetric scenario's two groups the same ones), each column's
+    (signal, sic_mode, method) label once, by ``csv.writer``, and each
+    point's ``rho_db`` once. The columns' lines are then interleaved point by
+    point, each built only when its point is written.
     """
-    texts: dict[int, list[str]] = {}  # id of a listed column -> its values' text; the table keeps them alive
-    cells = []
+    lists = [table.rho_db]
     for column in table.columns:
-        if id(column.values) not in texts:
-            texts[id(column.values)] = _float_texts(column.values)
-        cells.append(_column_lines(column, texts[id(column.values)]))
+        lists += [values for values in (column.values, column.ci_low, column.ci_high) if values is not None]
+    # value -> its text. A dict, not a set: floats in [0.5, 1) hash with their
+    # low 8 bits zero, which a set's linear probing piles up on.
+    memo = dict.fromkeys(chain.from_iterable(lists))
+    memo = dict(zip(memo, map(repr, map(float, memo))))
+    zeros = 0.0 in memo
+
+    def text(values: list[float]) -> list[str]:
+        if zeros and 0.0 in values:  # 0.0 and -0.0 share a key, not a text
+            return [memo[value] if value else repr(float(value)) for value in values]
+        return list(map(memo.__getitem__, values))
+
+    cells = [_column_lines(column, text) for column in table.columns]
     lines = [_csv_text(CURVE_FIELDS)]
-    for rho_text, point in zip(_float_texts(table.rho_db), zip(*cells)):
+    for rho_text, point in zip(text(table.rho_db), zip(*cells)):
         start = rho_text + ","
         lines.append(start + ("\n" + start).join(point))
     lines.append("")

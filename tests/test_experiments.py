@@ -254,6 +254,13 @@ class TestSweep:
             run_sweep(self.spec(methods=("mc",), seed=-1))
         assert self.spec(methods=("closed", "asymptotic", "quad", "oma"), seed=-1).seed == -1
 
+    def test_non_integer_seed_rejected_when_mc_runs(self):
+        for seed in (1.5, "3"):
+            with pytest.raises(ConfigError, match=re.escape(f"seed must be an integer, got {seed!r}")):
+                self.spec(methods=("mc",), seed=seed)
+        spec = self.spec(methods=("mc",), rho_max_db=5.0, seed=np.int64(3))
+        assert rows_to_csv(run_sweep(spec)) == rows_to_csv(run_sweep(self.spec(methods=("mc",), rho_max_db=5.0)))
+
     def test_grid_size_is_capped(self):
         cap = experiments.MAX_GRID_POINTS
         assert len(self.spec(rho_max_db=cap - 1.0, rho_step_db=1.0).rho_grid_db()) == cap
@@ -342,6 +349,42 @@ class TestSweep:
             # every case has MC rows
             mc = [row for row in rows if row.method == "mc"]
             assert {type(row.trials) for row in mc} == {type(row.seed) for row in mc} == {int}, case
+
+    def test_csv_bytes_match_csv_writer_on_equal_values(self):
+        # the writer formats each distinct value once, through a memo keyed by value: values that
+        # compare equal must still be written as the reference writes each of them
+        symmetric = run_sweep(SweepSpec(SystemConfig(), 0.0, 45.0, 0.5, methods=("closed", "asymptotic", "oma"),
+                                        signals=experiments.SIGNALS))
+        by_key = {(column.signal, column.sic_mode, column.method): column.values for column in symmetric.columns}
+        # the default scenario is symmetric between the groups: x3/x4 repeat x1/x2 bit for bit
+        for (signal, mode, method), values in by_key.items():
+            twin = {"x1": "x3", "x2": "x4"}.get(signal)
+            if twin:
+                assert values == by_key[twin, mode, method] and values is not by_key[twin, mode, method]
+        tables = {
+            "minus zero first": CurveTable([1.0, 2.0, 3.0], [
+                CurveColumn("x1", "ipSIC", "closed", [-0.0, 0.0, 0.5]),
+                CurveColumn("x2", "ipSIC", "mc", [0.0, 0.25, -0.0], [-0.0, 0.0, 0.0], [0.5, 0.5, -0.0], 1000, 1),
+            ]),
+            "plus zero first": CurveTable([0.0, -0.0, 1.0], [
+                CurveColumn("x1", "pSIC", "closed", [0.0, -0.0, -0.0]),
+                CurveColumn("x2", "pSIC", "closed", [-0.0, 0.0, 1.0]),
+            ]),
+            "ints equal to floats": CurveTable([0, 5, 5.0], [
+                CurveColumn("x1", "ipSIC", "closed", [1, 1.0, True]),
+                CurveColumn("x2", "ipSIC", "closed", [2 ** 53, 2.0 ** 53, 0]),
+            ]),
+            "smallest subnormal": CurveTable([5e-324, 1.0], [
+                CurveColumn("x1", "ipSIC", "mc", [5e-324, 0.0], [0.0, 0.0], [5e-324, 1e-323], 1000, 1),
+            ]),
+            "nan": CurveTable([0.0, 1.0, 2.0], [
+                CurveColumn("x1", "ipSIC", "closed", [math.nan, float("nan"), 0.5]),
+                CurveColumn("x2", "ipSIC", "closed", [0.5, math.nan, -math.nan]),
+            ]),
+            "symmetric groups": symmetric,
+        }
+        for case, table in tables.items():
+            assert rows_to_csv(table) == reference_csv(table.rows()), case
 
     def test_deterministic_csv_bytes(self):
         spec = self.spec(methods=("closed", "mc"), trials=2000)

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -89,6 +90,14 @@ class TestOutageEstimators:
             mc_outage(table_config(), ("x1",), MODES, trials=2000, seed=-1)
         with pytest.raises(ConfigError, match=message):
             mc_ergodic_rates(table_config(), GROUP_ONE, "ipSIC", trials=2000, seed=-1)
+
+    def test_non_integer_seed_rejected(self):
+        for seed in (1.5, "3"):
+            with pytest.raises(ConfigError, match=re.escape(f"seed must be an integer, got {seed!r}")):
+                mc_outage(table_config(), ("x1",), MODES, trials=2000, seed=seed)
+        # a numpy integer is an integer, and seeds the stream its int does
+        assert (mc_outage(table_config(), ("x1",), MODES, trials=2000, seed=np.int64(3))
+                == mc_outage(table_config(), ("x1",), MODES, trials=2000, seed=3))
 
     def test_unknown_signal_or_mode_rejected(self):
         with pytest.raises(ConfigError, match="signal"):
