@@ -427,10 +427,10 @@ def rows_to_csv(table: CurveTable) -> str:
     # low 8 bits zero, which a set's linear probing piles up on.
     memo = dict.fromkeys(chain.from_iterable(lists))
     memo = dict(zip(memo, map(repr, map(float, memo))))
-    zeros = 0.0 in memo
+    any_zero = 0.0 in memo
 
     def text(values: list[float]) -> list[str]:
-        if zeros and 0.0 in values:  # 0.0 and -0.0 share a key, not a text
+        if any_zero and 0.0 in values:  # 0.0 and -0.0 share a key, not a text
             return [memo[value] if value else repr(float(value)) for value in values]
         return list(map(memo.__getitem__, values))
 

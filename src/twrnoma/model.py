@@ -175,8 +175,9 @@ def exact_exp(x: Grid) -> Grid:
 
     ``np.exp`` rounds differently from ``math.exp`` on some inputs, so a grid
     evaluated through it would not match its points evaluated one at a time.
-    ``np.fromiter`` over ``map`` fills the array without a Python loop or an
-    intermediate list, which makes a 900-point grid about 30 % cheaper.
+    ``np.fromiter`` over ``map`` fills the array with no Python-level loop
+    and no list of results: the same bits, about 30 % cheaper on a 900-point
+    grid than a list comprehension.
     """
     if isinstance(x, np.ndarray):
         return np.fromiter(map(math.exp, x.tolist()), float, x.size)
