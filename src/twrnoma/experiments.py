@@ -31,6 +31,7 @@ import numpy as np
 from . import analysis
 from .errors import ConfigError, NumericError
 from .model import (
+    DEFAULT_SEED,
     DEFAULT_TRIALS,
     OMA_PHASES,
     SIC_MODES,
@@ -38,6 +39,7 @@ from .model import (
     Grid,
     SystemConfig,
     build_derived_constants,
+    check_integer,
     check_seed,
     check_sic_mode,
     db_to_linear,
@@ -48,7 +50,7 @@ from .montecarlo import check_trials, mc_outage
 from .oracle import QuadSpec, quad_outages
 
 METHODS = ("closed", "asymptotic", "mc", "quad", "oma")
-SIGNALS = ("x1", "x2", "x3", "x4")
+SIGNALS = tuple(SIGNAL_ROLES)
 
 THROUGHPUT_METHODS = ("closed", "mc", "oma")
 
@@ -142,7 +144,7 @@ class SweepSpec:
     signals: tuple[str, ...] = ("x1", "x2")
     sic_modes: tuple[str, ...] = SIC_MODES
     trials: int = DEFAULT_TRIALS
-    seed: int = 1
+    seed: int = DEFAULT_SEED
 
     def __post_init__(self) -> None:
         if not all(map(math.isfinite, (self.rho_min_db, self.rho_max_db, self.rho_step_db))):
@@ -159,9 +161,8 @@ class SweepSpec:
         for m in self.methods:
             if m not in METHODS:
                 raise ConfigError(f"unknown method {m!r}; expected one of {METHODS}")
-        for s in self.signals:
-            if s not in SIGNALS:
-                raise ConfigError(f"unknown signal {s!r}; expected one of {SIGNALS}")
+        for signal in self.signals:
+            signal_roles(signal)
         for mode in self.sic_modes:
             check_sic_mode(mode)
         # a table keys its columns by (signal, mode, method), so no entry may repeat
@@ -364,7 +365,7 @@ def crossover_snr_db(config: SystemConfig, signal: str, mode: str) -> float | No
     return None
 
 
-def figure_preset(fig_id: int, trials: int = DEFAULT_TRIALS, seed: int = 1) -> dict[str, CurveTable]:
+def figure_preset(fig_id: int, trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED) -> dict[str, CurveTable]:
     """Reference-scenario sweeps behind the four numerical-result figures.
 
     Returns a mapping from variant label (one per parameter level, empty for
@@ -505,13 +506,15 @@ class AgreementReport:
     max_rel_err_degenerate: float
 
 
-def oracle_agreement(n_configs: int = 200, seed: int = 20240) -> AgreementReport:
+def oracle_agreement(n_configs: int = 200, seed: int = DEFAULT_SEED) -> AgreementReport:
     """Compare closed forms against the quadrature oracle on random scenarios.
 
     Every config is evaluated for both signals and both cancellation modes.
     Scenarios whose active interference rates nearly coincide are tracked
     separately (the partial-fraction route would be ill-conditioned there).
+    ``seed`` defaults to ``model.DEFAULT_SEED``, as ``twrnoma validate`` does without ``--seed``.
     """
+    check_integer(n_configs, "n_configs")
     if n_configs < 1:
         raise ConfigError(f"at least one random scenario is required, got {n_configs}")
     check_seed(seed)

@@ -314,17 +314,20 @@ def unit_rows(rng: np.random.Generator, count: int, out: list | None = None) -> 
 
 
 DEFAULT_TRIALS = 10**6  # reference iteration count for the numerical presets
+DEFAULT_SEED = 1  # the seed of every seeded run that is not given one
+
+
+def check_integer(value: int, what: str) -> None:
+    """A ``ConfigError`` unless ``value`` is what ``operator.index`` accepts, so numpy integers and bools pass."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{what} must be an integer, got {value!r}") from None
 
 
 def check_seed(seed: int) -> None:
-    """A ``ConfigError`` for a seed that no random generator accepts: a non-integer or a negative one.
-
-    Integers are what ``operator.index`` accepts, so numpy integers and bools pass.
-    """
-    try:
-        operator.index(seed)
-    except TypeError:
-        raise ConfigError(f"seed must be an integer, got {seed!r}") from None
+    """A ``ConfigError`` for a seed that no random generator accepts: a non-integer or a negative one."""
+    check_integer(seed, "seed")
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
 
@@ -334,7 +337,7 @@ class RunSettings:
     """Simulation controls carried by config files next to the physics."""
 
     trials: int = DEFAULT_TRIALS
-    seed: int = 1
+    seed: int = DEFAULT_SEED
 
     def __post_init__(self) -> None:
         check_seed(self.seed)

@@ -35,12 +35,14 @@ import numpy as np
 
 from .errors import ConfigError
 from .model import (
+    DEFAULT_SEED,
     DEFAULT_TRIALS,
     DOWNLINK,
     UNIT_ROWS,
     UPLINK,
     PairRoles,
     SystemConfig,
+    check_integer,
     check_seed,
     check_sic_mode,
     chunk_generator,
@@ -95,7 +97,8 @@ class ErgodicRateEstimate:
 
 
 def check_trials(trials: int) -> None:
-    """A ``ConfigError`` for a trial count below the minimum an estimate needs."""
+    """A ``ConfigError`` for a trial count that is not an integer or is below the minimum an estimate needs."""
+    check_integer(trials, "trials")
     if trials < _MIN_TRIALS:
         raise ConfigError(f"at least {_MIN_TRIALS} trials are required, got {trials}")
 
@@ -103,15 +106,7 @@ def check_trials(trials: int) -> None:
 def _chunks(trials: int) -> list[tuple[int, int]]:
     """(chunk index, size) of every chunk of a run of ``trials`` draws."""
     check_trials(trials)
-    bounds = []
-    index = 0
-    done = 0
-    while done < trials:
-        size = min(CHUNK_SIZE, trials - done)
-        bounds.append((index, size))
-        done += size
-        index += 1
-    return bounds
+    return [(index, min(CHUNK_SIZE, trials - start)) for index, start in enumerate(range(0, trials, CHUNK_SIZE))]
 
 
 def mc_outage(
@@ -119,7 +114,7 @@ def mc_outage(
     signals: tuple[str, ...],
     sic_modes: tuple[str, ...],
     trials: int = DEFAULT_TRIALS,
-    seed: int = 1,
+    seed: int = DEFAULT_SEED,
     workers: int = 1,
 ) -> dict[tuple[str, str], OutageEstimate]:
     """Simulated outage keyed by (signal, SIC mode), every entry from one draw per chunk.
@@ -179,7 +174,7 @@ def mc_outage(
 
 
 def mc_ergodic_rates(
-    config: SystemConfig, roles: PairRoles, mode: str, trials: int = DEFAULT_TRIALS, seed: int = 1
+    config: SystemConfig, roles: PairRoles, mode: str, trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED
 ) -> ErgodicRateEstimate:
     """Mean end-to-end achievable rates of the pair's signals under SIC ``mode``.
 

@@ -1,6 +1,7 @@
 import argparse
 import csv
 import hashlib
+import inspect
 import io
 import json
 import math
@@ -260,6 +261,15 @@ class TestSweep:
                 self.spec(methods=("mc",), seed=seed)
         spec = self.spec(methods=("mc",), rho_max_db=5.0, seed=np.int64(3))
         assert rows_to_csv(run_sweep(spec)) == rows_to_csv(run_sweep(self.spec(methods=("mc",), rho_max_db=5.0)))
+
+    @pytest.mark.parametrize("trials", [2000.5, 2000.0, "3000"])
+    def test_non_integer_trials_rejected_when_mc_runs(self, trials):
+        with pytest.raises(ConfigError, match=re.escape(f"trials must be an integer, got {trials!r}")):
+            self.spec(methods=("mc",), trials=trials)
+
+    def test_numpy_integer_trials_accepted(self):
+        spec = self.spec(methods=("mc",), rho_max_db=5.0, trials=np.int64(3000))
+        assert rows_to_csv(run_sweep(spec)) == rows_to_csv(run_sweep(replace(spec, trials=3000)))
 
     def test_grid_size_is_capped(self):
         cap = experiments.MAX_GRID_POINTS
@@ -888,6 +898,33 @@ class TestOracleAgreementSuite:
         with pytest.raises(ConfigError, match=re.escape("seed must be non-negative, got -1")):
             oracle_agreement(2, seed=-1)
 
+    @pytest.mark.parametrize("n_configs", [2.5, 4.0, "4"])
+    def test_non_integer_scenario_count_rejected(self, n_configs):
+        with pytest.raises(ConfigError, match=re.escape(f"n_configs must be an integer, got {n_configs!r}")):
+            oracle_agreement(n_configs)
+
+    def test_numpy_integer_scenario_count_accepted(self):
+        assert oracle_agreement(np.int64(4)) == oracle_agreement(4)
+
+    def test_validate_without_seed_prints_the_default_report(self, capsys):
+        assert cli.main(["validate", "--configs", "4"]) == 0
+        report = oracle_agreement(4)
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "checked 4 random scenarios (both signals, both SIC modes)"
+        assert f"{report.max_rel_err_distinct:.3e} (tolerance" in lines[1]
+        assert f"{report.max_rel_err_degenerate:.3e} (tolerance" in lines[2]
+
+
+# Every entry point that takes a seed, or a trial count, and the defaults they must share.
+@pytest.mark.parametrize("entry", [
+    model.RunSettings, SweepSpec, figure_preset, montecarlo.mc_outage, montecarlo.mc_ergodic_rates, oracle_agreement,
+])
+def test_one_default_seed_and_trial_count(entry):
+    parameters = inspect.signature(entry).parameters
+    assert parameters["seed"].default == model.DEFAULT_SEED
+    if "trials" in parameters:
+        assert parameters["trials"].default == model.DEFAULT_TRIALS
+
 
 SCENARIO_FLAGS = {"--config", "--varpi1", "--varpi2", "--omega-i-db"}
 RUN_FLAGS = {"--trials", "--seed", "--out", "--format"}
@@ -1206,6 +1243,18 @@ class TestCli:
 
     def test_unknown_method_exits_one(self, capsys):
         assert cli.main(["outage", "--methods", "sorcery"]) == 1
+
+    # the comma lists are split by the CLI and checked by SweepSpec, or by throughput_rows for its methods
+    @pytest.mark.parametrize("argv, message", [
+        (["sweep", "--signals", "x9"], "unknown signal 'x9'; expected one of ('x1', 'x2', 'x3', 'x4')"),
+        (["outage", "--methods", "foo"], "unknown method 'foo'; expected one of " + str(experiments.METHODS)),
+        (["throughput", "--methods", "foo"], "unknown method 'foo'; expected one of " + str(experiments.METHODS)),
+        (["throughput", "--methods", "quad"], "throughput supports closed, mc or oma, not 'quad'"),
+        (["sweep", "--signals", ","], "methods, signals and sic_modes must be non-empty"),
+    ])
+    def test_bad_list_exits_one(self, argv, message, capsys):
+        assert cli.main(argv) == 1
+        assert capsys.readouterr() == ("", f"configuration error: {message}\n")
 
     def test_missing_config_file_exits_one(self, capsys):
         assert cli.main(["outage", "--config", "/nonexistent/file.cfg"]) in (1,)

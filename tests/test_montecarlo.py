@@ -99,6 +99,20 @@ class TestOutageEstimators:
         assert (mc_outage(table_config(), ("x1",), MODES, trials=2000, seed=np.int64(3))
                 == mc_outage(table_config(), ("x1",), MODES, trials=2000, seed=3))
 
+    @pytest.mark.parametrize("trials", [2000.5, 2000.0, "3000"])
+    def test_non_integer_trials_rejected(self, trials):
+        message = re.escape(f"trials must be an integer, got {trials!r}")
+        with pytest.raises(ConfigError, match=message):
+            mc_outage(table_config(), ("x1",), MODES, trials=trials, seed=1)
+        with pytest.raises(ConfigError, match=message):
+            mc_ergodic_rates(table_config(), GROUP_ONE, "ipSIC", trials=trials, seed=1)
+
+    def test_numpy_integer_trials_accepted(self):
+        assert (mc_outage(table_config(), ("x1",), MODES, trials=np.int64(3000), seed=1)
+                == mc_outage(table_config(), ("x1",), MODES, trials=3000, seed=1))
+        assert (mc_ergodic_rates(table_config(), GROUP_ONE, "ipSIC", trials=np.int64(3000), seed=1)
+                == mc_ergodic_rates(table_config(), GROUP_ONE, "ipSIC", trials=3000, seed=1))
+
     def test_unknown_signal_or_mode_rejected(self):
         with pytest.raises(ConfigError, match="signal"):
             mc_outage(table_config(), ("x5",), MODES, trials=2000, seed=1)
