@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import csv
 import io
-from itertools import chain, repeat
+from itertools import chain
 import json
 import math
 from dataclasses import dataclass, replace
@@ -257,12 +257,14 @@ def _mc_columns(spec: SweepSpec, grid: list[float]) -> list[CurveColumn]:
     at_points = [mc_outage(replace(spec.config, rho_db=rho_db), spec.signals, spec.sic_modes,
                            trials=spec.trials, seed=spec.seed) for rho_db in grid]
     columns = []
+    # Python ints, which JSON writes; the spec may hold numpy integers
+    trials, seed = int(spec.trials), int(spec.seed)
     for signal in spec.signals:
         for mode in spec.sic_modes:
             estimates = [at_point[signal, mode] for at_point in at_points]
             values = _in_range([est.p_hat for est in estimates], grid, signal, "mc")
             columns.append(CurveColumn(signal, mode, "mc", values, [est.ci_low for est in estimates],
-                                       [est.ci_high for est in estimates], spec.trials, spec.seed))
+                                       [est.ci_high for est in estimates], trials, seed))
     return columns
 
 
@@ -400,15 +402,6 @@ def _csv_text(fields) -> str:
     return buffer.getvalue()[:-1]
 
 
-def _column_lines(column: CurveColumn, text):
-    """The column's text at each point after its ``rho_db``, lazily; ``text`` lists a float list's text."""
-    head = _csv_text((column.signal, column.sic_mode, column.method))
-    lows = repeat("") if column.ci_low is None else text(column.ci_low)
-    highs = repeat("") if column.ci_high is None else text(column.ci_high)
-    tail = ",".join("" if field is None else str(field) for field in (column.trials, column.seed))
-    return (f"{head},{value},{low},{high},{tail}" for value, low, high in zip(text(column.values), lows, highs))
-
-
 def rows_to_csv(table: CurveTable) -> str:
     """Fixed-schema CSV of ``table.rows()``: header row, '.' decimals, LF line endings.
 
@@ -418,8 +411,10 @@ def rows_to_csv(table: CurveTable) -> str:
     formatted once (a sweep's asymptotic columns hold a few distinct values,
     and a symmetric scenario's two groups the same ones), each column's
     (signal, sic_mode, method) label once, by ``csv.writer``, and each
-    point's ``rho_db`` once. The columns' lines are then interleaved point by
-    point, each built only when its point is written.
+    point's ``rho_db`` once. Every row is a fixed run of text pieces, each
+    a list over the grid or one text that every point shares; each piece
+    fills a flat list by stride, after the header line, and the list is
+    joined once.
     """
     lists = [table.rho_db]
     for column in table.columns:
@@ -435,13 +430,26 @@ def rows_to_csv(table: CurveTable) -> str:
             return [memo[value] if value else repr(float(value)) for value in values]
         return list(map(memo.__getitem__, values))
 
-    cells = [_column_lines(column, text) for column in table.columns]
-    lines = [_csv_text(CURVE_FIELDS)]
-    for rho_text, point in zip(text(table.rho_db), zip(*cells)):
-        start = rho_text + ","
-        lines.append(start + ("\n" + start).join(point))
-    lines.append("")
-    return "\n".join(lines)
+    rho_texts = text(table.rho_db)
+    points = len(rho_texts)
+    pieces = []  # a row's pieces in order: a list of each point's text, or one text every point shares
+    for column in table.columns:
+        pieces += [rho_texts, f",{_csv_text((column.signal, column.sic_mode, column.method))},", text(column.values)]
+        literal = ","  # the text between the value and the next CI bound given
+        for bounds in (column.ci_low, column.ci_high):
+            if bounds is None:
+                literal += ","
+            else:
+                pieces += [literal, text(bounds)]
+                literal = ","
+        tail = ",".join("" if field is None else str(field) for field in (column.trials, column.seed))
+        pieces.append(f"{literal}{tail}\n")
+    width = len(pieces)
+    flat = [None] * (1 + width * points)
+    flat[0] = _csv_text(CURVE_FIELDS) + "\n"
+    for k, piece in enumerate(pieces, 1):
+        flat[k::width] = [piece] * points if isinstance(piece, str) else piece
+    return "".join(flat)
 
 
 def rows_to_json(table: CurveTable) -> str:

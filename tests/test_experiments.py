@@ -268,8 +268,14 @@ class TestSweep:
             self.spec(methods=("mc",), trials=trials)
 
     def test_numpy_integer_trials_accepted(self):
-        spec = self.spec(methods=("mc",), rho_max_db=5.0, trials=np.int64(3000))
-        assert rows_to_csv(run_sweep(spec)) == rows_to_csv(run_sweep(replace(spec, trials=3000)))
+        # the rows carry them as Python ints, so JSON writes them too
+        spec = self.spec(methods=("closed", "mc"), rho_max_db=5.0, trials=np.int64(3000), seed=np.uint32(3))
+        plain = replace(spec, trials=3000, seed=3)
+        for evaluate in (run_sweep, throughput_rows):
+            given = evaluate(spec)
+            assert {(type(row.trials), type(row.seed)) for row in given.rows() if row.method == "mc"} == {(int, int)}
+            assert rows_to_csv(given) == rows_to_csv(evaluate(plain))
+            assert experiments.rows_to_json(given) == experiments.rows_to_json(evaluate(plain))
 
     def test_grid_size_is_capped(self):
         cap = experiments.MAX_GRID_POINTS
@@ -393,6 +399,32 @@ class TestSweep:
             ]),
             "symmetric groups": symmetric,
         }
+        for case, table in tables.items():
+            assert rows_to_csv(table) == reference_csv(table.rows()), case
+
+    def test_csv_bytes_match_csv_writer_on_benchmark_shapes(self):
+        # the writer fills every row's pieces by stride over the grid: check it on a fine grid of
+        # 24 columns, on one MC point and on a table whose columns give only one CI bound
+        groups_differ = table_config(varpi1=0.02, varpi2=0.004, omega_i_db=-13.0, rates=(0.1, 0.01, 0.12, 0.02))
+        fine = run_sweep(SweepSpec(groups_differ, 0.0, 45.0, 0.05,
+                                   methods=("closed", "asymptotic", "oma"), signals=experiments.SIGNALS))
+        by_key = {(column.signal, column.sic_mode, column.method): column.values for column in fine.columns}
+        for mode in SIC_MODES:
+            for method in ("closed", "asymptotic", "oma"):
+                # the groups differ, so no column repeats its twin's values
+                assert by_key["x1", mode, method] != by_key["x3", mode, method]
+                assert by_key["x2", mode, method] != by_key["x4", mode, method]
+        tables = {
+            "fine grid": fine,
+            "one mc point": run_sweep(SweepSpec(table_config(), 30.0, 30.0, 1.0, methods=("closed", "mc"),
+                                                signals=experiments.SIGNALS, trials=20_000, seed=5)),
+            "one ci bound": CurveTable([0.0, 2.5, 5.0], [
+                CurveColumn("x1", "ipSIC", "mc", [0.5, 0.25, 0.125], [0.25, 0.125, 0.0], None, 1000, 1),
+                CurveColumn("x2", "pSIC", "mc", [0.5, 0.25, 0.0], None, [0.75, 0.5, 0.25], 1000, None),
+                CurveColumn("x3", "ipSIC", "closed", [0.5, 0.25, 0.125]),
+            ]),
+        }
+        assert len(fine) == 901 * 4 * 2 * 3
         for case, table in tables.items():
             assert rows_to_csv(table) == reference_csv(table.rows()), case
 

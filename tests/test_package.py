@@ -1,3 +1,7 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import twrnoma
 
 # What the acceptance criteria import, one entry point per CLI command, the
@@ -21,3 +25,25 @@ def test_all_exports_resolve():
 def test_root_exports_exactly_the_criteria_api():
     assert len(twrnoma.__all__) == len(ROOT_API) == 22
     assert set(twrnoma.__all__) == ROOT_API
+
+
+# The benchmark's set-up command, then a closed_grid-style sweep, in a fresh
+# interpreter: neither draws random numbers, so neither may load numpy.random,
+# whose first import costs milliseconds and megabytes (secrets, hashlib, OpenSSL).
+NO_RANDOM_SNIPPET = """
+import contextlib, io, sys
+sys.path.insert(0, sys.argv[1])
+from twrnoma import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["outage", "--methods", "closed"]) == 0
+    assert cli.main(["sweep", "--methods", "closed,asymptotic,oma", "--signals", "x1,x2,x3,x4", "--sic", "both",
+                     "--rho-min-db", "0", "--rho-max-db", "45", "--rho-step-db", "0.5"]) == 0
+print(sorted(name for name in sys.modules if name == "numpy.random" or name.startswith("numpy.random.")))
+"""
+
+
+def test_closed_form_commands_leave_numpy_random_unloaded():
+    src = str(Path(twrnoma.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-c", NO_RANDOM_SNIPPET, src], capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
