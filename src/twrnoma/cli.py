@@ -141,12 +141,15 @@ def _split(csv_list: str) -> tuple[str, ...]:
 
 def _emit(table: experiments.CurveTable, out: str | None, fmt: str) -> None:
     """``table`` in format ``fmt`` to the file ``out``, or to stdout when it is ``None``."""
-    if out:
-        experiments.write_rows(table, out, fmt)
-        print(f"wrote {len(table)} rows to {out}")
-    else:
-        text = experiments.rows_to_csv(table) if fmt == "csv" else experiments.rows_to_json(table)
+    text = experiments.rows_to_csv(table) if fmt == "csv" else experiments.rows_to_json(table)
+    if not out:
         sys.stdout.write(text)
+        return
+    try:
+        Path(out).write_text(text, encoding="utf-8", newline="")
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file {out!r}: {exc}") from exc
+    print(f"wrote {len(table)} rows to {out}")
 
 
 def _sweep_spec(args, **selection) -> experiments.SweepSpec:

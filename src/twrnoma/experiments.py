@@ -116,6 +116,12 @@ class CurveTable:
     rho_db: list[float]
     columns: list[CurveColumn]
 
+    def __post_init__(self) -> None:
+        for column in self.columns:
+            for field, values in zip(CurveColumn._fields[3:6], column[3:6]):
+                if values is not None and len(values) != len(self.rho_db):
+                    raise ValueError(f"column {column[:3]} has {len(values)} {field} for {len(self.rho_db)} points")
+
     def __len__(self) -> int:
         """The number of rows: one per (SNR point, column)."""
         return len(self.rho_db) * len(self.columns)
@@ -454,15 +460,6 @@ def rows_to_csv(table: CurveTable) -> str:
 
 def rows_to_json(table: CurveTable) -> str:
     return json.dumps([row._asdict() for row in table.rows()], indent=2) + "\n"
-
-
-def write_rows(table: CurveTable, path: str, fmt: str = "csv") -> None:
-    text = rows_to_csv(table) if fmt == "csv" else rows_to_json(table)
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-    except OSError as exc:
-        raise ConfigError(f"cannot write output file {path!r}: {exc}") from exc
 
 
 def random_valid_config(rng: np.random.Generator, force_degenerate: bool = False) -> SystemConfig:

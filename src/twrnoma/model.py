@@ -107,8 +107,11 @@ def omega_from_distances(d1: float, d2: float, alpha: float) -> tuple[float, flo
     """Channel variances from relay distances: near users (1, 3) at ``d1``, far (2, 4) at ``d2``."""
     if d1 <= 0 or d2 <= 0:
         raise ConfigError("distances must be positive")
-    near = d1 ** (-alpha)
-    far = d2 ** (-alpha)
+    try:
+        near, far = d1 ** (-alpha), d2 ** (-alpha)
+    except OverflowError:
+        raise ConfigError(f"d1 = {d1!r}, d2 = {d2!r} and alpha = {alpha!r} give a channel variance "
+                          "beyond float range") from None
     return (near, far, near, far)
 
 

@@ -81,19 +81,8 @@ class OutageEstimate:
     """A simulated outage probability with its 95% confidence interval."""
 
     p_hat: float
-    trials: int
     ci_low: float
     ci_high: float
-    seed: int
-
-
-@dataclass(frozen=True)
-class ErgodicRateEstimate:
-    """Mean end-to-end achievable rates (BPCU) for the pair's two signals."""
-
-    rates: dict[str, float]
-    trials: int
-    seed: int
 
 
 def check_trials(trials: int) -> None:
@@ -169,14 +158,14 @@ def mc_outage(
         for mode in sic_modes:
             n = sum(c[(signal, mode)] for c in counts)
             lo, hi = wilson_interval(n, trials)
-            estimates[(signal, mode)] = OutageEstimate(n / trials, trials, lo, hi, seed)
+            estimates[(signal, mode)] = OutageEstimate(n / trials, lo, hi)
     return estimates
 
 
 def mc_ergodic_rates(
     config: SystemConfig, roles: PairRoles, mode: str, trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED
-) -> ErgodicRateEstimate:
-    """Mean end-to-end achievable rates of the pair's signals under SIC ``mode``.
+) -> dict[str, float]:
+    """Mean end-to-end achievable rates (BPCU) of the pair's signals under SIC ``mode``, keyed by signal.
 
     Each signal's rate per draw is 0.5 * log2(1 + min of its two decode
     stages), the relay stage on the multiple-access block and its destination
@@ -204,5 +193,4 @@ def mc_ergodic_rates(
                 np.minimum(relay, destination, out=chain[b])
         for total, chain in zip(sums, chains):
             total.append(float(np.log2(1.0 + chain).sum()))
-    rates = {signal: 0.5 * math.fsum(total) / trials for signal, total in zip(signals, sums)}
-    return ErgodicRateEstimate(rates, trials, seed)
+    return {signal: 0.5 * math.fsum(total) / trials for signal, total in zip(signals, sums)}

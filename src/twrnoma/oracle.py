@@ -59,6 +59,10 @@ _INITIAL_PANELS = 8
 # density of rates (2e5, 500, 5) was accepted with a true error of 6.3e-8.
 _MIN_DEPTH = 2
 _MAX_DEPTH = 60
+# Panels per integral: those of the bisection, the initial ones and the
+# level that is never evaluated included. An evaluated panel costs 15
+# integrand evaluations.
+_MAX_PANELS = 200_000
 # Integrals per pass in quad_outages, so at most this many share an
 # integrand call and the working set does not grow with the number of cases.
 _GROUP = 32
@@ -101,23 +105,14 @@ _ROUNDOFF_FLOOR = 50.0 * np.finfo(float).eps
 
 @dataclass(frozen=True)
 class QuadSpec:
-    """Quadrature tolerances and the subdivision budget.
-
-    ``max_subdivisions`` caps the number of panels per integral: it counts
-    the panels of the bisection, the initial ones included, and the level
-    that is never evaluated too. An evaluated panel costs 15 integrand
-    evaluations.
-    """
+    """Quadrature tolerances; the panel budget is ``_MAX_PANELS`` per integral."""
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-9
-    max_subdivisions: int = 200_000
 
     def __post_init__(self) -> None:
         if self.abs_tol <= 0.0 or self.rel_tol <= 0.0:
             raise ConfigError("quadrature tolerances must be positive")
-        if self.max_subdivisions < _INITIAL_PANELS:
-            raise ConfigError("subdivision budget too small")
 
 
 def integrate_batch(
@@ -136,7 +131,7 @@ def integrate_batch(
     every integral, or one name per integral, for the error raised when an
     integral does not converge. Every panel still
     open at one depth, in every integral, is evaluated in that one call. Each
-    integral keeps its own tolerance, depth limit and ``spec.max_subdivisions``
+    integral keeps its own tolerance, depth limit and ``_MAX_PANELS``
     budget, and its value is bit for bit what it would be alone: its panels
     stay together in the order they would have alone, and the two Kronrod
     sums, which BLAS rounds differently by row position, run on its own rows.
@@ -205,13 +200,13 @@ def integrate_batch(
                 int(np.flatnonzero(open_count)[0]),
             )
         spent += 2 * open_count
-        over = np.flatnonzero(spent > spec.max_subdivisions)
+        over = np.flatnonzero(spent > _MAX_PANELS)
         if over.size:
             if err is None:
                 # a level above 0 and below _MIN_DEPTH is evaluated only to name its worst panel
                 _, err = gauss_kronrod(a, b, owner)
             raise unconverged(
-                f"did not converge within the subdivision budget of {spec.max_subdivisions} panels",
+                f"did not converge within the subdivision budget of {_MAX_PANELS} panels",
                 int(over[0]),
             )
         # each integral's left halves, then its right halves, as it would bisect alone
@@ -239,18 +234,15 @@ def integrate_semi_infinite(
     lower: float = 0.0,
     scale: float = 1.0,
     spec: QuadSpec = QuadSpec(),
-    name: str = "semi-infinite",
 ) -> float:
     """Integrate ``fn`` over [lower, infinity) for exponentially decaying integrands.
 
     A batch of one for :func:`integrate_batch`. ``fn`` maps an array of
     abscissae to an array of integrand values. ``scale`` should match the
     integrand's decay length so the transformed mass sits mid-interval; the
-    rule never evaluates the endpoint u = 0 (z = infinity). ``name``
-    identifies the integral in the error raised when it does not converge
-    within ``spec.max_subdivisions`` panels or ``_MAX_DEPTH`` bisections.
+    rule never evaluates the endpoint u = 0 (z = infinity).
     """
-    return float(integrate_batch(lambda z, owner: fn(z), (lower,), (scale,), spec, name)[0])
+    return float(integrate_batch(lambda z, owner: fn(z), (lower,), (scale,), spec)[0])
 
 
 def _decay_scale(rates: tuple[float, ...], s: float) -> float:

@@ -25,7 +25,6 @@ from twrnoma.experiments import (
     rows_to_csv,
     run_sweep,
     throughput_rows,
-    write_rows,
 )
 from twrnoma.model import GROUP_ONE, GROUP_TWO, SIC_MODES, SystemConfig
 
@@ -435,16 +434,16 @@ class TestSweep:
         assert first == second
         assert "\r" not in first and first.startswith("rho_db,signal,sic_mode,method,value")
 
-    def test_write_rows_csv_and_json(self, tmp_path):
-        rows = run_sweep(self.spec())
-        csv_path = tmp_path / "rows.csv"
-        json_path = tmp_path / "rows.json"
-        write_rows(rows, str(csv_path), "csv")
-        write_rows(rows, str(json_path), "json")
-        assert csv_path.read_text(encoding="utf-8") == rows_to_csv(rows)
-        assert csv_path.read_text(encoding="utf-8").count("\n") == len(rows) + 1
-        payload = json.loads(json_path.read_text(encoding="utf-8"))
-        assert payload[0]["signal"] == "x1" and payload[0]["ci_low"] is None
+    @pytest.mark.parametrize("columns", [
+        [CurveColumn("x1", "ipSIC", "closed", [0.5])],
+        [CurveColumn("x1", "ipSIC", "closed", [0.5, 0.25, 0.125])],
+        [CurveColumn("x1", "ipSIC", "mc", [0.5, 0.25], [0.25], [0.75, 0.5], 1000, 1)],
+        [CurveColumn("x1", "ipSIC", "mc", [0.5, 0.25], None, [0.75, 0.5, 0.25], 1000, 1)],
+    ], ids=["short values", "long values", "short ci_low", "long ci_high"])
+    def test_table_rejects_a_column_off_the_grid(self, columns):
+        # unchecked, rows() raises IndexError on a short column and drops a long one's extra values
+        with pytest.raises(ValueError, match=r"^column \('x1', 'ipSIC', '(closed|mc)'\) has [13] "):
+            CurveTable([0.0, 1.0], columns)
 
     def test_mc_rows_carry_interval(self):
         rows = run_sweep(self.spec(methods=("mc",), rho_max_db=0.0)).rows()
@@ -1075,14 +1074,35 @@ class TestCli:
         assert out.startswith("rho_db,signal,sic_mode,method,value")
         assert "x1,ipSIC,closed" in out
 
-    def test_sweep_writes_file(self, tmp_path, capsys):
-        target = tmp_path / "sweep.csv"
-        code = cli.main([
-            "sweep", "--rho-min-db", "0", "--rho-max-db", "10", "--rho-step-db", "5",
-            "--signals", "x1", "--methods", "closed,oma", "--out", str(target),
-        ])
-        assert code == 0 and target.exists()
-        assert len(target.read_text().splitlines()) == 1 + 3 * 2 * 2
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_sweep_writes_file(self, fmt, tmp_path, capsys):
+        argv = ["sweep", "--rho-min-db", "0", "--rho-max-db", "10", "--rho-step-db", "5",
+                "--signals", "x1", "--methods", "closed,mc,oma", "--trials", "2000", "--format", fmt]
+        assert cli.main(argv) == 0
+        shown = capsys.readouterr().out
+        target = tmp_path / f"sweep.{fmt}"
+        assert cli.main([*argv, "--out", str(target)]) == 0
+        assert capsys.readouterr() == (f"wrote {3 * 2 * 3} rows to {target}\n", "")
+        assert target.read_bytes() == shown.encode("utf-8")
+        if fmt == "csv":
+            assert len(shown.splitlines()) == 1 + 3 * 2 * 3
+        else:
+            assert len(json.loads(shown)) == 3 * 2 * 3 and json.loads(shown)[0]["ci_low"] is None
+
+    def test_unwritable_out_exits_one(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "sweep.csv"
+        assert cli.main(["sweep", "--rho-max-db", "10", "--out", str(target)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"configuration error: cannot write output file {str(target)!r}: ")
+        assert captured.out == ""
+        assert not target.parent.exists()
+
+    def test_overflowing_distances_exit_one(self, tmp_path, capsys):
+        scenario = tmp_path / "s.cfg"
+        scenario.write_text("d1 = 1e-300\nd2 = 10\nalpha = 10\n", encoding="utf-8")
+        assert cli.main(["outage", "--config", str(scenario)]) == 1
+        assert capsys.readouterr() == ("", "configuration error: d1 = 1e-300, d2 = 10.0 and alpha = 10.0 give a "
+                                           "channel variance beyond float range\n")
 
     def test_config_file_and_overrides(self, tmp_path, capsys):
         scenario = tmp_path / "s.cfg"

@@ -293,6 +293,11 @@ class TestConfigFile:
         config, _ = load_config_file(self.write(tmp_path, "d1=2\nd2=10\nalpha=2\n"))
         assert config.omega == (0.25, 0.01, 0.25, 0.01)
 
+    def test_overflowing_distances_rejected(self, tmp_path):
+        # 1e-300 ** -10 overflows a float; the error names the three keys, not errno 34
+        with pytest.raises(ConfigError, match=r"^d1 = 1e-300, d2 = 10.0 and alpha = 10.0 give a channel variance"):
+            load_config_file(self.write(tmp_path, "d1 = 1e-300\nd2 = 10\nalpha = 10\n"))
+
     def test_unknown_key_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown key"):
             load_config_file(self.write(tmp_path, "rho_db=10\nbandwidth=20\n"))

@@ -140,7 +140,6 @@ class TestOutageEstimators:
     def test_tags(self):
         estimates = mc_outage(table_config(), ("x2", "x3"), ("pSIC",), trials=2000, seed=3)
         assert list(estimates) == [("x2", "pSIC"), ("x3", "pSIC")]
-        assert all(est.seed == 3 for est in estimates.values())
 
     @pytest.mark.parametrize("rho_db,mode", sorted(FROZEN_FAILURES))
     def test_failure_counts_frozen(self, rho_db, mode):
@@ -309,7 +308,7 @@ def boundary_decisions(cfg, draws=64):
 class TestErgodicRates:
     def test_vanishing_at_deep_noise(self):
         cfg = table_config(rho_db=-60.0)
-        rates = mc_ergodic_rates(cfg, GROUP_ONE, "ipSIC", trials=20_000, seed=1).rates
+        rates = mc_ergodic_rates(cfg, GROUP_ONE, "ipSIC", trials=20_000, seed=1)
         assert all(value < 1e-3 for value in rates.values())
 
     def test_interference_free_rate_keeps_growing(self):
@@ -317,14 +316,14 @@ class TestErgodicRates:
         # between 40 and 60 dB; identical seeds make the draws common, and the
         # per-draw chain is strictly increasing in SNR
         cfg = table_config(varpi1=0.0, varpi2=0.0)
-        r40 = mc_ergodic_rates(replace(cfg, rho_db=40.0), GROUP_ONE, "pSIC", trials=50_000, seed=2).rates["x1"]
-        r60 = mc_ergodic_rates(replace(cfg, rho_db=60.0), GROUP_ONE, "pSIC", trials=50_000, seed=2).rates["x1"]
+        r40 = mc_ergodic_rates(replace(cfg, rho_db=40.0), GROUP_ONE, "pSIC", trials=50_000, seed=2)["x1"]
+        r60 = mc_ergodic_rates(replace(cfg, rho_db=60.0), GROUP_ONE, "pSIC", trials=50_000, seed=2)["x1"]
         assert r60 > r40 + 0.1
 
     def test_weak_signal_rate_hits_ceiling(self):
         cfg = table_config()
-        r50 = mc_ergodic_rates(replace(cfg, rho_db=50.0), GROUP_ONE, "ipSIC", trials=200_000, seed=5).rates["x2"]
-        r60 = mc_ergodic_rates(replace(cfg, rho_db=60.0), GROUP_ONE, "ipSIC", trials=200_000, seed=5).rates["x2"]
+        r50 = mc_ergodic_rates(replace(cfg, rho_db=50.0), GROUP_ONE, "ipSIC", trials=200_000, seed=5)["x2"]
+        r60 = mc_ergodic_rates(replace(cfg, rho_db=60.0), GROUP_ONE, "ipSIC", trials=200_000, seed=5)["x2"]
         assert r60 - r50 < 0.01
 
     def test_reproducible(self):
@@ -336,8 +335,8 @@ class TestErgodicRates:
     @pytest.mark.parametrize("mode,roles", sorted(FROZEN_ERGODIC_RATES, key=str))
     def test_rates_frozen(self, mode, roles):
         cfg = table_config(rho_db=20.0)
-        estimate = mc_ergodic_rates(cfg, roles, mode, trials=THREE_CHUNK_TRIALS, seed=1)
-        assert estimate.rates == FROZEN_ERGODIC_RATES[(mode, roles)]
+        rates = mc_ergodic_rates(cfg, roles, mode, trials=THREE_CHUNK_TRIALS, seed=1)
+        assert rates == FROZEN_ERGODIC_RATES[(mode, roles)]
 
 
 def three_chunk_failures():
@@ -357,7 +356,7 @@ class TestBlockSize:
         assert three_chunk_failures() == FROZEN_THREE_CHUNK_FAILURES
         cfg = table_config(rho_db=20.0)
         for (mode, roles), frozen in FROZEN_ERGODIC_RATES.items():
-            assert mc_ergodic_rates(cfg, roles, mode, trials=THREE_CHUNK_TRIALS, seed=1).rates == frozen
+            assert mc_ergodic_rates(cfg, roles, mode, trials=THREE_CHUNK_TRIALS, seed=1) == frozen
 
     def test_short_blocks_with_every_draw_redecided(self, monkeypatch):
         # the SINR fallback indexes each block's rows by its open draws

@@ -110,8 +110,9 @@ class TestIntegrator:
         tight = integrate_semi_infinite(density, 0.0, mean, QuadSpec(rel_tol=1e-8, abs_tol=1e-10))
         assert abs(loose - tight) < 1e-7 * abs(tight) + 1e-9
 
-    def test_budget_exhaustion_raises(self):
-        starved = QuadSpec(abs_tol=1e-300, rel_tol=1e-16, max_subdivisions=32)
+    def test_budget_exhaustion_raises(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_MAX_PANELS", 32)
+        starved = QuadSpec(abs_tol=1e-300, rel_tol=1e-16)
         with pytest.raises(OracleError, match=r"subdivision budget of 32 panels \(lower=0, scale=1, worst open panel z in \["):
             integrate_semi_infinite(lambda z: np.exp(-z), 0.0, 1.0, starved)
         with pytest.raises(OracleError, match=r"^quadrature of the relay integral did not converge"):
@@ -131,10 +132,11 @@ class TestIntegrator:
         [(16, "[0, 0.284133]"), (40, "[29.8339, inf]")],
         ids=["out at depth 0", "out at depth 1"],
     )
-    def test_budget_exhausted_before_the_first_accepting_depth(self, budget, panel):
+    def test_budget_exhausted_before_the_first_accepting_depth(self, budget, panel, monkeypatch):
         # the budget counts the unevaluated depth-1 level too; the worst panel
         # of the level where it runs out is named as when every level was evaluated
-        starved = QuadSpec(abs_tol=1e-300, rel_tol=1e-16, max_subdivisions=budget)
+        monkeypatch.setattr(oracle, "_MAX_PANELS", budget)
+        starved = QuadSpec(abs_tol=1e-300, rel_tol=1e-16)
         cases = [(table_config(), "x2", "ipSIC"), (table_config(), "x1", "ipSIC"), (table_config(varpi1=0.01), "x1", "pSIC")]
         with pytest.raises(OracleError) as raised:
             quad_outages(cases, starved)
@@ -294,7 +296,7 @@ class TestBatchedIntegrator:
         frozen = [2.701986769725974e-06, 1.1815600159035373e-05, 2.0853313317436654e-05, 3.15952241043218e-05]
         assert hypoexp_pdf(HypoexpSpec((0.5, 0.02, 0.05)), z).tolist() == frozen
 
-    def test_each_integral_keeps_its_own_budget(self):
+    def test_each_integral_keeps_its_own_budget(self, monkeypatch):
         # exp(-z) on its natural scale converges at depth 2 (56 panels); the
         # mismatched 50 exp(-50 z) needs more, and only it is named
         easy, hard = (1.0, 1.0), (50.0, 10.0)
@@ -303,7 +305,8 @@ class TestBatchedIntegrator:
         def integrand(z, owner):
             return rates[owner, None] * np.exp(-rates[owner, None] * z)
 
-        starved = QuadSpec(abs_tol=1e-12, rel_tol=1e-12, max_subdivisions=56)
+        monkeypatch.setattr(oracle, "_MAX_PANELS", 56)
+        starved = QuadSpec(abs_tol=1e-12, rel_tol=1e-12)
         assert integrate_batch(integrand, [0.0], [1.0], starved)[0] == pytest.approx(1.0, rel=1e-12)
         with pytest.raises(OracleError, match=r"^quadrature of the test integral did not converge .* \(lower=0, scale=10,"):
             integrate_batch(integrand, [0.0, 0.0], scales, starved, "test")
@@ -362,10 +365,11 @@ class TestBatchedOutages:
         assert batched == alone
         assert {1.0, 0.0} <= set(batched)
 
-    def test_errors_name_the_failing_member(self):
+    def test_errors_name_the_failing_member(self, monkeypatch):
         # at this tolerance a 56-panel budget suffices for the relay integral
         # at varpi1 = 0.1 or 0.5 but not at 0.01
-        starved = QuadSpec(abs_tol=1e-15, rel_tol=1e-13, max_subdivisions=56)
+        monkeypatch.setattr(oracle, "_MAX_PANELS", 56)
+        starved = QuadSpec(abs_tol=1e-15, rel_tol=1e-13)
         configs = [table_config(varpi1=v) for v in (0.1, 0.01, 0.5)]
         passing = [(configs[0], "x1", "pSIC"), (configs[2], "x1", "pSIC")]
         assert quad_outages(passing, starved) == [quad(c, "x1", "pSIC", starved) for c, _, _ in passing]
@@ -381,7 +385,8 @@ class TestBatchedOutages:
         # within this budget the relay, near-user and relay-pair integrals of
         # varpi1 = 0.1 and 0.5 converge; the drawn scenario's residual near-user
         # (seed 0) or relay-pair (seed 1) integral does not
-        starved = QuadSpec(abs_tol=1e-15, rel_tol=1e-13, max_subdivisions=56)
+        monkeypatch.setattr(oracle, "_MAX_PANELS", 56)
+        starved = QuadSpec(abs_tol=1e-15, rel_tol=1e-13)
         passing = [(table_config(varpi1=v), s, "pSIC") for v in (0.1, 0.5) for s in ("x1", "x2")]
         assert quad_outages(passing, starved) == [quad(*case, starved) for case in passing]
         failing = random_valid_config(np.random.default_rng(seed))

@@ -1,8 +1,12 @@
+import inspect
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import twrnoma
+from twrnoma.montecarlo import OutageEstimate
+from twrnoma.oracle import QuadSpec
 
 # What the acceptance criteria import, one entry point per CLI command, the
 # error types and mc_ergodic_rates; every other name comes from its module.
@@ -15,6 +19,14 @@ ROOT_API = {
     "oma_outage", "SweepSpec", "run_sweep", "throughput_rows", "crossover_snr_db", "oracle_agreement",
     "figure_preset",
 }
+
+
+# What a caller sets on the quadrature and reads off an MC estimate: a knob
+# or an echoed input that comes back shows up here.
+def test_settable_and_returned_fields():
+    assert [field.name for field in fields(QuadSpec)] == ["abs_tol", "rel_tol"]
+    assert [field.name for field in fields(OutageEstimate)] == ["p_hat", "ci_low", "ci_high"]
+    assert list(inspect.signature(twrnoma.integrate_semi_infinite).parameters) == ["fn", "lower", "scale", "spec"]
 
 
 def test_all_exports_resolve():
