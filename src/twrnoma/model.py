@@ -356,7 +356,7 @@ _KNOWN_KEYS = _SCALAR_KEYS | {"trials", "seed"}
 
 
 def load_config_file(path: str | Path, **overrides: object) -> tuple[SystemConfig, RunSettings]:
-    """Parse a flat ``key=value`` config file (UTF-8, ``#`` comments allowed).
+    """Parse a flat ``key=value`` config file (UTF-8, a leading BOM and ``#`` comments allowed).
 
     Channel variances come either from ``omega1..omega4`` or from distances
     ``d1, d2`` with path-loss exponent ``alpha`` (never both). Unknown keys
@@ -368,7 +368,7 @@ def load_config_file(path: str | Path, **overrides: object) -> tuple[SystemConfi
     """
     raw: dict[str, str] = {}
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
     for lineno, line in enumerate(text.splitlines(), start=1):

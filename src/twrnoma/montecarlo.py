@@ -6,14 +6,12 @@ realizes the two transmission slots as independent fading blocks: the relay
 decode events are evaluated on the multiple-access (uplink) block, the user
 decode events on the broadcast (downlink) block.
 
-One engine, :func:`mc_outage`, serves every requested (signal, SIC mode) of
-an operating point from one draw. Each chunk draws ten rows of unit
-exponentials (``model.UNIT_ROWS``) in two halves of five. Under ipSIC the
-uplink reads rows 0-4 (g1..g4, then the residual gain) and the downlink rows
-5-9; pSIC draws no residual, so its slots read rows 0-3 and 4-7. A row scaled
-by a variance equals an exponential draw with that variance bit for bit, so
-every mode and role group sees exactly the draws it would have made alone.
-Trials are partitioned into fixed-size chunks, each on its own generator
+Both estimators read one draw loop, :func:`_draws`, which states the row
+layout. One engine, :func:`mc_outage`, serves every requested (signal, SIC
+mode) of an operating point from it. A row scaled by a variance equals an
+exponential draw with that variance bit for bit, so every mode and role
+group sees exactly the draws it would have made alone. Trials are
+partitioned into fixed-size chunks, each on its own generator
 (:func:`~twrnoma.model.chunk_generator`), with integer event counts merged
 at the end, so a given seed yields identical results for any worker count.
 
@@ -98,6 +96,27 @@ def _chunks(trials: int) -> list[tuple[int, int]]:
     return [(index, min(CHUNK_SIZE, trials - start)) for index, start in enumerate(range(0, trials, CHUNK_SIZE))]
 
 
+def _draws(seed: int, share: list[tuple[int, int]]):
+    """(slot, chunk size, [(draw slice, rows by row number) per ``_BLOCK`` block]) per half of each chunk in ``share``.
+
+    A chunk draws ten rows of unit exponentials (``model.UNIT_ROWS``) in two
+    halves of five into a buffer of six rows. ipSIC reads its uplink from rows
+    0-4 (g1..g4, then the residual gain) and its downlink from rows 5-9; pSIC,
+    which draws no residual, reads rows 0-3 and 4-7. The uplink half goes into
+    buffer rows 0-4; the downlink half into rows 0-3 and 5, keeping row 4 for
+    pSIC, and is yielded as rows 5-9 with rows 0-3 ``None``. A caller finishes
+    a chunk's uplink blocks before it asks for the downlink ones.
+    """
+    buffer = np.empty((UNIT_ROWS // 2 + 1, max(size for _, size in share)))
+    for index, size in share:
+        rng = chunk_generator(seed, index)
+        blocks = [slice(start, start + _BLOCK) for start in range(0, size, _BLOCK)]
+        rows = unit_rows(rng, size, list(buffer[:5]))
+        yield UPLINK, size, [(b, [row[b] for row in rows]) for b in blocks]
+        rows = [None] * 4 + rows[4:] + unit_rows(rng, size, [*buffer[:4], buffer[5]])
+        yield DOWNLINK, size, [(b, [row if row is None else row[b] for row in rows]) for b in blocks]
+
+
 def mc_outage(
     config: SystemConfig,
     signals: tuple[str, ...],
@@ -108,13 +127,10 @@ def mc_outage(
 ) -> dict[tuple[str, str], OutageEstimate]:
     """Simulated outage keyed by (signal, SIC mode), every entry from one draw per chunk.
 
-    Each worker owns a buffer of six rows. A chunk draws its uplink half of
-    the unit rows into buffer rows 0-4 and decides the relay events, then
-    draws the downlink half into rows 0-3 and 5, keeping row 4, and decides
-    the user events. Both run on blocks of ``_BLOCK`` draws, so every mode and
-    role group reads the same draws and the working set stays small. Chunks
-    are dealt to the ``workers`` (at least one) in turn; counts are integers,
-    so the result does not depend on how many workers there are.
+    Relay events are decided on each chunk's uplink blocks and user events on
+    its downlink blocks (:func:`_draws`). Chunks are dealt to the ``workers``
+    (at least one) in turn, each with its own buffer; counts are integers, so
+    the result does not depend on how many workers there are.
     """
     if not signals or not sic_modes:
         raise ConfigError("signals and sic_modes must be non-empty")
@@ -130,17 +146,13 @@ def mc_outage(
     decisions = EventDecisions(config, keys)
 
     def failures(share: list[tuple[int, int]]) -> dict[tuple[str, str], int]:
-        buffer = np.empty((UNIT_ROWS // 2 + 1, max(size for _, size in share)))
         fails = dict.fromkeys(keys, 0)
-        for index, size in share:
-            rng = chunk_generator(seed, index)
-            blocks = [slice(start, start + _BLOCK) for start in range(0, size, _BLOCK)]
-            uplink = unit_rows(rng, size, list(buffer[:5]))
-            relay = [decisions.decide(UPLINK, [row[b] for row in uplink]) for b in blocks]
-            # keep row 4 only: pSIC's downlink starts there, on ipSIC's uplink residual
-            rows = [None] * 4 + uplink[4:] + unit_rows(rng, size, [*buffer[:4], buffer[5]])
-            for b, up in zip(blocks, relay):
-                down = decisions.decide(DOWNLINK, [row if row is None else row[b] for row in rows])
+        for slot, _, blocks in _draws(seed, share):
+            if slot == UPLINK:
+                relay = [decisions.decide(UPLINK, rows) for _, rows in blocks]
+                continue
+            for (_, rows), up in zip(blocks, relay):
+                down = decisions.decide(DOWNLINK, rows)
                 for key in keys:
                     ok = up[key] & down[key]
                     fails[key] += ok.size - int(np.count_nonzero(ok))
@@ -180,17 +192,13 @@ def mc_ergodic_rates(
     # each slot's last event decodes the signal itself: its relay and destination stages
     stages = [{event.slot: event for event in table[(signal, mode)]} for signal in signals]
     sums = [[], []]
-    for index, size in _chunks(trials):
-        rng = chunk_generator(seed, index)
-        rows = unit_rows(rng, size) + unit_rows(rng, size)
-        chains = [np.empty(size), np.empty(size)]
-        # stages run on _BLOCK-draw blocks, for the reasons given at _BLOCK
-        for start in range(0, size, _BLOCK):
-            b = slice(start, start + _BLOCK)
-            block = [row[b] for row in rows]
+    for slot, size, blocks in _draws(seed, _chunks(trials)):
+        if slot == UPLINK:
+            chains = np.full((2, size), np.inf)
+        for b, rows in blocks:
             for stage, chain in zip(stages, chains):
-                relay, destination = (event_sinr(stage[slot], config.rho, block) for slot in (UPLINK, DOWNLINK))
-                np.minimum(relay, destination, out=chain[b])
-        for total, chain in zip(sums, chains):
-            total.append(float(np.log2(1.0 + chain).sum()))
+                np.minimum(chain[b], event_sinr(stage[slot], config.rho, rows), out=chain[b])
+        if slot == DOWNLINK:
+            for total, chain in zip(sums, chains):
+                total.append(float(np.log2(1.0 + chain).sum()))
     return {signal: 0.5 * math.fsum(total) / trials for signal, total in zip(signals, sums)}

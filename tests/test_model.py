@@ -289,6 +289,15 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="seed must be non-negative, got -1"):
             load_config_file(self.write(tmp_path, "seed = -1\n"))
 
+    def test_leading_bom_ignored(self, tmp_path):
+        # editors on Windows start a UTF-8 file with a byte-order mark
+        text = "rho_db = 20\nseed = 4\n"
+        plain = load_config_file(self.write(tmp_path, text))
+        bom = tmp_path / "bom.cfg"
+        bom.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        assert load_config_file(bom) == plain
+        assert plain[0].rho_db == 20.0 and plain[1].seed == 4
+
     def test_distances_derive_variances(self, tmp_path):
         config, _ = load_config_file(self.write(tmp_path, "d1=2\nd2=10\nalpha=2\n"))
         assert config.omega == (0.25, 0.01, 0.25, 0.01)

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -9,7 +10,9 @@ import pytest
 from twrnoma import montecarlo, sinr
 from twrnoma.analysis import closed_outage
 from twrnoma.errors import ConfigError
-from twrnoma.model import GROUP_ONE, GROUP_TWO, SystemConfig, sinr_threshold, unit_rows
+from twrnoma.model import (
+    DOWNLINK, GROUP_ONE, GROUP_TWO, UPLINK, SystemConfig, chunk_generator, sinr_threshold, unit_rows,
+)
 from twrnoma.montecarlo import CHUNK_SIZE, mc_ergodic_rates, mc_outage, wilson_interval
 
 from test_model import philox
@@ -332,6 +335,18 @@ class TestErgodicRates:
         b = mc_ergodic_rates(cfg, GROUP_ONE, "ipSIC", trials=30_000, seed=7)
         assert a == b
 
+    def test_peak_memory_stays_near_the_draw_buffer(self):
+        # one chunk's six buffer rows, two chunk-long chains and a block's
+        # temporaries are about 11 MiB; ten fresh rows per chunk, with the
+        # previous chunk's still alive while the next are drawn, took 25 MiB
+        tracemalloc.start()
+        try:
+            mc_ergodic_rates(SystemConfig(rho_db=30.0), GROUP_ONE, "ipSIC", trials=3 * CHUNK_SIZE, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 14 * 2**20
+
     @pytest.mark.parametrize("mode,roles", sorted(FROZEN_ERGODIC_RATES, key=str))
     def test_rates_frozen(self, mode, roles):
         cfg = table_config(rho_db=20.0)
@@ -363,3 +378,32 @@ class TestBlockSize:
         monkeypatch.setattr(montecarlo, "_BLOCK", 1000)
         monkeypatch.setattr(sinr, "_GUARD", math.inf)
         assert three_chunk_failures() == FROZEN_THREE_CHUNK_FAILURES
+
+
+class TestDraws:
+    """Both estimators read the one draw loop: each chunk's generator, in two halves, on the block grid."""
+
+    def test_halves_are_the_chunk_generators_rows(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_BLOCK", 1000)
+        chunks = montecarlo._chunks(THREE_CHUNK_TRIALS)
+        assert [size for _, size in chunks] == [CHUNK_SIZE, CHUNK_SIZE, 1234]
+        halves = montecarlo._draws(1, chunks)
+        for index, size in chunks:
+            rng = chunk_generator(1, index)
+            grid = [slice(start, start + 1000) for start in range(0, size, 1000)]
+            slot, n, blocks = next(halves)
+            assert (slot, n) == (UPLINK, size)
+            assert [b for b, _ in blocks] == grid
+            # the downlink half overwrites buffer rows 0-3, so the uplink rows are copied first
+            uplink = [np.concatenate([rows[i] for _, rows in blocks]) for i in range(5)]
+            for got, want in zip(uplink, unit_rows(rng, size), strict=True):
+                assert np.array_equal(got, want)
+            slot, n, blocks = next(halves)
+            assert (slot, n) == (DOWNLINK, size)
+            assert [b for b, _ in blocks] == grid
+            assert all(rows[:4] == [None] * 4 and len(rows) == 10 for _, rows in blocks)
+            downlink = [np.concatenate([rows[i] for _, rows in blocks]) for i in range(4, 10)]
+            assert np.array_equal(downlink[0], uplink[4])
+            for got, want in zip(downlink[1:], unit_rows(rng, size), strict=True):
+                assert np.array_equal(got, want)
+        assert next(halves, None) is None

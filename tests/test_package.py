@@ -1,3 +1,4 @@
+import ast
 import inspect
 import subprocess
 import sys
@@ -27,6 +28,33 @@ def test_settable_and_returned_fields():
     assert [field.name for field in fields(QuadSpec)] == ["abs_tol", "rel_tol"]
     assert [field.name for field in fields(OutageEstimate)] == ["p_hat", "ci_low", "ci_high"]
     assert list(inspect.signature(twrnoma.integrate_semi_infinite).parameters) == ["fn", "lower", "scale", "spec"]
+
+
+DRAWS = {"chunk_generator", "unit_rows"}
+
+
+def draw_calls(node, scope="<module>"):
+    """The enclosing function of every call of ``chunk_generator`` or ``unit_rows`` under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = child.name if scope == "<module>" else f"{scope}.{child.name}"
+        if isinstance(child, ast.Call):
+            func = child.func
+            if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) in DRAWS:
+                yield scope
+        yield from draw_calls(child, inner)
+
+
+# Every Monte Carlo chunk is drawn in one loop that both estimators read; a
+# second loop that comes back fails here by name.
+def test_one_draw_loop():
+    package = Path(twrnoma.__file__).resolve().parent
+    callers = set()
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        callers |= {(path.relative_to(package).as_posix(), scope) for scope in draw_calls(tree)}
+    assert len(callers) == 1 and next(iter(callers))[0] == "montecarlo.py", sorted(callers)
 
 
 def test_all_exports_resolve():
