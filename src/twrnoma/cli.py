@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import re
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -30,6 +31,8 @@ class _Parser(argparse.ArgumentParser):
     # Flags match whole names only: validate's --configs must not take --config.
     def __init__(self, *args, **kwargs):
         super().__init__(*args, allow_abbrev=False, **kwargs)
+        # a value such as -2e1 is a negative number, not an option (argparse takes only -20 and -2.5)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     # usage errors must exit with the config-error code, not argparse's default
     def error(self, message):

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import csv
 import io
-from itertools import chain
 import json
 import math
 from dataclasses import dataclass, replace
@@ -413,28 +412,33 @@ def rows_to_csv(table: CurveTable) -> str:
 
     The bytes are those of ``csv.writer(lineterminator="\\n")`` writing each
     row with its floats as ``repr(float(...))``. The writer works column by
-    column: numbers need no quoting, each distinct float of the table is
-    formatted once (a sweep's asymptotic columns hold a few distinct values,
-    and a symmetric scenario's two groups the same ones), each column's
-    (signal, sic_mode, method) label once, by ``csv.writer``, and each
-    point's ``rho_db`` once. Every row is a fixed run of text pieces, each
-    a list over the grid or one text that every point shares; each piece
-    fills a flat list by stride, after the header line, and the list is
-    joined once.
+    column, and numbers need no quoting. A list of floats is formatted once:
+    the same list takes its texts again, and so does an equal one that
+    holds no zero (``0.0 == -0.0``); a list that repeats values, as an
+    asymptotic column does, formats each distinct value once. Each column's
+    label is formatted once, by ``csv.writer``, and each point's ``rho_db``
+    once. Every row is a fixed run of text pieces, each a list over the
+    grid or one text that every point shares; each piece fills a flat list
+    by stride, after the header line, and the list is joined once.
     """
-    lists = [table.rho_db]
-    for column in table.columns:
-        lists += [values for values in (column.values, column.ci_low, column.ci_high) if values is not None]
-    # value -> its text. A dict, not a set: floats in [0.5, 1) hash with their
-    # low 8 bits zero, which a set's linear probing piles up on.
-    memo = dict.fromkeys(chain.from_iterable(lists))
-    memo = dict(zip(memo, map(repr, map(float, memo))))
-    any_zero = 0.0 in memo
+    by_id, by_content = {}, {}  # a list's texts, by identity and by content; the lists outlive the call
 
     def text(values: list[float]) -> list[str]:
-        if any_zero and 0.0 in values:  # 0.0 and -0.0 share a key, not a text
-            return [memo[value] if value else repr(float(value)) for value in values]
-        return list(map(memo.__getitem__, values))
+        texts = by_id.get(id(values))
+        if texts is None:
+            key = tuple(values)
+            texts = by_content.get(key)
+            if texts is None or 0.0 in key:  # 0.0 == -0.0: equal lists may differ in a zero's sign
+                sample = key[::16]  # repeats show here in a list of few values, such as an asymptotic column
+                memo = dict.fromkeys(values) if len(set(sample)) < len(sample) else {}
+                if memo and 0.0 not in memo:  # format each value once; 0.0 and -0.0 would share an entry
+                    memo = dict(zip(memo, map(repr, map(float, memo))))
+                    texts = list(map(memo.__getitem__, values))
+                else:
+                    texts = list(map(repr, map(float, values)))
+                by_content[key] = texts
+            by_id[id(values)] = texts
+        return texts
 
     rho_texts = text(table.rho_db)
     points = len(rho_texts)

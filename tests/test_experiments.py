@@ -5,7 +5,9 @@ import inspect
 import io
 import json
 import math
+import random
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -426,6 +428,56 @@ class TestSweep:
         assert len(fine) == 901 * 4 * 2 * 3
         for case, table in tables.items():
             assert rows_to_csv(table) == reference_csv(table.rows()), case
+
+    def test_csv_bytes_match_csv_writer_on_random_tables(self):
+        # the writer reuses a list's texts for a list that is the same object or holds equal values:
+        # columns here share lists both ways, and hold the values that compare equal but write apart
+        rng = random.Random(32)
+        signed_zeros = CurveTable([0.0, 1.0], [
+            CurveColumn("x1", "ipSIC", "closed", [-0.0, 1.0]),
+            CurveColumn("x2", "ipSIC", "closed", [0.0, 1.0]),
+        ])
+        # [-0.0, 1.0] equals the grid [0.0, 1.0], whose texts come first
+        assert rows_to_csv(signed_zeros) == reference_csv(signed_zeros.rows())
+        assert rows_to_csv(signed_zeros).splitlines()[1] == "0.0,x1,ipSIC,closed,-0.0,,,,"
+        atoms = [0.0, -0.0, 0, False, 1, True, 1.0, 2 ** 53, 2.0 ** 53, 5e-324, 0.5, 1 / 3, 1e300, None]  # None: a NaN
+        for case in range(300):
+            points = rng.randint(3, 40)
+            nan = float("nan")  # a NaN object that several lists may share
+            pool = []
+            for _ in range(4):
+                palette = rng.sample(atoms, rng.randint(1, 5))
+                pool.append([
+                    rng.random() if rng.random() < 0.2
+                    else (rng.choice([nan, float("nan")]) if atom is None else atom)
+                    for atom in (rng.choice(palette) for _ in range(points))
+                ])
+            pool += [list(values) for values in pool]  # the same values in another list
+            pool += [[-value if value == 0 else value for value in values] for values in pool[:4]]  # zeros flipped
+            columns = []
+            for _ in range(rng.randint(1, 12)):
+                ci_low, ci_high = (rng.choice(pool) if rng.random() < 0.6 else None for _ in range(2))
+                mc = ci_low is not None or ci_high is not None or rng.random() < 0.2
+                columns.append(CurveColumn(rng.choice(experiments.SIGNALS), rng.choice(SIC_MODES),
+                                           "mc" if mc else "closed", rng.choice(pool), ci_low, ci_high,
+                                           1000 if mc else None, rng.choice([1, None]) if mc else None))
+            table = CurveTable(rng.choice(pool), columns)
+            assert rows_to_csv(table) == reference_csv(table.rows()), case
+
+    def test_csv_writer_peak_memory(self):
+        # a 901-point grid of 48 columns, no two equal: the texts, the flat list and the joined text
+        # are about 2.8 MiB; a value memo over the whole table took 3.2 MiB
+        groups_differ = table_config(varpi1=0.02, varpi2=0.004, omega_i_db=-13.0, rates=(0.1, 0.01, 0.12, 0.02))
+        fine = run_sweep(SweepSpec(groups_differ, 0.0, 45.0, 0.05,
+                                   methods=("closed", "asymptotic", "oma"), signals=experiments.SIGNALS))
+        rows_to_csv(fine)
+        tracemalloc.start()
+        try:
+            rows_to_csv(fine)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.0 * 2**20
 
     def test_deterministic_csv_bytes(self):
         spec = self.spec(methods=("closed", "mc"), trials=2000)
@@ -1117,6 +1169,19 @@ class TestCli:
     def test_bad_flag_value_exits_one(self, capsys):
         assert cli.main(["sweep", "--rho-min-db", "10", "--rho-max-db", "0"]) == 1
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, plain", [
+        (["outage", "--omega-i-db", "-2e1"], ["outage", "--omega-i-db", "-20"]),
+        (["outage", "--omega-i-db", "-2.E+1", "--rho-db", "-.5e1"], ["outage", "--omega-i-db", "-20", "--rho-db", "-5"]),
+        (["sweep", "--rho-min-db", "-1e1", "--rho-max-db", "0"], ["sweep", "--rho-min-db", "-10", "--rho-max-db", "0"]),
+        (["throughput", "--rho-min-db", "-1E1", "--rho-max-db", "0"], ["throughput", "--rho-min-db", "-10", "--rho-max-db", "0"]),
+    ])
+    def test_negative_number_in_exponent_notation(self, argv, plain, capsys):
+        # a negative value in exponent notation is the flag's value, as -20 or --flag=-2e1 is
+        assert cli.main(argv) == 0
+        taken = capsys.readouterr()
+        assert cli.main(plain) == 0
+        assert taken == capsys.readouterr() and taken.out.count("\n") > 1
 
     @pytest.mark.parametrize("argv", [
         ["sweep", "--rho-max-db", "inf"],
