@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import functools
 import math
-import re
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -31,8 +30,14 @@ class _Parser(argparse.ArgumentParser):
     # Flags match whole names only: validate's --configs must not take --config.
     def __init__(self, *args, **kwargs):
         super().__init__(*args, allow_abbrev=False, **kwargs)
-        # a value such as -2e1 is a negative number, not an option (argparse takes only -20 and -2.5)
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+    # whatever float() reads (-2e1, -inf, -nan) is a value, not an option; argparse takes only -20 and -2.5
+    def _parse_optional(self, arg_string):
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
 
     # usage errors must exit with the config-error code, not argparse's default
     def error(self, message):

@@ -100,7 +100,12 @@ DOMAIN = (
     ("varpi2", 0.0, 1.0, ""),
     ("rates", 0.0, 8.0, " BPCU"),
 )
-_ENTRYWISE = ("a", "b", "omega", "rates")
+# The four-entry fields, each with its config-file prefix numbered 1-4 (a1..a4,
+# r1..r4); every other field of DOMAIN is its own config-file key.
+_ENTRY_PREFIX = {"a": "a", "b": "b", "omega": "omega", "rates": "r"}
+# config-file key -> (field, entry it sets), the entry None for a one-value field
+_FILE_KEYS = {name: (name, None) for name, *_ in DOMAIN if name not in _ENTRY_PREFIX} | {
+    f"{prefix}{i + 1}": (name, i) for name, prefix in _ENTRY_PREFIX.items() for i in range(4)}
 
 
 def omega_from_distances(d1: float, d2: float, alpha: float) -> tuple[float, float, float, float]:
@@ -138,17 +143,17 @@ class SystemConfig:
     rates: tuple[float, float, float, float] = (0.1, 0.01, 0.1, 0.01)
 
     def __post_init__(self) -> None:
-        for name in _ENTRYWISE:
+        for name in _ENTRY_PREFIX:
             if len(getattr(self, name)) != 4:
                 raise ConfigError(f"{name} must have exactly 4 entries, got {len(getattr(self, name))}")
         for name, low, high, unit in DOMAIN:
             value = getattr(self, name)
             zero_too = name == "varpi1"
-            entries = value if name in _ENTRYWISE else (value,)
+            entries = value if name in _ENTRY_PREFIX else (value,)
             # a NaN fails every comparison, so it lies outside too
             if not all(low <= v <= high or (zero_too and v == 0.0) for v in entries):
                 span = f"{'0 or ' * zero_too}[{low:g}, {high:g}]{unit}"
-                span = f"each entry in {span}" if name in _ENTRYWISE else span
+                span = f"each entry in {span}" if name in _ENTRY_PREFIX else span
                 raise ConfigError(f"{name} = {value!r} is outside the domain: {span}")
         if abs(self.b[0] + self.b[1] - 1.0) > _B_SUM_TOL or abs(self.b[2] + self.b[3] - 1.0) > _B_SUM_TOL:
             raise ConfigError("downlink splits must satisfy b1+b2 = 1 and b3+b4 = 1")
@@ -346,31 +351,33 @@ class RunSettings:
         check_seed(self.seed)
 
 
-_SCALAR_KEYS = {
-    "rho_db", "omega_i_db", "varpi1", "varpi2",
-    "a1", "a2", "a3", "a4", "b1", "b2", "b3", "b4",
-    "omega1", "omega2", "omega3", "omega4",
-    "d1", "d2", "alpha", "r1", "r2", "r3", "r4",
-}
-_KNOWN_KEYS = _SCALAR_KEYS | {"trials", "seed"}
+# the keys outside _FILE_KEYS, each with the type its value is read as
+_OTHER_KEYS = {"d1": float, "d2": float, "alpha": float, "trials": int, "seed": int}
 
 
 def load_config_file(path: str | Path, **overrides: object) -> tuple[SystemConfig, RunSettings]:
     """Parse a flat ``key=value`` config file (UTF-8, a leading BOM and ``#`` comments allowed).
 
-    Channel variances come either from ``omega1..omega4`` or from distances
-    ``d1, d2`` with path-loss exponent ``alpha`` (never both). Unknown keys
-    are an error, ``sic_mode`` among them: the SIC mode is chosen per
-    command. Missing keys fall back to the defaults of
-    :class:`SystemConfig` / :class:`RunSettings`. ``overrides`` are
-    :class:`SystemConfig` fields that replace the file's before the config is
-    built, so a file value they replace is never checked against the domain.
+    A field of :data:`DOMAIN` is a key, a four-entry field four numbered keys
+    (``a1..a4``, ``r1..r4``), all or none. ``d1, d2, alpha`` (distances and
+    path-loss exponent) may replace ``omega1..omega4``; ``trials`` and ``seed``
+    are the run settings. Any other key is an error, ``sic_mode`` among them:
+    the SIC mode is chosen per command. Missing keys fall back to the defaults.
+    ``overrides`` are :class:`SystemConfig` fields that replace the file's
+    before the config is built, so a file value they replace is never checked
+    against the domain. Of several faults, the first faulty line is reported
+    (not ``key=value``, an unknown or duplicate key, a value ``float()`` or, for
+    ``trials`` and ``seed``, ``int()`` rejects), then the omega/distance rules,
+    then, of the four-key groups with a key missing, the one begun first.
     """
-    raw: dict[str, str] = {}
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
+    values: dict[str, object] = {}
+    groups: dict[str, list] = {}
+    other: dict[str, float | int] = {}
+    seen = set()
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -378,51 +385,37 @@ def load_config_file(path: str | Path, **overrides: object) -> tuple[SystemConfi
         if "=" not in stripped:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {line.strip()!r}")
         key, value = (part.strip() for part in stripped.split("=", 1))
-        if key not in _KNOWN_KEYS:
+        kind = float if key in _FILE_KEYS else _OTHER_KEYS.get(key)
+        if kind is None:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        if key in raw:
+        if key in seen:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-        raw[key] = value
-
-    def number(key: str) -> float:
+        seen.add(key)
         try:
-            return float(raw[key])
+            number = kind(value)
         except ValueError as exc:
-            raise ConfigError(f"{path}: key {key!r} is not a number: {raw[key]!r}") from exc
+            raise ConfigError(f"{path}: key {key!r} is not {'an integer' if kind is int else 'a number'}: "
+                              f"{value!r}") from exc
+        if key in _OTHER_KEYS:
+            other[key] = number
+            continue
+        name, entry = _FILE_KEYS[key]
+        if entry is None:
+            values[name] = number
+        else:
+            groups.setdefault(name, [None] * 4)[entry] = number
 
-    values: dict[str, object] = {}
-    omega_keys = [k for k in ("omega1", "omega2", "omega3", "omega4") if k in raw]
-    distance_keys = [k for k in ("d1", "d2", "alpha") if k in raw]
-    if omega_keys and distance_keys:
-        raise ConfigError(f"{path}: give either omega1..omega4 or d1,d2,alpha, not both")
-    if omega_keys:
-        if len(omega_keys) != 4:
-            raise ConfigError(f"{path}: all four of omega1..omega4 are required")
-        values["omega"] = tuple(number(f"omega{i}") for i in range(1, 5))
-    elif distance_keys:
-        if len(distance_keys) != 3:
+    distances = [other[key] for key in ("d1", "d2", "alpha") if key in other]
+    if distances:
+        if "omega" in groups:
+            raise ConfigError(f"{path}: give either omega1..omega4 or d1,d2,alpha, not both")
+        if len(distances) != 3:
             raise ConfigError(f"{path}: d1, d2 and alpha must be given together")
-        values["omega"] = omega_from_distances(number("d1"), number("d2"), number("alpha"))
-
-    for group, keys in (("a", ("a1", "a2", "a3", "a4")),
-                        ("b", ("b1", "b2", "b3", "b4")),
-                        ("rates", ("r1", "r2", "r3", "r4"))):
-        present = [k for k in keys if k in raw]
-        if present and len(present) != 4:
-            raise ConfigError(f"{path}: all four of {', '.join(keys)} are required")
-        if present:
-            values[group] = tuple(number(k) for k in keys)
-
-    for key in ("rho_db", "omega_i_db", "varpi1", "varpi2"):
-        if key in raw:
-            values[key] = number(key)
-
-    settings_kwargs = {}
-    for key in ("trials", "seed"):
-        if key in raw:
-            try:
-                settings_kwargs[key] = int(raw[key])
-            except ValueError as exc:
-                raise ConfigError(f"{path}: key {key!r} is not an integer: {raw[key]!r}") from exc
-
-    return SystemConfig(**{**values, **overrides}), RunSettings(**settings_kwargs)
+        values["omega"] = omega_from_distances(*distances)
+    for name, entries in groups.items():
+        if None in entries:
+            keys = ", ".join(f"{_ENTRY_PREFIX[name]}{i}" for i in range(1, 5))
+            raise ConfigError(f"{path}: all four of {keys} are required")
+        values[name] = tuple(entries)
+    settings = RunSettings(**{key: other[key] for key in ("trials", "seed") if key in other})
+    return SystemConfig(**{**values, **overrides}), settings

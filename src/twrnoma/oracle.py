@@ -254,20 +254,13 @@ def _decay_scale(rates: tuple[float, ...], s: float) -> float:
     return 1.0 / inv
 
 
-def _relay_integrand(rates, s):
-    pdf, s = HypoexpSpec(*rates), np.array(s)
+def _density_integrand(rates, s, shift):
+    # the interference density against exp(-(z + shift)·s); every integral of a kind has
+    # the same shift, 1 for the relay and 0 for the relay pair
+    pdf, s, shift = HypoexpSpec(*rates), np.array(s), shift[0]
 
     def integrand(z, owner):
-        return hypoexp_pdf(pdf, z, owner) * np.exp(-(z + 1.0) * s[owner, None])
-
-    return integrand
-
-
-def _pair_integrand(rates, s):
-    pdf, s = HypoexpSpec(*rates), np.array(s)
-
-    def integrand(z, owner):
-        return hypoexp_pdf(pdf, z, owner) * np.exp(-s[owner, None] * z)
+        return hypoexp_pdf(pdf, z, owner) * np.exp(-(z + shift) * s[owner, None])
 
     return integrand
 
@@ -369,7 +362,7 @@ def _plan_xl(config, roles, mode, dc, request):
         return lambda value: 0.0
     om_l, om_k = config.omega[roles.l - 1], config.omega[roles.k - 1]
     s = dc.beta_l / om_l
-    relay = request((_relay_integrand, "relay", len(dc.lam)), 0.0, _decay_scale(dc.lam, s), dc.lam, s)
+    relay = request((_density_integrand, "relay", len(dc.lam)), 0.0, _decay_scale(dc.lam, s), dc.lam, s, 1.0)
     tau = dc.tau_l
     theta = dc.theta_l
     if mode == "pSIC" or tau == 0.0:
@@ -397,7 +390,8 @@ def _plan_xt(config, roles, mode, dc, request):
     if not dc.lam_p:
         # no cross-pair leakage: the interference sum is identically zero
         return lambda value: _finish(1.0 - prefactor * users)
-    pair = request((_pair_integrand, "relay pair", len(dc.lam_p)), 0.0, _decay_scale(dc.lam_p, s), dc.lam_p, s)
+    scale = _decay_scale(dc.lam_p, s)
+    pair = request((_density_integrand, "relay pair", len(dc.lam_p)), 0.0, scale, dc.lam_p, s, 0.0)
     return lambda value: _finish(1.0 - prefactor * value[pair] * users)
 
 

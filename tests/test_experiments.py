@@ -1183,6 +1183,24 @@ class TestCli:
         assert cli.main(plain) == 0
         assert taken == capsys.readouterr() and taken.out.count("\n") > 1
 
+    @pytest.mark.parametrize("argv, message", [
+        (["sweep", "--rho-min-db", "-inf"], "rho_min_db, rho_max_db and rho_step_db must be finite"),
+        (["throughput", "--rho-min-db", "-Infinity"], "rho_min_db, rho_max_db and rho_step_db must be finite"),
+        (["outage", "--rho-db", "-nan"], "rho_db = nan is outside the domain: [-100, 200] dB"),
+    ])
+    def test_negative_non_finite_value_is_the_flags_value(self, argv, message, capsys):
+        # whatever float() reads is the flag's value, as it is after --flag=
+        *command, flag, value = argv
+        assert cli.main(argv) == 1
+        taken = capsys.readouterr()
+        assert taken == ("", f"configuration error: {message}\n")
+        assert cli.main([*command, f"{flag}={value}"]) == 1
+        assert capsys.readouterr() == taken
+
+    def test_dash_value_that_is_no_number_is_an_option(self, capsys):
+        assert cli.main(["outage", "--signals", "-x1"]) == 1
+        assert capsys.readouterr() == ("", "configuration error: argument --signals: expected one argument\n")
+
     @pytest.mark.parametrize("argv", [
         ["sweep", "--rho-max-db", "inf"],
         ["sweep", "--rho-min-db", "nan"],

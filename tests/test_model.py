@@ -1,5 +1,6 @@
 import math
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,11 +8,12 @@ import pytest
 from twrnoma import model, montecarlo
 from twrnoma.analysis import closed_outage
 from twrnoma.errors import ConfigError
-from twrnoma.experiments import SweepSpec
+from twrnoma.experiments import SweepSpec, random_valid_config
 from twrnoma.model import (
     GROUP_ONE,
     GROUP_TWO,
     PairRoles,
+    RunSettings,
     SystemConfig,
     build_derived_constants,
     chunk_generator,
@@ -256,6 +258,29 @@ class TestSampling:
         assert tuple(tuple(map(float.hex, row.tolist())) for row in rows) == self.FIRST_DRAWS
 
 
+# every field's config-file keys, spelled out as README documents them
+FIELD_KEYS = {
+    "rho_db": ("rho_db",),
+    "a": ("a1", "a2", "a3", "a4"),
+    "b": ("b1", "b2", "b3", "b4"),
+    "omega": ("omega1", "omega2", "omega3", "omega4"),
+    "omega_i_db": ("omega_i_db",),
+    "varpi1": ("varpi1",),
+    "varpi2": ("varpi2",),
+    "rates": ("r1", "r2", "r3", "r4"),
+}
+
+
+def config_lines(config):
+    """Every field key, each with the ``key = value`` line that sets it to ``config``'s value."""
+    lines = {}
+    for name, keys in FIELD_KEYS.items():
+        value = getattr(config, name)
+        entries = value if len(keys) == 4 else (value,)
+        lines.update((key, f"{key} = {entry!r}") for key, entry in zip(keys, entries))
+    return lines
+
+
 class TestConfigFile:
     def write(self, tmp_path, text):
         path = tmp_path / "scenario.cfg"
@@ -328,3 +353,49 @@ class TestConfigFile:
     def test_comments_and_blank_lines(self, tmp_path):
         config, _ = load_config_file(self.write(tmp_path, "# scenario\n\nrho_db=5 # override\n"))
         assert config.rho_db == 5.0
+
+    def test_every_field_key_round_trips(self, tmp_path):
+        # each key sets its own field and entry: a key table that sends r1..r4 to b, or swaps two entries, fails
+        assert set(FIELD_KEYS) == {name for name, *_ in model.DOMAIN} == {f.name for f in fields(SystemConfig)}
+        rng = np.random.default_rng(2024)
+        for k in range(20):
+            config = random_valid_config(rng, force_degenerate=k % 5 == 0)
+            text = "\n".join(config_lines(config).values()) + f"\ntrials = {2000 + k}\nseed = {k}\n"
+            assert load_config_file(self.write(tmp_path, text)) == (config, RunSettings(trials=2000 + k, seed=k))
+
+    def test_distance_form_equals_omega_from_distances(self, tmp_path):
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            d1, d2, alpha = float(rng.uniform(1.0, 5.0)), float(rng.uniform(5.0, 20.0)), float(rng.uniform(2.0, 4.0))
+            lines = config_lines(random_valid_config(rng))
+            for key in FIELD_KEYS["omega"]:
+                del lines[key]
+            text = "\n".join([*lines.values(), f"d1 = {d1!r}", f"d2 = {d2!r}", f"alpha = {alpha!r}"]) + "\n"
+            config, _ = load_config_file(self.write(tmp_path, text))
+            assert config.omega == omega_from_distances(d1, d2, alpha)
+
+    @pytest.mark.parametrize("missing", [key for keys in FIELD_KEYS.values() if len(keys) == 4 for key in keys])
+    def test_group_with_a_key_missing_names_the_group(self, tmp_path, missing):
+        (keys,) = (keys for keys in FIELD_KEYS.values() if missing in keys)
+        lines = config_lines(SystemConfig())
+        del lines[missing]
+        with pytest.raises(ConfigError, match=f": all four of {', '.join(keys)} are required$"):
+            load_config_file(self.write(tmp_path, "\n".join(lines.values()) + "\n"))
+
+    @pytest.mark.parametrize("key", [*config_lines(SystemConfig()), "d1", "d2", "alpha", "trials", "seed"])
+    def test_value_that_is_no_number_names_its_key(self, tmp_path, key):
+        lines = config_lines(SystemConfig())
+        lines[key] = f"{key} = 0.5x"
+        if key in ("d1", "d2", "alpha"):
+            for omega_key in FIELD_KEYS["omega"]:
+                del lines[omega_key]
+            lines.update((other, f"{other} = 2") for other in ("d1", "d2", "alpha") if other not in lines)
+        what = "an integer" if key in ("trials", "seed") else "a number"
+        with pytest.raises(ConfigError, match=f": key '{key}' is not {what}: '0.5x'$"):
+            load_config_file(self.write(tmp_path, "\n".join(lines.values()) + "\n"))
+
+    def test_readme_example_is_the_reference_scenario(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        example = readme.split("A scenario can be given as a flat `key=value` file", 1)[1].split("```", 2)[1]
+        config, settings = load_config_file(self.write(tmp_path, example))
+        assert config == SystemConfig() and settings == RunSettings(trials=10**6, seed=1)
